@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use gpu_kernels::force::OptLevel;
 use gpu_sim::DriverModel;
-use gravit_app::backend::{frame_memory_budget, Backend};
+use gravit_app::backend::{frame_memory_budget, Backend, FrameOpts};
 use gravit_app::pressure::{chunk_floor, chunked_memory_budget, gpu_frame_chunked};
 use nbody::model::ForceParams;
 use nbody::spawn;
@@ -124,7 +124,8 @@ fn main() {
     let mut all_identical = true;
     for &chunk in &chunks {
         let (wall_s, accels) = time_best(reps, || {
-            gpu_frame_chunked(&bodies, &fp, level, chunk, None, None, None).expect("chunked frame")
+            gpu_frame_chunked(&bodies, &fp, level, chunk, &mut FrameOpts::default())
+                .expect("chunked frame")
         });
         let bit_identical = accels == reference;
         all_identical &= bit_identical;

@@ -102,8 +102,8 @@ impl StructSchema {
 /// analysis report — the access-summary path that replaces the hand-coded
 /// Gravit schema whenever the interpreter attributed the loads.
 ///
-/// Load sites are grouped by [`buffer_param`]
-/// ([`gpu_sim::analyze::AccessSummary::buffer_param`]); the buffer with the
+/// Load sites are grouped by
+/// [`buffer_param`](gpu_sim::analyze::AccessSummary::buffer_param); the buffer with the
 /// widest record whose sites agree on one positive lane stride becomes the
 /// schema: each read word is a hot scalar field (named by its byte offset),
 /// each never-read word a cold one. Field *identity* (px vs. mass) is

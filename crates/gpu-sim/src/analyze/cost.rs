@@ -12,7 +12,7 @@
 //! * **shared-memory serialization**: extra conflict passes from the static
 //!   bank-conflict degree,
 //! * **exposed latency**: one `mem_latency` charge per dependent load round,
-//!   divided by the warps available to hide it ([`occupancy`]) — the paper's
+//!   divided by the warps available to hide it ([`occupancy`](crate::occupancy)) — the paper's
 //!   Sec. V point that occupancy exists to hide memory latency.
 //!
 //! The estimate is a *ranking* model, not a simulator: both components are

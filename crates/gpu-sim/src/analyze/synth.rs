@@ -6,8 +6,8 @@
 //! the loop the paper closes by hand in Sec. III–IV:
 //!
 //! 1. **Summarize** — [`buffer_summaries`] distills the interpreter's
-//!    per-site [`AccessSummary`]s into per-buffer facts: which kernel
-//!    parameter is the buffer base ([`AccessSummary::buffer_param`]), the
+//!    per-site [`AccessSummary`](super::AccessSummary)s into per-buffer facts: which kernel
+//!    parameter is the buffer base ([`AccessSummary::buffer_param`](super::AccessSummary::buffer_param)), the
 //!    record stride per lane, and the hot/cold field partition (words the
 //!    kernel reads vs. words it hauls across the bus and never touches —
 //!    the paper's 28-byte record wastes 12 of every 32 bus bytes).
@@ -21,8 +21,8 @@
 //!    [`cost::estimate`] under one launch shape; candidates are ranked by
 //!    predicted cycles (ties to fewer registers — the paper's 17→16 point).
 //! 4. **Prove** — top candidates are checked with
-//!    [`verify::verify_equiv`] under an element-indexed [`InputMap`] (the
-//!    layout step) and [`verify::verify_pass`] (the schedule step). **A
+//!    [`verify_equiv`] under an element-indexed [`InputMap`] (the
+//!    layout step) and [`verify_pass`](super::verify::verify_pass) (the schedule step). **A
 //!    candidate that does not come back `Proved`/`ProvedBounded` is
 //!    discarded, never suggested** — the prove-then-suggest invariant.
 //!

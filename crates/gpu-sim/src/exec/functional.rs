@@ -55,7 +55,9 @@ pub struct FunctionalRun {
     pub barriers: u64,
 }
 
-/// Execute every block of the grid functionally against `gmem`.
+/// Execute every block of the grid functionally against `gmem`: lower
+/// `kernel`, then [`run_lowered_full`] with no fault plan, no watchdog and
+/// [`configured_threads`].
 ///
 /// `grid` × `block` threads; `params` are the kernel parameter values.
 /// Device misuse (bad geometry, out-of-bounds/misaligned/uninitialized
@@ -68,125 +70,40 @@ pub fn run_grid(
     params: &[u32],
     gmem: &mut GlobalMemory,
 ) -> DeviceResult<FunctionalRun> {
-    let prog = lower(kernel);
-    run_grid_lowered(&prog, grid, block, params, gmem)
-}
-
-/// As [`run_grid`], with a fault-injection plan (test harness): matching
-/// memory accesses have their effective addresses mutated before execution.
-pub fn run_grid_injected(
-    kernel: &Kernel,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    plan: &FaultPlan,
-) -> DeviceResult<FunctionalRun> {
-    let prog = lower(kernel);
-    run_lowered_inner(&prog, grid, block, params, gmem, Some(plan), None)
-}
-
-/// As [`run_grid`], with a step-budget watchdog: if the grid executes more
-/// than `budget` warp instructions in total, the launch is killed with
-/// [`FaultKind::WatchdogTimeout`] — the simulated analogue of the driver's
-/// kernel-execution timeout that turns a hung or runaway kernel into a
-/// recoverable error instead of a wedged device.
-pub fn run_grid_watchdog(
-    kernel: &Kernel,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    budget: u64,
-) -> DeviceResult<FunctionalRun> {
-    let prog = lower(kernel);
-    run_lowered_inner(&prog, grid, block, params, gmem, None, Some(budget))
-}
-
-/// As [`run_grid`], with every option explicit — fault plan, watchdog and
-/// host thread count (the differential tests and `simperf` bench drive the
-/// sequential and parallel paths side by side through this).
-#[allow(clippy::too_many_arguments)]
-pub fn run_grid_full(
-    kernel: &Kernel,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    plan: Option<&FaultPlan>,
-    watchdog: Option<u64>,
-    threads: usize,
-) -> DeviceResult<FunctionalRun> {
-    let prog = lower(kernel);
-    run_lowered_full(&prog, grid, block, params, gmem, plan, watchdog, threads)
-}
-
-/// As [`run_grid`], for an already-lowered program.
-pub fn run_grid_lowered(
-    prog: &Program,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-) -> DeviceResult<FunctionalRun> {
-    run_lowered_inner(prog, grid, block, params, gmem, None, None)
-}
-
-/// As [`run_grid_injected`], for an already-lowered program (decode-once
-/// callers like gravit's frame loop lower each kernel exactly once).
-pub fn run_grid_injected_lowered(
-    prog: &Program,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    plan: &FaultPlan,
-) -> DeviceResult<FunctionalRun> {
-    run_lowered_inner(prog, grid, block, params, gmem, Some(plan), None)
-}
-
-/// As [`run_grid_watchdog`], for an already-lowered program.
-pub fn run_grid_watchdog_lowered(
-    prog: &Program,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    budget: u64,
-) -> DeviceResult<FunctionalRun> {
-    run_lowered_inner(prog, grid, block, params, gmem, None, Some(budget))
-}
-
-pub(crate) fn run_lowered_inner(
-    prog: &Program,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    plan: Option<&FaultPlan>,
-    watchdog: Option<u64>,
-) -> DeviceResult<FunctionalRun> {
     run_lowered_full(
-        prog,
+        &lower(kernel),
         grid,
         block,
         params,
         gmem,
-        plan,
-        watchdog,
+        None,
+        None,
         configured_threads(),
     )
 }
 
-/// The fully-general entry point: every launch option plus an explicit host
-/// thread count. `threads <= 1` (or a one-block grid) runs the classic
-/// sequential loop; otherwise blocks execute across `threads` scoped host
-/// threads against per-block [`BlockShard`] write-views, and the results are
-/// committed in ascending block-id order — bit-identical to the sequential
-/// path in memory contents, shadow/ECC state, statistics and first-fault
-/// coordinates (the differential proptests in `tests/parallel_difftests.rs`
-/// hold this equivalence under random kernels, geometries, injected faults
-/// and watchdog budgets).
+/// The functional executor's one entry point, over an already-lowered
+/// program (decode-once callers like gravit's frame loop lower each kernel
+/// exactly once).
+///
+/// * `plan` — a fault-injection plan (test harness): matching memory
+///   accesses have their effective addresses mutated before execution;
+/// * `watchdog` — a step budget: if the grid executes more than this many
+///   warp instructions in total, the launch is killed with
+///   [`FaultKind::WatchdogTimeout`] — the simulated analogue of the driver's
+///   kernel-execution timeout that turns a hung or runaway kernel into a
+///   recoverable error instead of a wedged device;
+/// * `threads` — host threads to spread blocks across (callers usually pass
+///   [`configured_threads`]).
+///
+/// `threads <= 1` (or a one-block grid) runs the classic sequential loop;
+/// otherwise blocks execute across `threads` scoped host threads against
+/// per-block [`BlockShard`] write-views, and the results are committed in
+/// ascending block-id order — bit-identical to the sequential path in memory
+/// contents, shadow/ECC state, statistics and first-fault coordinates (the
+/// differential proptests in `tests/parallel_difftests.rs` hold this
+/// equivalence under random kernels, geometries, injected faults and
+/// watchdog budgets).
 #[allow(clippy::too_many_arguments)]
 pub fn run_lowered_full(
     prog: &Program,
@@ -728,8 +645,17 @@ mod tests {
         let run = |threads: usize| {
             let mut gmem = GlobalMemory::new(1 << 20);
             let o = gmem.alloc(n as u64 * 4).unwrap();
-            let stats =
-                run_grid_full(&k, 8, 64, &[o.0 as u32], &mut gmem, None, None, threads).unwrap();
+            let stats = run_lowered_full(
+                &lower(&k),
+                8,
+                64,
+                &[o.0 as u32],
+                &mut gmem,
+                None,
+                None,
+                threads,
+            )
+            .unwrap();
             (gmem.download(o, n as u64 * 4).unwrap(), stats)
         };
         let (seq_mem, seq_stats) = run(1);

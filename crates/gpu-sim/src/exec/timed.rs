@@ -116,27 +116,8 @@ pub fn time_resident(
     driver: DriverModel,
     tp: &TimingParams,
 ) -> DeviceResult<TimedRun> {
-    let prog = lower(kernel);
-    time_resident_lowered(
-        &prog, resident, block_size, grid, params, gmem, dev, driver, tp,
-    )
-}
-
-/// As [`time_resident`], for an already-lowered program.
-#[allow(clippy::too_many_arguments)]
-pub fn time_resident_lowered<M: DeviceMem>(
-    prog: &Program,
-    resident: &[u32],
-    block_size: u32,
-    grid: u32,
-    params: &[u32],
-    gmem: &mut M,
-    dev: &DeviceConfig,
-    driver: DriverModel,
-    tp: &TimingParams,
-) -> DeviceResult<TimedRun> {
     time_sm_queue(
-        prog,
+        &lower(kernel),
         resident,
         &[],
         block_size,

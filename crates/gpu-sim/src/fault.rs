@@ -414,7 +414,7 @@ pub struct InjectedFault {
 }
 
 /// A set of injected faults, threaded through the functional executor by
-/// [`crate::exec::functional::run_grid_injected`]. Used by the test suite to
+/// [`crate::exec::functional::run_lowered_full`]. Used by the test suite to
 /// prove that every fault class is detected and attributed to the exact
 /// thread — never enabled on the normal execution paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -66,6 +66,4 @@ pub use ir::{Kernel, KernelBuilder};
 pub use mem::GlobalMemory;
 pub use pool::{DevicePool, DeviceSpec, SimDevice};
 pub use timing::TimingParams;
-pub use transient::{
-    run_grid_chaos, run_grid_chaos_lowered, FaultRates, LaunchFault, TransientFaultPlan,
-};
+pub use transient::{run_grid_chaos_lowered, FaultRates, LaunchFault, TransientFaultPlan};

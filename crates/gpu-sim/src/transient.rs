@@ -20,10 +20,9 @@
 //! k-th launch of a plan with seed `s` always sees the same fate, regardless
 //! of what the application does in between.
 
-use crate::exec::functional::{run_lowered_inner, FunctionalRun};
-use crate::fault::{DeviceError, DeviceResult, FaultKind};
-use crate::ir::lower::{lower, Program};
-use crate::ir::Kernel;
+use crate::exec::functional::{configured_threads, run_lowered_full, FunctionalRun};
+use crate::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
+use crate::ir::lower::Program;
 use crate::mem::GlobalMemory;
 use serde::{Deserialize, Serialize};
 use simcore::SplitMix64;
@@ -165,7 +164,9 @@ fn next_unit(rng: &mut SplitMix64) -> f64 {
 /// effects behind), never enough for any multi-instruction kernel to finish.
 pub const HANG_BUDGET: u64 = 1;
 
-/// Execute a grid functionally under a transient-fault plan and a watchdog.
+/// Execute a lowered program functionally under a transient-fault plan —
+/// [`run_lowered_full`] with the launch's fate applied first and an ECC
+/// scrub after.
 ///
 /// One event is drawn for this launch:
 ///
@@ -181,25 +182,11 @@ pub const HANG_BUDGET: u64 = 1;
 ///   construction);
 /// * `None` → a healthy, watchdog-supervised run.
 ///
-/// On any error the caller owns recovery: discard `gmem`, re-upload from
-/// host state, and retry — which is exactly what
-/// `gravit_app::backend`'s `RecoveryPolicy` does.
-pub fn run_grid_chaos(
-    kernel: &Kernel,
-    grid: u32,
-    block: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    plan: &mut TransientFaultPlan,
-    watchdog: Option<u64>,
-) -> DeviceResult<FunctionalRun> {
-    let prog = lower(kernel);
-    run_grid_chaos_lowered(&prog, grid, block, params, gmem, plan, watchdog)
-}
-
-/// [`run_grid_chaos`] over an already-lowered [`Program`]. Lets callers that
-/// launch the same kernel many times (gravit's frame loop, the chaos
-/// harness) pay the decode cost once.
+/// `inject` and `watchdog` are passed through to [`run_lowered_full`], which
+/// runs on [`configured_threads`]. On any error the caller owns recovery:
+/// discard `gmem`, re-upload from host state, and retry — which is exactly
+/// what `gravit_app::backend`'s `RecoveryPolicy` does.
+#[allow(clippy::too_many_arguments)]
 pub fn run_grid_chaos_lowered(
     prog: &Program,
     grid: u32,
@@ -207,6 +194,7 @@ pub fn run_grid_chaos_lowered(
     params: &[u32],
     gmem: &mut GlobalMemory,
     plan: &mut TransientFaultPlan,
+    inject: Option<&FaultPlan>,
     watchdog: Option<u64>,
 ) -> DeviceResult<FunctionalRun> {
     let fate = plan.next_launch();
@@ -226,7 +214,16 @@ pub fn run_grid_chaos_lowered(
         }
         LaunchFault::None => watchdog,
     };
-    let run = run_lowered_inner(prog, grid, block, params, gmem, None, effective_watchdog)?;
+    let run = run_lowered_full(
+        prog,
+        grid,
+        block,
+        params,
+        gmem,
+        inject,
+        effective_watchdog,
+        configured_threads(),
+    )?;
     // Scrub: any undetected strike in the working set fails the launch here
     // rather than leaking corrupted physics to the host.
     gmem.verify_all().map_err(|e| e.with_kernel(&prog.name))?;

@@ -9,8 +9,9 @@
 //! and the one the commit/merge scheme guarantees determinism for (see
 //! DESIGN.md §15).
 
-use gpu_sim::exec::functional::{run_grid_full, FunctionalRun};
+use gpu_sim::exec::functional::{run_lowered_full, FunctionalRun};
 use gpu_sim::fault::{DeviceError, FaultKind, FaultPlan, Mutation};
+use gpu_sim::ir::lower::lower;
 use gpu_sim::ir::{AluOp, CmpOp, Kernel, KernelBuilder, MemSpace, Operand};
 use gpu_sim::mem::GlobalMemory;
 use proptest::prelude::*;
@@ -99,8 +100,15 @@ fn execute(
     params.push(out.0 as u32);
     params.push(1.5f32.to_bits());
     params.truncate(kernel.n_params as usize);
-    let r = run_grid_full(
-        kernel, grid, block, &params, &mut gmem, plan, watchdog, threads,
+    let r = run_lowered_full(
+        &lower(kernel),
+        grid,
+        block,
+        &params,
+        &mut gmem,
+        plan,
+        watchdog,
+        threads,
     );
     (r, gmem)
 }
@@ -239,7 +247,6 @@ proptest! {
 /// its budget of 1 kills the very first fetched item of the grid.
 #[test]
 fn chaos_hang_attribution_matches_sequential() {
-    use gpu_sim::ir::lower::lower;
     use gpu_sim::transient::HANG_BUDGET;
     let k = divergent_kernel(7);
     let prog = lower(&k);
@@ -287,7 +294,7 @@ fn oversized_grids_are_rejected_at_every_thread_count() {
     let k = affine_kernel(1, 1);
     for &t in &THREADS {
         let mut gmem = GlobalMemory::new(1 << 20);
-        let err = run_grid_full(&k, MAX_GRID + 1, 64, &[], &mut gmem, None, None, t)
+        let err = run_lowered_full(&lower(&k), MAX_GRID + 1, 64, &[], &mut gmem, None, None, t)
             .expect_err("65536 blocks must be rejected");
         assert!(
             matches!(err.kind, FaultKind::BadLaunch { .. }),

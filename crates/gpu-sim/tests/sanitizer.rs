@@ -9,8 +9,9 @@
 //! paper's mis-padded 28-byte AoS particle faults loudly instead of
 //! returning silently wrong accelerations.
 
-use gpu_sim::exec::functional::{run_grid, run_grid_injected, MAX_BLOCK};
+use gpu_sim::exec::functional::{configured_threads, run_grid, run_lowered_full, MAX_BLOCK};
 use gpu_sim::fault::{DeviceError, FaultKind, FaultPlan, Mutation};
+use gpu_sim::ir::lower::lower;
 use gpu_sim::ir::{Kernel, KernelBuilder, MemSpace, Operand, SpecialReg};
 use gpu_sim::mem::GlobalMemory;
 use proptest::prelude::*;
@@ -60,7 +61,16 @@ fn injected_oob_is_detected_with_exact_coordinates() {
     let (mut gmem, d, out) = setup(32);
     let far = 1u64 << 30; // 4-aligned and far outside the 1 MiB space
     let plan = FaultPlan::at_thread(0, 13, Mutation::SetAddr(far));
-    let e = fault(run_grid_injected(&k, 1, 32, &[d, out], &mut gmem, &plan));
+    let e = fault(run_lowered_full(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        Some(&plan),
+        None,
+        configured_threads(),
+    ));
     match e.kind {
         FaultKind::OutOfBounds {
             space,
@@ -95,7 +105,16 @@ fn injected_misalignment_wins_over_out_of_bounds() {
     let (mut gmem, d, out) = setup(32);
     let bad = (1u64 << 30) + 2;
     let plan = FaultPlan::at_thread(0, 7, Mutation::SetAddr(bad));
-    let e = fault(run_grid_injected(&k, 1, 32, &[d, out], &mut gmem, &plan));
+    let e = fault(run_lowered_full(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        Some(&plan),
+        None,
+        configured_threads(),
+    ));
     match e.kind {
         FaultKind::Misaligned { space, addr, width } => {
             assert_eq!(space, MemSpace::Global);
@@ -116,7 +135,16 @@ fn one_past_the_end_lands_in_the_redzone() {
     let k = copy_kernel();
     let (mut gmem, d, out) = setup(32);
     let plan = FaultPlan::at_thread(0, 31, Mutation::AddrDelta(4));
-    let e = fault(run_grid_injected(&k, 1, 32, &[d, out], &mut gmem, &plan));
+    let e = fault(run_lowered_full(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        Some(&plan),
+        None,
+        configured_threads(),
+    ));
     match e.kind {
         FaultKind::OutOfBounds { addr, redzone, .. } => {
             assert_eq!(addr, d as u64 + 32 * 4);
@@ -281,8 +309,17 @@ fn healthy_injection_free_run_still_computes() {
     // Control: the same kernel with an empty plan completes and copies.
     let k = copy_kernel();
     let (mut gmem, d, out) = setup(32);
-    run_grid_injected(&k, 1, 32, &[d, out], &mut gmem, &FaultPlan::default())
-        .expect("no faults injected");
+    run_lowered_full(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        Some(&FaultPlan::default()),
+        None,
+        configured_threads(),
+    )
+    .expect("no faults injected");
     let vals = gmem
         .read_f32(gpu_sim::mem::DevicePtr(out as u64), 32)
         .expect("written");
@@ -308,7 +345,16 @@ proptest! {
         let out = gmem.alloc_zeroed(n as u64 * 4).expect("fits");
         let far = (1u64 << 20) + slot * 4; // 4-aligned, at/after capacity
         let plan = FaultPlan::at_thread(block, thread, Mutation::SetAddr(far));
-        let e = fault(run_grid_injected(&k, 4, 64, &[d.0 as u32, out.0 as u32], &mut gmem, &plan));
+        let e = fault(run_lowered_full(
+            &lower(&k),
+            4,
+            64,
+            &[d.0 as u32, out.0 as u32],
+            &mut gmem,
+            Some(&plan),
+            None,
+            configured_threads(),
+        ));
         prop_assert!(
             matches!(e.kind, FaultKind::OutOfBounds { addr, .. } if addr == far),
             "kind: {:?}", e.kind
@@ -335,7 +381,16 @@ proptest! {
         let out = gmem.alloc_zeroed(n as u64 * 4).expect("fits");
         let bad = word * 4 + skew; // guaranteed addr % 4 != 0
         let plan = FaultPlan::at_thread(block, thread, Mutation::SetAddr(bad));
-        let e = fault(run_grid_injected(&k, 4, 64, &[d.0 as u32, out.0 as u32], &mut gmem, &plan));
+        let e = fault(run_lowered_full(
+            &lower(&k),
+            4,
+            64,
+            &[d.0 as u32, out.0 as u32],
+            &mut gmem,
+            Some(&plan),
+            None,
+            configured_threads(),
+        ));
         prop_assert!(
             matches!(e.kind, FaultKind::Misaligned { addr, width: 4, .. } if addr == bad),
             "kind: {:?}", e.kind

@@ -5,11 +5,12 @@
 //! errors with a transient fault, or its results are bit-identical to the
 //! fault-free run.
 
-use gpu_sim::exec::functional::{run_grid, run_grid_watchdog};
+use gpu_sim::exec::functional::{configured_threads, run_grid, run_lowered_full};
 use gpu_sim::exec::timed::time_resident;
+use gpu_sim::ir::lower::lower;
 use gpu_sim::ir::{Kernel, KernelBuilder, MemSpace, Operand, SpecialReg};
 use gpu_sim::mem::GlobalMemory;
-use gpu_sim::transient::{run_grid_chaos, FaultRates, LaunchFault, TransientFaultPlan};
+use gpu_sim::transient::{run_grid_chaos_lowered, FaultRates, LaunchFault, TransientFaultPlan};
 use gpu_sim::{DeviceConfig, DriverModel, FaultKind, TimingParams};
 
 /// `out[tid] = in[tid]` over one block.
@@ -45,8 +46,17 @@ fn injected_launch_failure_is_typed_and_attributed() {
             hang: 0.0,
         },
     );
-    let e = run_grid_chaos(&k, 1, 32, &[d, out], &mut gmem, &mut plan, None)
-        .expect_err("launch must transiently fail");
+    let e = run_grid_chaos_lowered(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        &mut plan,
+        None,
+        None,
+    )
+    .expect_err("launch must transiently fail");
     assert!(
         matches!(e.kind, FaultKind::TransientLaunch { .. }),
         "kind: {:?}",
@@ -56,7 +66,17 @@ fn injected_launch_failure_is_typed_and_attributed() {
     assert_eq!(e.site.kernel.as_deref(), Some("chaos_copy"));
     // The memory was never touched: a plain retry on the same gmem succeeds.
     plan = TransientFaultPlan::quiet();
-    run_grid_chaos(&k, 1, 32, &[d, out], &mut gmem, &mut plan, None).expect("retry succeeds");
+    run_grid_chaos_lowered(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        &mut plan,
+        None,
+        None,
+    )
+    .expect("retry succeeds");
 }
 
 #[test]
@@ -72,8 +92,17 @@ fn injected_hang_is_killed_by_the_watchdog() {
         },
     );
     // Generous caller watchdog: the injected hang must still starve the run.
-    let e = run_grid_chaos(&k, 1, 32, &[d, out], &mut gmem, &mut plan, Some(1 << 20))
-        .expect_err("hung launch must be killed");
+    let e = run_grid_chaos_lowered(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        &mut plan,
+        None,
+        Some(1 << 20),
+    )
+    .expect_err("hung launch must be killed");
     match e.kind {
         FaultKind::WatchdogTimeout { budget, executed } => {
             assert!(budget <= gpu_sim::transient::HANG_BUDGET);
@@ -107,7 +136,16 @@ fn bit_flips_never_produce_silently_wrong_results() {
                 hang: 0.0,
             },
         );
-        match run_grid_chaos(&k, 1, 32, &[d, out], &mut gmem, &mut plan, None) {
+        match run_grid_chaos_lowered(
+            &lower(&k),
+            1,
+            32,
+            &[d, out],
+            &mut gmem,
+            &mut plan,
+            None,
+            None,
+        ) {
             Ok(_) => {
                 // Strike hit a redzone / was healed by a full overwrite:
                 // results must be exactly right.
@@ -147,8 +185,17 @@ fn ecc_detection_reports_the_struck_word() {
     let (mut gmem, d, out) = setup(32);
     assert!(gmem.corrupt_bit(d as u64 + 5 * 4, 2));
     let mut plan = TransientFaultPlan::quiet();
-    let e = run_grid_chaos(&k, 1, 32, &[d, out], &mut gmem, &mut plan, None)
-        .expect_err("the strike must be detected");
+    let e = run_grid_chaos_lowered(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        &mut plan,
+        None,
+        None,
+    )
+    .expect_err("the strike must be detected");
     match e.kind {
         FaultKind::EccMismatch {
             addr,
@@ -170,8 +217,17 @@ fn functional_watchdog_kills_runaway_and_spares_healthy_runs() {
     let (mut gmem, d, out) = setup(32);
     // A one-block copy retires a handful of warp instructions; budget 1 is
     // starvation, a large budget is not.
-    let e = run_grid_watchdog(&k, 1, 32, &[d, out], &mut gmem, 1)
-        .expect_err("budget 1 must starve the launch");
+    let e = run_lowered_full(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        None,
+        Some(1),
+        configured_threads(),
+    )
+    .expect_err("budget 1 must starve the launch");
     match e.kind {
         FaultKind::WatchdogTimeout { budget, executed } => {
             assert_eq!(budget, 1);
@@ -182,8 +238,17 @@ fn functional_watchdog_kills_runaway_and_spares_healthy_runs() {
     assert!(e.site.block.is_some(), "the stuck block is attributed");
 
     let (mut gmem, d, out) = setup(32);
-    let run = run_grid_watchdog(&k, 1, 32, &[d, out], &mut gmem, 1 << 20)
-        .expect("healthy run under a generous budget");
+    let run = run_lowered_full(
+        &lower(&k),
+        1,
+        32,
+        &[d, out],
+        &mut gmem,
+        None,
+        Some(1 << 20),
+        configured_threads(),
+    )
+    .expect("healthy run under a generous budget");
     // The reference run with no watchdog retires exactly as many instructions.
     let (mut gmem2, d2, out2) = setup(32);
     let reference = run_grid(&k, 1, 32, &[d2, out2], &mut gmem2).expect("reference");
@@ -219,8 +284,17 @@ fn chaos_wrapper_with_quiet_plan_matches_plain_run() {
     let (mut gmem_a, da, oa) = setup(64);
     let (mut gmem_b, db, ob) = setup(64);
     let mut plan = TransientFaultPlan::quiet();
-    let a = run_grid_chaos(&k, 2, 32, &[da, oa], &mut gmem_a, &mut plan, Some(1 << 20))
-        .expect("quiet chaos run");
+    let a = run_grid_chaos_lowered(
+        &lower(&k),
+        2,
+        32,
+        &[da, oa],
+        &mut gmem_a,
+        &mut plan,
+        None,
+        Some(1 << 20),
+    )
+    .expect("quiet chaos run");
     let b = run_grid(&k, 2, 32, &[db, ob], &mut gmem_b).expect("plain run");
     assert_eq!(a.warp_instructions, b.warp_instructions);
     let va = gmem_a

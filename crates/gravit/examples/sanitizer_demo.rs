@@ -10,7 +10,7 @@
 use gpu_kernels::force::OptLevel;
 use gpu_sim::fault::{FaultPlan, Mutation};
 use gpu_sim::DriverModel;
-use gravit_app::backend::{Backend, FaultPolicy};
+use gravit_app::backend::{Backend, FaultPolicy, FrameOpts};
 use gravit_app::config::SpawnKind;
 use nbody::model::ForceParams;
 
@@ -27,14 +27,24 @@ fn main() {
     let plan = FaultPlan::at_thread(0, 9, Mutation::SetAddr(1 << 40));
 
     println!("--- fail-fast policy ---");
-    match gpu.accelerations_with_policy_injected(&bodies, &fp, FaultPolicy::FailFast, Some(&plan)) {
+    let fail_fast = FrameOpts {
+        policy: FaultPolicy::FailFast,
+        inject: Some(&plan),
+        ..FrameOpts::default()
+    };
+    match gpu.frame(&bodies, &fp, fail_fast) {
         Ok(_) => println!("unexpected: no fault"),
         Err(e) => println!("{}", e.report()),
     }
 
     println!("\n--- fallback policy ---");
+    let fallback = FrameOpts {
+        policy: FaultPolicy::FallbackToCpu,
+        inject: Some(&plan),
+        ..FrameOpts::default()
+    };
     let r = gpu
-        .accelerations_with_policy_injected(&bodies, &fp, FaultPolicy::FallbackToCpu, Some(&plan))
+        .frame(&bodies, &fp, fallback)
         .expect("fallback absorbs the fault");
     let report = r.fault.expect("the survived fault is reported");
     println!("{}", report.render());

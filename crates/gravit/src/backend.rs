@@ -3,8 +3,10 @@
 //! The paper's Sec. I-C/I-D landscape, as selectable engines:
 //!
 //! * [`Backend::CpuSerial`] — the original O(n²) loop (the 87× baseline);
-//! * [`Backend::CpuParallel`] — the same, Rayon-parallel (a fair multi-core
-//!   comparator the paper didn't have);
+//! * [`Backend::CpuParallel`] — the same loop written against Rayon's
+//!   parallel iterators, a multi-core comparator the paper didn't have (the
+//!   vendored `shims/rayon` stand-in runs it serially, so here it is as fast
+//!   as `CpuSerial`);
 //! * [`Backend::BarnesHut`] — Gravit's O(n log n) tree code;
 //! * [`Backend::GpuSim`] — the tiled CUDA kernel at a chosen optimization
 //!   level, *functionally executed* on the simulated GPU. Physics results
@@ -23,15 +25,17 @@
 //! * [`FaultPolicy::FallbackToCpu`] — log a [`FaultReport`] and recompute the
 //!   frame on [`Backend::CpuParallel`], which is bit-identical physics to the
 //!   GPU path, so a degraded run produces the same trajectory.
+//!
+//! Every frame goes through [`Backend::frame`], which applies the policy
+//! after the transient-fault retries and the memory-pressure ladder of
+//! [`FrameOpts::recovery`].
 
 use crate::pressure::{downgrade, gpu_frame_chunked, plan_frame, DegradeEvent, ExecMode};
 use crate::recovery::{RecoveryPolicy, RetryEvent};
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
-use gpu_sim::exec::functional::{
-    run_grid_injected_lowered, run_grid_lowered, run_grid_watchdog_lowered,
-};
+use gpu_sim::exec::functional::{configured_threads, run_lowered_full, FunctionalRun};
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
-use gpu_sim::ir::lower::lower;
+use gpu_sim::ir::lower::{lower, Program};
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::transient::{run_grid_chaos_lowered, TransientFaultPlan};
 use gpu_sim::DriverModel;
@@ -48,7 +52,8 @@ use simcore::Vec3;
 pub enum Backend {
     /// Serial O(n²) on the CPU.
     CpuSerial,
-    /// Rayon-parallel O(n²) on the CPU.
+    /// O(n²) on the CPU through Rayon's parallel iterators (serial under
+    /// the vendored `shims/rayon`).
     CpuParallel,
     /// Barnes–Hut tree code with opening angle θ.
     BarnesHut {
@@ -69,8 +74,9 @@ pub enum Backend {
 pub enum FaultPolicy {
     /// Propagate the typed error to the caller immediately.
     FailFast,
-    /// Emit a [`FaultReport`] and recompute the frame on the parallel CPU
-    /// backend (bit-identical physics, so the trajectory is unaffected).
+    /// Emit a [`FaultReport`] and recompute the frame on
+    /// [`Backend::CpuParallel`] (bit-identical physics, so the trajectory is
+    /// unaffected).
     #[default]
     FallbackToCpu,
 }
@@ -128,6 +134,75 @@ pub struct ForceResult {
     pub fault: Option<FaultReport>,
 }
 
+/// Options of one [`Backend::frame`]: what a fault means, how the frame
+/// recovers, and the two fault-injection hooks (both `None` in production).
+#[derive(Debug, Default)]
+pub struct FrameOpts<'a> {
+    /// What a device fault the recovery could not absorb means.
+    pub policy: FaultPolicy,
+    /// Retry budget, backoff, watchdog and device capacity.
+    pub recovery: RecoveryPolicy,
+    /// Transient faults drawn once per kernel launch (the soak-test hook;
+    /// see `gpu_sim::transient`).
+    pub chaos: Option<&'a mut TransientFaultPlan>,
+    /// Address faults injected into every kernel launch (the sanitizer test
+    /// hook; see `gpu_sim::fault::FaultPlan`). They recur on every attempt,
+    /// so they are permanent faults and never retried.
+    pub inject: Option<&'a FaultPlan>,
+}
+
+impl FrameOpts<'_> {
+    /// One attempt under `policy`: no retries, no watchdog, no capacity
+    /// limit and no injected faults.
+    fn single_attempt(policy: FaultPolicy) -> Self {
+        FrameOpts {
+            policy,
+            recovery: RecoveryPolicy {
+                max_retries: 0,
+                ..RecoveryPolicy::default()
+            },
+            chaos: None,
+            inject: None,
+        }
+    }
+
+    /// Launch one kernel of a frame with these options' hooks and watchdog
+    /// — the only place gravit chooses between the chaos launch and the
+    /// plain one.
+    pub(crate) fn launch(
+        &mut self,
+        prog: &Program,
+        grid: u32,
+        block: u32,
+        params: &[u32],
+        gmem: &mut GlobalMemory,
+    ) -> DeviceResult<FunctionalRun> {
+        let watchdog = self.recovery.watchdog_instructions;
+        match self.chaos.as_deref_mut() {
+            Some(chaos) => run_grid_chaos_lowered(
+                prog,
+                grid,
+                block,
+                params,
+                gmem,
+                chaos,
+                self.inject,
+                watchdog,
+            ),
+            None => run_lowered_full(
+                prog,
+                grid,
+                block,
+                params,
+                gmem,
+                self.inject,
+                watchdog,
+                configured_threads(),
+            ),
+        }
+    }
+}
+
 impl Backend {
     /// Short name for reports.
     pub fn label(&self) -> String {
@@ -139,71 +214,60 @@ impl Backend {
         }
     }
 
-    /// Compute accelerations, recovering from device faults via the CPU
-    /// fallback (i.e. [`FaultPolicy::FallbackToCpu`], report discarded).
+    /// Compute accelerations in one attempt, recovering from a device fault
+    /// via the CPU fallback (i.e. [`FaultPolicy::FallbackToCpu`], report
+    /// discarded).
     pub fn accelerations(&self, bodies: &Bodies, fp: &ForceParams) -> Vec<Vec3> {
-        self.accelerations_with_policy(bodies, fp, FaultPolicy::FallbackToCpu)
-            .map(|r| r.accels)
-            // The fallback path cannot itself fault; this arm is unreachable.
-            .unwrap_or_else(|_| accelerations_par(bodies, fp))
+        self.frame(
+            bodies,
+            fp,
+            FrameOpts::single_attempt(FaultPolicy::FallbackToCpu),
+        )
+        .map(|r| r.accels)
+        // The fallback path cannot itself fault; this arm is unreachable.
+        .unwrap_or_else(|_| accelerations_par(bodies, fp))
     }
 
-    /// Compute accelerations, propagating any device fault as a typed error.
+    /// Compute accelerations in one attempt, propagating any device fault as
+    /// a typed error.
     pub fn try_accelerations(&self, bodies: &Bodies, fp: &ForceParams) -> DeviceResult<Vec<Vec3>> {
-        self.accelerations_with_policy(bodies, fp, FaultPolicy::FailFast)
+        self.frame(bodies, fp, FrameOpts::single_attempt(FaultPolicy::FailFast))
             .map(|r| r.accels)
     }
 
-    /// Compute accelerations under an explicit fault policy.
-    pub fn accelerations_with_policy(
+    /// Compute one frame of accelerations under `opts`: the one way every
+    /// caller computes a frame.
+    ///
+    /// CPU backends have no device faults and compute the frame directly.
+    /// On the simulated GPU the frame is first planned against
+    /// `opts.recovery.device_capacity` (see [`crate::pressure::plan_frame`]):
+    /// a working set that does not fit the device is admitted as chunked
+    /// streaming (bit-identical physics) or, at the floor, handed to the CPU
+    /// — each downgrade recorded in the [`FaultReport`]'s ladder with the
+    /// typed OOM that forced it.
+    ///
+    /// Orthogonally, a frame that fails with a *transient* fault
+    /// (`EccMismatch`, `WatchdogTimeout`, `TransientLaunch`,
+    /// `NonFiniteResult`) is retried up to `opts.recovery.max_retries` times
+    /// with deterministic backoff — each retry rebuilds the device image from
+    /// host state, so a vanished fault leaves the physics bit-identical to a
+    /// fault-free frame. A runtime OOM that slipped past planning descends
+    /// the same ladder reactively. Only when retries exhaust, the fault is
+    /// permanent, or the ladder reaches the CPU does `opts.policy` decide
+    /// between propagating the error and computing the frame on the CPU.
+    /// The retry history is returned in the [`FaultReport`].
+    pub fn frame(
         &self,
         bodies: &Bodies,
         fp: &ForceParams,
-        policy: FaultPolicy,
+        opts: FrameOpts,
     ) -> DeviceResult<ForceResult> {
-        self.accelerations_with_policy_injected(bodies, fp, policy, None)
-    }
-
-    /// [`accelerations_with_policy`](Self::accelerations_with_policy) with an
-    /// optional fault-injection plan threaded into the GPU backend — the test
-    /// hook proving detection and recovery work end to end.
-    pub fn accelerations_with_policy_injected(
-        &self,
-        bodies: &Bodies,
-        fp: &ForceParams,
-        policy: FaultPolicy,
-        plan: Option<&FaultPlan>,
-    ) -> DeviceResult<ForceResult> {
-        if bodies.is_empty() {
-            return Ok(ForceResult {
-                accels: Vec::new(),
-                fault: None,
-            });
-        }
         let accels = match self {
+            _ if bodies.is_empty() => Vec::new(),
             Backend::CpuSerial => accelerations(bodies, fp),
             Backend::CpuParallel => accelerations_par(bodies, fp),
             Backend::BarnesHut { theta } => accelerations_bh(bodies, fp, *theta),
-            Backend::GpuSim { level, .. } => match gpu_accelerations(bodies, fp, *level, plan) {
-                Ok(a) => a,
-                Err(error) => match policy {
-                    FaultPolicy::FailFast => return Err(error),
-                    FaultPolicy::FallbackToCpu => {
-                        let fallback = Backend::CpuParallel;
-                        let accels = accelerations_par(bodies, fp);
-                        return Ok(ForceResult {
-                            accels,
-                            fault: Some(FaultReport {
-                                error,
-                                degraded_from: self.label(),
-                                degraded_to: fallback.label(),
-                                retries: Vec::new(),
-                                ladder: Vec::new(),
-                            }),
-                        });
-                    }
-                },
-            },
+            Backend::GpuSim { level, .. } => return self.device_frame(bodies, fp, *level, opts),
         };
         Ok(ForceResult {
             accels,
@@ -211,46 +275,17 @@ impl Backend {
         })
     }
 
-    /// Compute accelerations with transient-fault recovery *and* the
-    /// memory-pressure degradation ladder.
-    ///
-    /// The frame is first planned against `recovery.device_capacity` (see
-    /// [`crate::pressure::plan_frame`]): a working set that does not fit the
-    /// device is admitted as chunked streaming (bit-identical physics) or,
-    /// at the floor, handed to the CPU — each downgrade recorded in the
-    /// [`FaultReport`]'s ladder with the typed OOM that forced it.
-    ///
-    /// Orthogonally, a frame that fails with a *transient* fault
-    /// (`EccMismatch`, `WatchdogTimeout`, `TransientLaunch`,
-    /// `NonFiniteResult`) is retried up to `recovery.max_retries` times with
-    /// deterministic backoff — each retry rebuilds the device image from
-    /// host state, so a vanished fault leaves the physics bit-identical to a
-    /// fault-free frame. A runtime OOM that slipped past planning descends
-    /// the same ladder reactively. Only when retries exhaust (or the fault
-    /// is permanent) does `policy` decide between propagating the error and
-    /// degrading to the CPU. `chaos` optionally injects transient faults
-    /// (the soak-test hook); the retry history is returned in the
-    /// [`FaultReport`].
-    pub fn accelerations_recovering(
+    /// [`frame`](Self::frame) on the simulated GPU: plan, retry, descend the
+    /// ladder, and let the policy settle what the device could not.
+    fn device_frame(
         &self,
         bodies: &Bodies,
         fp: &ForceParams,
-        policy: FaultPolicy,
-        recovery: &RecoveryPolicy,
-        mut chaos: Option<&mut TransientFaultPlan>,
+        level: OptLevel,
+        mut opts: FrameOpts,
     ) -> DeviceResult<ForceResult> {
-        let (level, _) = match self {
-            Backend::GpuSim { level, driver } => (*level, *driver),
-            // CPU backends have no transient faults to recover from.
-            _ => return self.accelerations_with_policy(bodies, fp, policy),
-        };
-        if bodies.is_empty() {
-            return Ok(ForceResult {
-                accels: Vec::new(),
-                fault: None,
-            });
-        }
         let n = bodies.len() as u32;
+        let recovery = opts.recovery;
         // Admission control: plan the frame before touching device memory.
         let plan = plan_frame(level, n, recovery.device_capacity);
         let mut mode = plan.mode;
@@ -258,111 +293,79 @@ impl Backend {
         let mut first_error: Option<DeviceError> = plan.root;
         let mut retries: Vec<RetryEvent> = Vec::new();
         loop {
-            // The CPU rung ends the frame: the root-cause OOM propagates
-            // under FailFast, or the CPU takes the frame with full history.
-            if mode == ExecMode::Cpu {
-                let error = first_error.expect("the CPU rung is only reached by a downgrade");
-                match policy {
-                    FaultPolicy::FailFast => return Err(error),
-                    FaultPolicy::FallbackToCpu => {
-                        return Ok(ForceResult {
-                            accels: accelerations_par(bodies, fp),
-                            fault: Some(FaultReport {
-                                error,
-                                degraded_from: self.label(),
-                                degraded_to: Backend::CpuParallel.label(),
-                                retries,
-                                ladder,
-                            }),
-                        });
-                    }
-                }
-            }
             let attempt = retries.len() as u32;
             let r = match mode {
-                ExecMode::Full => gpu_accelerations_transient(
-                    bodies,
-                    fp,
-                    level,
-                    chaos.as_deref_mut(),
-                    recovery.watchdog_instructions,
-                ),
-                ExecMode::Chunked { chunk } => gpu_frame_chunked(
-                    bodies,
-                    fp,
-                    level,
-                    chunk,
-                    recovery.device_capacity,
-                    chaos.as_deref_mut(),
-                    recovery.watchdog_instructions,
-                ),
-                ExecMode::Cpu => unreachable!("handled above"),
+                ExecMode::Full => gpu_frame(bodies, fp, level, &mut opts),
+                ExecMode::Chunked { chunk } => {
+                    gpu_frame_chunked(bodies, fp, level, chunk, &mut opts)
+                }
+                // The CPU rung ends the frame; the downgrade that led here
+                // recorded its root cause in `first_error`.
+                ExecMode::Cpu => break,
             };
-            match r {
+            let error = match r {
                 Ok(accels) => {
                     let fault = first_error.map(|error| FaultReport {
                         error,
                         degraded_from: self.label(),
                         degraded_to: self.survival_label(mode, attempt),
-                        retries: std::mem::take(&mut retries),
-                        ladder: std::mem::take(&mut ladder),
+                        retries,
+                        ladder,
                     });
                     return Ok(ForceResult { accels, fault });
                 }
-                Err(error) => {
-                    let transient = error.kind.is_transient();
-                    if transient && attempt < recovery.max_retries {
-                        let backoff_ms = recovery.backoff.delay_ms(attempt);
-                        retries.push(RetryEvent {
-                            attempt,
-                            fault: error.kind.name().to_string(),
-                            detail: error.to_string(),
-                            backoff_ms,
-                        });
-                        first_error.get_or_insert(error);
-                        if backoff_ms > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
-                        }
-                        continue;
-                    }
-                    // Reactive safety net: a runtime OOM (exact planning
-                    // makes this unreachable in practice, but the rule is
-                    // cheap insurance) descends the same ladder planning
-                    // uses instead of abandoning the frame.
-                    if matches!(error.kind, FaultKind::OutOfMemory { .. }) {
-                        if let Some(next) = downgrade(level, n, mode) {
-                            ladder.push(DegradeEvent {
-                                from: mode.label(),
-                                to: next.label(),
-                                reason: error.to_string(),
-                            });
-                            first_error.get_or_insert(error);
-                            mode = next;
-                            continue;
-                        }
-                    }
-                    // Permanent fault, or the retry budget is spent: the
-                    // FaultPolicy decides. The report leads with the first
-                    // error of the frame (the root cause) and keeps the full
-                    // retry history.
-                    let error = first_error.unwrap_or(error);
-                    match policy {
-                        FaultPolicy::FailFast => return Err(error),
-                        FaultPolicy::FallbackToCpu => {
-                            return Ok(ForceResult {
-                                accels: accelerations_par(bodies, fp),
-                                fault: Some(FaultReport {
-                                    error,
-                                    degraded_from: self.label(),
-                                    degraded_to: Backend::CpuParallel.label(),
-                                    retries,
-                                    ladder,
-                                }),
-                            });
-                        }
-                    }
+                Err(error) => error,
+            };
+            if error.kind.is_transient() && attempt < recovery.max_retries {
+                let backoff_ms = recovery.backoff.delay_ms(attempt);
+                retries.push(RetryEvent {
+                    attempt,
+                    fault: error.kind.name().to_string(),
+                    detail: error.to_string(),
+                    backoff_ms,
+                });
+                first_error.get_or_insert(error);
+                if backoff_ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(backoff_ms));
+                }
+                continue;
+            }
+            // Reactive safety net: a runtime OOM (exact planning makes this
+            // unreachable in practice, but the rule is cheap insurance)
+            // descends the same ladder planning uses instead of abandoning
+            // the frame.
+            if matches!(error.kind, FaultKind::OutOfMemory { .. }) {
+                if let Some(next) = downgrade(level, n, mode) {
+                    ladder.push(DegradeEvent {
+                        from: mode.label(),
+                        to: next.label(),
+                        reason: error.to_string(),
+                    });
+                    first_error.get_or_insert(error);
+                    mode = next;
+                    continue;
                 }
             }
+            // Permanent fault, or the retry budget is spent.
+            first_error.get_or_insert(error);
+            break;
+        }
+        // The FaultPolicy decides: FailFast propagates the frame's first
+        // error (the root cause); otherwise the CPU computes the frame, and
+        // the report keeps the root cause with the full retry and ladder
+        // history.
+        match (opts.policy, first_error) {
+            (FaultPolicy::FailFast, Some(error)) => Err(error),
+            (_, error) => Ok(ForceResult {
+                accels: accelerations_par(bodies, fp),
+                fault: error.map(|error| FaultReport {
+                    error,
+                    degraded_from: self.label(),
+                    degraded_to: Backend::CpuParallel.label(),
+                    retries,
+                    ladder,
+                }),
+            }),
         }
     }
 
@@ -407,58 +410,52 @@ pub fn frame_memory_budget(level: OptLevel, n: u32) -> u64 {
     GlobalMemory::footprint(&sizes)
 }
 
-/// Run the force kernel functionally on the simulated device. An empty body
-/// set is a valid no-op frame. `plan` optionally injects address faults.
-fn gpu_accelerations(
-    bodies: &Bodies,
-    fp: &ForceParams,
-    level: OptLevel,
-    plan: Option<&FaultPlan>,
-) -> DeviceResult<Vec<Vec3>> {
-    gpu_frame(bodies, fp, level, plan, None, None)
+/// The host bodies as device particles. The kernels consume G-premultiplied
+/// masses (see gpu-kernels).
+pub(crate) fn device_particles(bodies: &Bodies, fp: &ForceParams) -> Vec<Particle> {
+    (0..bodies.len())
+        .map(|i| Particle {
+            pos: bodies.pos[i],
+            vel: bodies.vel[i],
+            mass: fp.g * bodies.mass[i],
+        })
+        .collect()
 }
 
-/// As [`gpu_accelerations`], under a transient-fault plan and/or watchdog —
-/// each call rebuilds the device image from host state, so it is the unit of
-/// retry for [`Backend::accelerations_recovering`].
-fn gpu_accelerations_transient(
-    bodies: &Bodies,
-    fp: &ForceParams,
-    level: OptLevel,
-    chaos: Option<&mut TransientFaultPlan>,
-    watchdog: Option<u64>,
-) -> DeviceResult<Vec<Vec3>> {
-    gpu_frame(bodies, fp, level, None, chaos, watchdog)
+/// A non-finite acceleration is corrupted physics, not a value to integrate:
+/// surface it as a typed (transient, hence retryable) fault with the body
+/// index attributed.
+pub(crate) fn check_finite(accels: &[Vec3], kernel: &str) -> DeviceResult<()> {
+    match accels
+        .iter()
+        .position(|a| !(a.x.is_finite() && a.y.is_finite() && a.z.is_finite()))
+    {
+        None => Ok(()),
+        Some(i) => Err(
+            DeviceError::new(FaultKind::NonFiniteResult { index: i as u64 }).with_kernel(kernel),
+        ),
+    }
 }
 
+/// Run the force kernel functionally on the simulated device with the whole
+/// working set resident. Each call rebuilds the device image from host
+/// state, so it is the unit of retry for [`Backend::frame`].
 fn gpu_frame(
     bodies: &Bodies,
     fp: &ForceParams,
     level: OptLevel,
-    plan: Option<&FaultPlan>,
-    chaos: Option<&mut TransientFaultPlan>,
-    watchdog: Option<u64>,
+    opts: &mut FrameOpts,
 ) -> DeviceResult<Vec<Vec3>> {
-    if bodies.is_empty() {
-        return Ok(Vec::new());
-    }
     let cfg = level.config();
     let kernel = build_force_kernel(cfg);
     // Decode once: the structured kernel is lowered to its flat pre-resolved
-    // form a single time per frame, not once per launch-variant dispatch.
+    // form a single time per frame.
     let prog = lower(&kernel);
-    let particles: Vec<Particle> = (0..bodies.len())
-        .map(|i| Particle {
-            pos: bodies.pos[i],
-            vel: bodies.vel[i],
-            // The kernels consume G-premultiplied masses (see gpu-kernels).
-            mass: fp.g * bodies.mass[i],
-        })
-        .collect();
     // Memory budget: the exact footprint of the layout buffers + the float4
     // output under the device allocator (alignment + redzones), not a guess.
     let budget = frame_memory_budget(level, bodies.len() as u32);
     let mut gmem = GlobalMemory::new(budget);
+    let particles = device_particles(bodies, fp);
     let img = DeviceImage::upload(&mut gmem, cfg.layout, &particles, cfg.block)?;
     let out = alloc_accel_out(&mut gmem, img.padded_n)?;
     debug_assert_eq!(
@@ -468,30 +465,9 @@ fn gpu_frame(
     );
     let params = force_params(&img, out, fp.softening);
     let grid = img.padded_n / cfg.block;
-    match (chaos, plan, watchdog) {
-        (Some(c), _, w) => {
-            run_grid_chaos_lowered(&prog, grid, cfg.block, &params, &mut gmem, c, w)?
-        }
-        (None, Some(p), _) => {
-            run_grid_injected_lowered(&prog, grid, cfg.block, &params, &mut gmem, p)?
-        }
-        (None, None, Some(w)) => {
-            run_grid_watchdog_lowered(&prog, grid, cfg.block, &params, &mut gmem, w)?
-        }
-        (None, None, None) => run_grid_lowered(&prog, grid, cfg.block, &params, &mut gmem)?,
-    };
+    opts.launch(&prog, grid, cfg.block, &params, &mut gmem)?;
     let accels = download_accels(&gmem, out, img.n)?;
-    // A non-finite acceleration is corrupted physics, not a value to
-    // integrate: surface it as a typed (transient, hence retryable) fault
-    // with the body index attributed.
-    for (i, a) in accels.iter().enumerate() {
-        if !(a.x.is_finite() && a.y.is_finite() && a.z.is_finite()) {
-            return Err(
-                DeviceError::new(FaultKind::NonFiniteResult { index: i as u64 })
-                    .with_kernel(&kernel.name),
-            );
-        }
-    }
+    check_finite(&accels, &kernel.name)?;
     Ok(accels)
 }
 
@@ -517,15 +493,9 @@ pub fn run_device_resident(
     // step loop so per-launch cost is execution alone.
     let force_p = lower(&build_force_kernel(cfg));
     let integ_p = lower(&build_integrate_kernel(cfg.layout));
-    let particles: Vec<Particle> = (0..bodies.len())
-        .map(|i| Particle {
-            pos: bodies.pos[i],
-            vel: bodies.vel[i],
-            mass: fp.g * bodies.mass[i],
-        })
-        .collect();
     let budget = frame_memory_budget(level, bodies.len() as u32);
     let mut gmem = GlobalMemory::new(budget);
+    let particles = device_particles(bodies, fp);
     let img = DeviceImage::upload(&mut gmem, cfg.layout, &particles, cfg.block)?;
     let acc = alloc_accel_out(&mut gmem, img.padded_n)?;
     debug_assert_eq!(
@@ -536,9 +506,10 @@ pub fn run_device_resident(
     let grid = img.padded_n / cfg.block;
     let fparams = force_params(&img, acc, fp.softening);
     let iparams = integrate_params(&img, acc, dt);
+    let mut plain = FrameOpts::default();
     for _ in 0..steps {
-        run_grid_lowered(&force_p, grid, cfg.block, &fparams, &mut gmem)?;
-        run_grid_lowered(&integ_p, grid, cfg.block, &iparams, &mut gmem)?;
+        plain.launch(&force_p, grid, cfg.block, &fparams, &mut gmem)?;
+        plain.launch(&integ_p, grid, cfg.block, &iparams, &mut gmem)?;
     }
     let out = img.read_all(&gmem)?;
     let mut result = Bodies::with_capacity(bodies.len());
@@ -676,14 +647,12 @@ mod tests {
     fn injected_fault_fails_fast_with_coordinates() {
         let bodies = spawn::uniform_ball(256, 5.0, 2.0, 3);
         let fp = ForceParams::default();
-        let err = gpu()
-            .accelerations_with_policy_injected(
-                &bodies,
-                &fp,
-                FaultPolicy::FailFast,
-                Some(&oob_plan()),
-            )
-            .unwrap_err();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FailFast,
+            inject: Some(&oob_plan()),
+            ..FrameOpts::default()
+        };
+        let err = gpu().frame(&bodies, &fp, opts).unwrap_err();
         assert!(
             matches!(err.kind, FaultKind::OutOfBounds { .. }),
             "got {:?}",
@@ -698,14 +667,12 @@ mod tests {
     fn injected_fault_degrades_to_cpu_with_identical_physics() {
         let bodies = spawn::uniform_ball(256, 5.0, 2.0, 3);
         let fp = ForceParams::default();
-        let res = gpu()
-            .accelerations_with_policy_injected(
-                &bodies,
-                &fp,
-                FaultPolicy::FallbackToCpu,
-                Some(&oob_plan()),
-            )
-            .unwrap();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FallbackToCpu,
+            inject: Some(&oob_plan()),
+            ..FrameOpts::default()
+        };
+        let res = gpu().frame(&bodies, &fp, opts).unwrap();
         let report = res.fault.expect("the injected fault must be reported");
         assert!(report.degraded_from.contains("gpu-sim"));
         assert_eq!(report.degraded_to, "cpu-parallel");
@@ -738,14 +705,14 @@ mod tests {
             })
             .expect("some seed faults exactly once");
         let mut plan = TransientFaultPlan::new(seed, rates);
+        let opts = FrameOpts {
+            policy: FaultPolicy::FailFast,
+            recovery,
+            chaos: Some(&mut plan),
+            inject: None,
+        };
         let res = gpu()
-            .accelerations_recovering(
-                &bodies,
-                &fp,
-                FaultPolicy::FailFast,
-                &recovery,
-                Some(&mut plan),
-            )
+            .frame(&bodies, &fp, opts)
             .expect("the retry must rescue the frame");
         assert_eq!(
             res.accels, reference,
@@ -767,26 +734,26 @@ mod tests {
     fn permanent_faults_are_never_retried() {
         let bodies = spawn::uniform_ball(256, 5.0, 2.0, 3);
         let fp = ForceParams::default();
-        // The permanent-fault path goes through the injection plan, which the
-        // recovering entry point does not accept — so exercise the policy
-        // decision directly: a permanent fault under FallbackToCpu must show
-        // an empty retry history.
-        let res = gpu()
-            .accelerations_with_policy_injected(
-                &bodies,
-                &fp,
-                FaultPolicy::FallbackToCpu,
-                Some(&oob_plan()),
-            )
-            .unwrap();
+        // A permanent (injected) fault under FallbackToCpu with a retry
+        // budget to spare must still show an empty retry history.
+        let opts = FrameOpts {
+            policy: FaultPolicy::FallbackToCpu,
+            recovery: RecoveryPolicy {
+                max_retries: 3,
+                ..RecoveryPolicy::default()
+            },
+            chaos: None,
+            inject: Some(&oob_plan()),
+        };
+        let res = gpu().frame(&bodies, &fp, opts).unwrap();
         let report = res.fault.expect("reported");
         assert!(
             report.retries.is_empty(),
             "permanent faults must not be retried"
         );
         assert_eq!(report.degraded_to, "cpu-parallel");
-        // And the recovering path with retries disabled behaves identically
-        // for transient faults: straight to the policy.
+        // And with retries disabled a transient fault goes straight to the
+        // policy.
         use gpu_sim::transient::{FaultRates, TransientFaultPlan};
         let mut plan = TransientFaultPlan::new(
             1,
@@ -800,9 +767,13 @@ mod tests {
             max_retries: 0,
             ..RecoveryPolicy::default()
         };
-        let err = gpu()
-            .accelerations_recovering(&bodies, &fp, FaultPolicy::FailFast, &none, Some(&mut plan))
-            .unwrap_err();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FailFast,
+            recovery: none,
+            chaos: Some(&mut plan),
+            inject: None,
+        };
+        let err = gpu().frame(&bodies, &fp, opts).unwrap_err();
         assert!(matches!(err.kind, FaultKind::TransientLaunch { .. }));
         assert_eq!(
             plan.launches(),
@@ -830,15 +801,13 @@ mod tests {
             max_retries: 2,
             ..RecoveryPolicy::default()
         };
-        let res = gpu()
-            .accelerations_recovering(
-                &bodies,
-                &fp,
-                FaultPolicy::FallbackToCpu,
-                &recovery,
-                Some(&mut plan),
-            )
-            .unwrap();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FallbackToCpu,
+            recovery,
+            chaos: Some(&mut plan),
+            inject: None,
+        };
+        let res = gpu().frame(&bodies, &fp, opts).unwrap();
         assert_eq!(
             res.accels, reference,
             "degraded frame must be bit-identical"
@@ -891,9 +860,12 @@ mod tests {
             watchdog_instructions: Some(1 << 24),
             ..RecoveryPolicy::default()
         };
-        let res = gpu()
-            .accelerations_recovering(&bodies, &fp, FaultPolicy::FailFast, &recovery, None)
-            .unwrap();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FailFast,
+            recovery,
+            ..FrameOpts::default()
+        };
+        let res = gpu().frame(&bodies, &fp, opts).unwrap();
         assert!(res.fault.is_none());
         assert_eq!(res.accels, reference);
         // A starved watchdog kills the frame as a transient timeout.
@@ -902,9 +874,12 @@ mod tests {
             watchdog_instructions: Some(1),
             ..RecoveryPolicy::default()
         };
-        let err = gpu()
-            .accelerations_recovering(&bodies, &fp, FaultPolicy::FailFast, &starved, None)
-            .unwrap_err();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FailFast,
+            recovery: starved,
+            ..FrameOpts::default()
+        };
+        let err = gpu().frame(&bodies, &fp, opts).unwrap_err();
         assert!(matches!(err.kind, FaultKind::WatchdogTimeout { .. }));
     }
 
@@ -912,9 +887,11 @@ mod tests {
     fn healthy_run_reports_no_fault_and_budget_is_exact() {
         let bodies = spawn::uniform_ball(300, 5.0, 2.0, 11);
         let fp = ForceParams::default();
-        let res = gpu()
-            .accelerations_with_policy(&bodies, &fp, FaultPolicy::FailFast)
-            .unwrap();
+        let opts = FrameOpts {
+            policy: FaultPolicy::FailFast,
+            ..FrameOpts::default()
+        };
+        let res = gpu().frame(&bodies, &fp, opts).unwrap();
         assert!(res.fault.is_none());
         // The budget helper is exact: a device with one byte less OOMs.
         let budget = frame_memory_budget(OptLevel::Full, 300);

@@ -23,17 +23,15 @@
 //! upload ever happens. The same downgrade rule doubles as a reactive safety
 //! net should a launch OOM anyway.
 
-use crate::backend::frame_memory_budget;
+use crate::backend::{check_finite, device_particles, frame_memory_budget, FrameOpts};
 use gpu_kernels::chunk::{build_chunk_force_kernel, chunk_force_params};
 use gpu_kernels::force::OptLevel;
-use gpu_sim::exec::functional::{run_grid_lowered, run_grid_watchdog_lowered};
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind};
 use gpu_sim::ir::lower::lower;
 use gpu_sim::mem::{GlobalMemory, MemoryBudget};
-use gpu_sim::transient::{run_grid_chaos_lowered, TransientFaultPlan};
 use nbody::model::{Bodies, ForceParams};
 use particle_layouts::device::{alloc_accel_out, download_accels};
-use particle_layouts::{DeviceImage, Particle};
+use particle_layouts::DeviceImage;
 use serde::{Deserialize, Serialize};
 use simcore::Vec3;
 
@@ -261,37 +259,36 @@ pub fn plan_frame(level: OptLevel, n: u32, capacity: Option<u64>) -> MemoryPlan 
 /// device replays the unconstrained kernel's exact addition sequence, so the
 /// result is bit-identical to [`Full`](ExecMode::Full) execution.
 ///
-/// `chaos`/`watchdog` thread the transient-fault machinery through every
-/// launch, exactly as in full execution; the whole frame is the retry unit.
+/// The device holds `opts.recovery.device_capacity` bytes (the chunk's exact
+/// footprint when `None`), and every launch goes through
+/// [`FrameOpts`]' fault hooks and watchdog, exactly as in full execution;
+/// the whole frame is the retry unit. A `chunk` that is not a positive
+/// multiple of the block size is a typed [`FaultKind::BadLaunch`].
 pub fn gpu_frame_chunked(
     bodies: &Bodies,
     fp: &ForceParams,
     level: OptLevel,
     chunk: u32,
-    capacity: Option<u64>,
-    mut chaos: Option<&mut TransientFaultPlan>,
-    watchdog: Option<u64>,
+    opts: &mut FrameOpts,
 ) -> DeviceResult<Vec<Vec3>> {
+    let cfg = level.config();
+    if chunk < cfg.block || !chunk.is_multiple_of(cfg.block) {
+        return Err(DeviceError::new(FaultKind::BadLaunch {
+            reason: format!(
+                "chunk of {chunk} bodies is not a positive multiple of the block size {}",
+                cfg.block
+            ),
+        }));
+    }
     if bodies.is_empty() {
         return Ok(Vec::new());
     }
-    let cfg = level.config();
-    assert!(
-        chunk >= cfg.block && chunk.is_multiple_of(cfg.block),
-        "chunk must be block-aligned"
-    );
     let kernel = build_chunk_force_kernel(cfg);
     // Decode once for the whole target × source launch matrix.
     let prog = lower(&kernel);
-    let particles: Vec<Particle> = (0..bodies.len())
-        .map(|i| Particle {
-            pos: bodies.pos[i],
-            vel: bodies.vel[i],
-            mass: fp.g * bodies.mass[i],
-        })
-        .collect();
+    let particles = device_particles(bodies, fp);
     let footprint = chunked_memory_budget(level, chunk);
-    let mut gmem = GlobalMemory::new(capacity.unwrap_or(footprint));
+    let mut gmem = GlobalMemory::new(opts.recovery.device_capacity.unwrap_or(footprint));
     let mut accels = Vec::with_capacity(bodies.len());
     let mut t = 0usize;
     while t < particles.len() {
@@ -307,15 +304,7 @@ pub fn gpu_frame_chunked(
             let s_hi = (s + chunk as usize).min(particles.len());
             let src = DeviceImage::upload(&mut gmem, cfg.layout, &particles[s..s_hi], cfg.block)?;
             let params = chunk_force_params(&tgt, &src, out, fp.softening);
-            match (chaos.as_deref_mut(), watchdog) {
-                (Some(c), w) => {
-                    run_grid_chaos_lowered(&prog, grid, cfg.block, &params, &mut gmem, c, w)?
-                }
-                (None, Some(w)) => {
-                    run_grid_watchdog_lowered(&prog, grid, cfg.block, &params, &mut gmem, w)?
-                }
-                (None, None) => run_grid_lowered(&prog, grid, cfg.block, &params, &mut gmem)?,
-            };
+            opts.launch(&prog, grid, cfg.block, &params, &mut gmem)?;
             src.free(&mut gmem)?;
             s = s_hi;
         }
@@ -327,14 +316,7 @@ pub fn gpu_frame_chunked(
         "chunked execution exceeded its planned footprint: {} > {footprint}",
         gmem.high_water()
     );
-    for (i, a) in accels.iter().enumerate() {
-        if !(a.x.is_finite() && a.y.is_finite() && a.z.is_finite()) {
-            return Err(
-                DeviceError::new(FaultKind::NonFiniteResult { index: i as u64 })
-                    .with_kernel(&kernel.name),
-            );
-        }
-    }
+    check_finite(&accels, &kernel.name)?;
     Ok(accels)
 }
 
@@ -428,6 +410,22 @@ mod tests {
         );
         assert_eq!(*chunks.last().unwrap(), chunk_floor(LEVEL));
         assert!(chunks.iter().all(|c| c.is_multiple_of(chunk_floor(LEVEL))));
+    }
+
+    #[test]
+    fn misaligned_chunks_are_typed_bad_launches() {
+        let bodies = nbody::spawn::uniform_ball(256, 5.0, 2.0, 3);
+        let fp = ForceParams::default();
+        let block = chunk_floor(LEVEL);
+        for chunk in [0, block - 1, block + 1] {
+            let err = gpu_frame_chunked(&bodies, &fp, LEVEL, chunk, &mut FrameOpts::default())
+                .unwrap_err();
+            assert!(
+                matches!(err.kind, FaultKind::BadLaunch { .. }),
+                "chunk {chunk}: got {:?}",
+                err.kind
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The simulation loop.
 
-use crate::backend::FaultReport;
+use crate::backend::{FaultReport, FrameOpts};
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::{ConfigError, Integrator, SimConfig};
 use gpu_sim::fault::{DeviceError, DeviceResult};
@@ -222,32 +222,23 @@ impl Simulation {
                 )?;
             }
             Integrator::Leapfrog => {
-                let backend = self.config.backend;
-                let force = self.config.force;
-                let policy = self.config.fault_policy;
-                let recovery = self.config.recovery;
-                let mut plan = self.fault_plan.take();
                 // `step_leapfrog` takes an infallible closure; a fail-fast
                 // fault is parked here and returned after the call. (The
                 // zero-filled stand-in accelerations are never observed: the
                 // error abandons the simulation state.)
                 let mut pending: Option<DeviceError> = None;
-                let mut reports: Vec<FaultReport> = Vec::new();
-                self.accels =
-                    step_leapfrog(&mut self.bodies, &self.accels, dt, None, |b| match backend
-                        .accelerations_recovering(b, &force, policy, &recovery, plan.as_mut())
-                    {
-                        Ok(r) => {
-                            reports.extend(r.fault);
-                            r.accels
-                        }
-                        Err(e) => {
-                            pending = Some(e);
-                            vec![Vec3::ZERO; b.len()]
-                        }
-                    });
-                self.fault_plan = plan;
-                self.fault_reports.extend(reports);
+                self.accels = step_leapfrog(&mut self.bodies, &self.accels, dt, None, |b| {
+                    compute_accels(
+                        &self.config,
+                        b,
+                        &mut self.fault_reports,
+                        self.fault_plan.as_mut(),
+                    )
+                    .unwrap_or_else(|e| {
+                        pending = Some(e);
+                        vec![Vec3::ZERO; b.len()]
+                    })
+                });
                 if let Some(e) = pending {
                     return Err(e);
                 }
@@ -292,13 +283,13 @@ fn compute_accels(
     reports: &mut Vec<FaultReport>,
     chaos: Option<&mut TransientFaultPlan>,
 ) -> DeviceResult<Vec<Vec3>> {
-    let r = config.backend.accelerations_recovering(
-        bodies,
-        &config.force,
-        config.fault_policy,
-        &config.recovery,
+    let opts = FrameOpts {
+        policy: config.fault_policy,
+        recovery: config.recovery,
         chaos,
-    )?;
+        inject: None,
+    };
+    let r = config.backend.frame(bodies, &config.force, opts)?;
     reports.extend(r.fault);
     Ok(r.accels)
 }

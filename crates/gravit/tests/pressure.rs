@@ -9,7 +9,7 @@ use gpu_kernels::force::OptLevel;
 use gpu_sim::fault::FaultKind;
 use gpu_sim::transient::{FaultRates, TransientFaultPlan};
 use gpu_sim::DriverModel;
-use gravit_app::backend::{frame_memory_budget, Backend, FaultPolicy};
+use gravit_app::backend::{frame_memory_budget, Backend, FaultPolicy, FrameOpts};
 use gravit_app::config::{SimConfig, SpawnKind};
 use gravit_app::pressure::{chunked_memory_budget, plan_frame, ExecMode};
 use gravit_app::recovery::RecoveryPolicy;
@@ -49,7 +49,15 @@ fn constrained_execution_is_bit_identical_for_every_level() {
             ..Default::default()
         };
         let res = backend
-            .accelerations_recovering(&bodies, &fp, FaultPolicy::FailFast, &recovery, None)
+            .frame(
+                &bodies,
+                &fp,
+                FrameOpts {
+                    policy: FaultPolicy::FailFast,
+                    recovery,
+                    ..FrameOpts::default()
+                },
+            )
             .unwrap_or_else(|e| panic!("{}: {e}", level.label()));
         assert_eq!(
             res.accels,
@@ -93,7 +101,15 @@ fn hopeless_capacity_ends_on_the_cpu_rung() {
     };
     // Fail-fast: the typed admission OOM propagates.
     let err = backend
-        .accelerations_recovering(&bodies, &fp, FaultPolicy::FailFast, &recovery, None)
+        .frame(
+            &bodies,
+            &fp,
+            FrameOpts {
+                policy: FaultPolicy::FailFast,
+                recovery,
+                ..FrameOpts::default()
+            },
+        )
         .unwrap_err();
     assert!(
         matches!(err.kind, FaultKind::OutOfMemory { .. }),
@@ -102,7 +118,15 @@ fn hopeless_capacity_ends_on_the_cpu_rung() {
     );
     // Fallback: the CPU takes the frame, ladder fully recorded.
     let res = backend
-        .accelerations_recovering(&bodies, &fp, FaultPolicy::FallbackToCpu, &recovery, None)
+        .frame(
+            &bodies,
+            &fp,
+            FrameOpts {
+                policy: FaultPolicy::FallbackToCpu,
+                recovery,
+                ..FrameOpts::default()
+            },
+        )
         .unwrap();
     assert_eq!(res.accels, reference);
     let report = res.fault.unwrap();
@@ -312,7 +336,7 @@ proptest! {
         let recovery = RecoveryPolicy { device_capacity: Some(capacity), ..Default::default() };
         let reference = backend.try_accelerations(&bodies, &fp).unwrap();
         let res = backend
-            .accelerations_recovering(&bodies, &fp, FaultPolicy::FallbackToCpu, &recovery, None)
+            .frame(&bodies, &fp, FrameOpts { policy: FaultPolicy::FallbackToCpu, recovery, ..FrameOpts::default() })
             .unwrap();
         prop_assert_eq!(res.accels, reference);
         // Reports appear exactly when the plan degraded.

@@ -15,7 +15,8 @@
 //!   cost the paper avoids by choosing the O(n²) kernel.
 //!
 //! Functionally the kernel is validated **bit-for-bit** against
-//! [`LinearTree::accel_kernel_order`], the CPU traversal with identical
+//! [`LinearTree::accel_kernel_order`](nbody::barnes_hut::LinearTree::accel_kernel_order),
+//! the CPU traversal with identical
 //! push order and operation order.
 
 use gpu_sim::ir::{AluOp, CmpOp, Kernel, KernelBuilder, MemSpace, Operand, SpecialReg};

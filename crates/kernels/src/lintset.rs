@@ -2,7 +2,7 @@
 //! shape and its **expected** lint outcome — the source of truth for both
 //! the `kernel-lint` CLI and the `all_kernels_lint_clean` test gate.
 //!
-//! A target's expectation is a set of [`LintKind`] names per severity.
+//! A target's expectation is a set of [`LintKind`](gpu_sim::analyze::LintKind) names per severity.
 //! "Dirty" targets (the paper's baseline layouts) are expected to produce
 //! exactly their documented findings — the gate fails if a finding
 //! *disappears* (the lint lost its teeth) just as it fails if an unexpected

@@ -3,7 +3,7 @@
 //! [`DeviceImage::upload`] lays a particle slice out in [`gpu_sim`] global
 //! memory under any [`Layout`], padding the count up to a block multiple with
 //! zero-mass sentinels (the GPU-Gems trick that removes the bounds check from
-//! the kernel — see the layouts crate docs). [`DeviceImage::download_accels`]
+//! the kernel — see the layouts crate docs). [`download_accels`]
 //! and friends read results back.
 //!
 //! All device accesses return [`gpu_sim::DeviceResult`]: allocator

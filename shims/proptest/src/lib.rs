@@ -251,7 +251,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::test_runner::TestRng;
 
-    /// Length specification for [`vec`]: an exact count or a range.
+    /// Length specification for [`vec()`]: an exact count or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
