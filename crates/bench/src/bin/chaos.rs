@@ -26,6 +26,7 @@
 //! [--max-retries R] [--device-mem BYTES]`. Any violated invariant exits
 //! nonzero.
 
+use bench::gate::flag;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::transient::{FaultRates, LaunchFault, TransientFaultPlan};
 use gpu_sim::DriverModel;
@@ -35,12 +36,6 @@ use gravit_app::config::{SimConfig, SpawnKind};
 use gravit_app::recovery::RecoveryPolicy;
 use gravit_app::sim::Simulation;
 use simcore::SplitMix64;
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 struct Violations(usize);
 

@@ -25,6 +25,7 @@
 //!         [--steps S] [--seed SEED] [--json PATH] [--check-against PATH]
 //!         [--skip-perf] [--skip-soak]`. Any violation exits nonzero.
 
+use bench::gate::{self, flag, fnv1a, Envelope, FNV_OFFSET};
 use gpu_kernels::force::OptLevel;
 use gpu_sim::transient::FaultRates;
 use gpu_sim::{DevicePool, DeviceSpec, DriverModel};
@@ -34,24 +35,8 @@ use gravit_app::config::{SimConfig, SpawnKind};
 use gravit_app::fleet::{Fleet, FleetConfig, FleetEvent, Health, JobSpec, Rejected};
 use gravit_app::sim::Simulation;
 use serde::{Deserialize, Serialize};
+use simcore::par::host_threads;
 use simcore::{SplitMix64, Table};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
 
 struct Violations(usize);
 
@@ -323,9 +308,10 @@ struct FleetReport {
 }
 
 /// Wall-time regression gate (same envelope as `simperf`).
-fn regressed(baseline_ms: f64, new_ms: f64) -> bool {
-    new_ms > 1.2 * baseline_ms + 50.0
-}
+const ENVELOPE: Envelope = Envelope {
+    factor: 1.2,
+    slack_ms: 50.0,
+};
 
 fn perf_row(devices: usize, jobs: u64, n: usize, steps: u64, seed: u64) -> FleetRow {
     let pool =
@@ -382,12 +368,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
     let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_fleet.json".into());
-    let baseline: Option<FleetReport> = flag(&args, "--check-against").map(|p| {
-        let text =
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check-against {p}: {e}"))
-    });
-    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let baseline: Option<FleetReport> = gate::baseline(&args);
+    let host_cores = host_threads();
 
     let mut violations = Violations(0);
     if !args.iter().any(|a| a == "--skip-soak") {
@@ -444,9 +426,9 @@ fn main() {
                     ),
                 );
                 violations.check(
-                    !regressed(base.wall_ms, r.wall_ms),
+                    !ENVELOPE.regressed(base.wall_ms, r.wall_ms),
                     &format!(
-                        "{} devices: {:.1} ms vs committed {:.1} ms (> 1.2x + 50 ms)",
+                        "{} devices: {:.1} ms vs committed {:.1} ms (> {ENVELOPE})",
                         r.devices, r.wall_ms, base.wall_ms
                     ),
                 );

@@ -16,6 +16,7 @@
 
 use std::time::Instant;
 
+use bench::gate::flag;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::DriverModel;
 use gravit_app::backend::{frame_memory_budget, Backend, FrameOpts};
@@ -52,12 +53,6 @@ struct Report {
     full: FullRow,
     chunked: Vec<ChunkRow>,
     all_bit_identical: bool,
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Best-of-`reps` wall time of `f`, plus its (bitwise-comparable) result.

@@ -1,7 +1,7 @@
 //! simperf — wall-clock benchmark of the *simulator itself* (not the modeled
 //! device): how fast the functional and timed executors chew through
 //! representative launches, sequentially and with the parallel block
-//! executor (`std::thread::scope` over block shards, deterministic
+//! executor (`simcore::par::map_indexed` over block shards, deterministic
 //! commit/merge — see `gpu_sim::exec::functional` and DESIGN.md §15).
 //!
 //! Three workloads, each deterministic down to the bit:
@@ -28,6 +28,7 @@
 //! Usage: `simperf [--threads 1,8] [--reps N] [--json PATH]
 //!         [--check-against PATH]`.
 
+use bench::gate::{self, flag, fnv1a, Envelope, FNV_OFFSET};
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
 use gpu_kernels::membench::{build_membench_kernel, MembenchConfig};
 use gpu_sim::exec::functional::run_lowered_full;
@@ -40,18 +41,8 @@ use nbody::spawn;
 use particle_layouts::device::alloc_accel_out;
 use particle_layouts::{DeviceImage, Layout, Particle};
 use serde::{Deserialize, Serialize};
+use simcore::par::host_threads;
 use simcore::Table;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn fold_u64(h: u64, v: u64) -> u64 {
     fnv1a(&v.to_le_bytes(), h)
@@ -205,15 +196,10 @@ fn membench_timed(threads: usize) -> Outcome {
 
 /// Wall-time regression gate: beyond 1.2× the committed baseline plus 50 ms
 /// absolute slack (scheduler jitter must not trip short rows).
-fn regressed(baseline_ms: f64, new_ms: f64) -> bool {
-    new_ms > 1.2 * baseline_ms + 50.0
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+const ENVELOPE: Envelope = Envelope {
+    factor: 1.2,
+    slack_ms: 50.0,
+};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -227,12 +213,8 @@ fn main() {
         .unwrap_or(3)
         .max(1);
     let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_sim.json".into());
-    let baseline: Option<SimReport> = flag(&args, "--check-against").map(|p| {
-        let text =
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check-against {p}: {e}"))
-    });
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let baseline: Option<SimReport> = gate::baseline(&args);
+    let host_cores = host_threads();
 
     type Workload = fn(usize) -> Outcome;
     let workloads: Vec<(&str, Workload)> = vec![
@@ -330,9 +312,9 @@ fn main() {
                 );
                 gate_failures += 1;
             }
-            if regressed(base.wall_ms, r.wall_ms) {
+            if ENVELOPE.regressed(base.wall_ms, r.wall_ms) {
                 println!(
-                    "[FAIL] {} at {} threads: {:.2} ms vs committed {:.2} ms (> 1.2x + 50 ms)",
+                    "[FAIL] {} at {} threads: {:.2} ms vs committed {:.2} ms (> {ENVELOPE})",
                     r.workload, r.threads, r.wall_ms, base.wall_ms
                 );
                 gate_failures += 1;

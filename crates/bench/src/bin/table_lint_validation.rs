@@ -16,6 +16,7 @@
 //!
 //! Usage: `table_lint_validation [--bh-n BODIES] [--json PATH]
 //!         [--check-against PATH]`.
+use bench::gate::{self, flag, Envelope};
 use bench::report::emit;
 use bench::tables::{bh_bounds_validation, lint_cross_validation};
 use gpu_kernels::synthset::synth_targets;
@@ -41,9 +42,10 @@ struct AnalyzeReport {
 /// Maximum tolerated wall-time growth over the committed baseline: 2x,
 /// with 5 ms of absolute slack so scheduler jitter on sub-millisecond
 /// rows cannot trip the gate.
-fn regressed(baseline_ms: f64, new_ms: f64) -> bool {
-    new_ms > 2.0 * baseline_ms + 5.0
-}
+const ENVELOPE: Envelope = Envelope {
+    factor: 2.0,
+    slack_ms: 5.0,
+};
 
 /// Compare the fresh timings against a committed baseline report; returns
 /// the number of per-kernel regressions (each printed as it is found).
@@ -57,21 +59,15 @@ fn check_against(baseline: &AnalyzeReport, times: &[AnalyzeTime]) -> usize {
         else {
             continue; // new kernel: no baseline to regress against
         };
-        if regressed(b.analyze_ms, t.analyze_ms) {
+        if ENVELOPE.regressed(b.analyze_ms, t.analyze_ms) {
             println!(
-                "[FAIL] {} under {}: {:.3} ms vs committed {:.3} ms (> 2x + 5 ms)",
+                "[FAIL] {} under {}: {:.3} ms vs committed {:.3} ms (> {ENVELOPE})",
                 t.kernel, t.driver, t.analyze_ms, b.analyze_ms
             );
             regressions += 1;
         }
     }
     regressions
-}
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() {
@@ -81,11 +77,7 @@ fn main() {
         .unwrap_or(192);
     let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_analyze.json".into());
     // Load the committed baseline (if requested) before it is overwritten.
-    let baseline: Option<AnalyzeReport> = flag(&args, "--check-against").map(|p| {
-        let text =
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("--check-against {p}: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("--check-against {p}: {e}"))
-    });
+    let baseline: Option<AnalyzeReport> = gate::baseline(&args);
 
     let rows = lint_cross_validation();
     let mut t = Table::new(

@@ -12,13 +12,16 @@
 //!   per-half-warp transaction counts (Figs. 3/5/7/9) and the
 //!   access-frequency grouping ablation;
 //! * [`report`] — writing results as markdown (stdout) + CSV
-//!   (`results/*.csv`).
+//!   (`results/*.csv`);
+//! * [`gate`] — what the baseline-gated bins share: flag lookup, FNV-1a
+//!   checksums, the `--check-against` loader and the wall-time envelope.
 //!
 //! Binaries under `src/bin/` are thin wrappers over these modules, so the
 //! experiments are also callable as a library (the integration tests do).
 
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod gravit_harness;
 pub mod membench_harness;
 pub mod report;

@@ -23,6 +23,7 @@ use crate::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
 use crate::ir::lower::{lower, LinStmt, Program};
 use crate::ir::Kernel;
 use crate::mem::{BlockShard, DeviceMem, GlobalMemory};
+use simcore::par::map_indexed;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
@@ -97,13 +98,13 @@ pub fn run_grid(
 ///   [`configured_threads`]).
 ///
 /// `threads <= 1` (or a one-block grid) runs the classic sequential loop;
-/// otherwise blocks execute across `threads` scoped host threads against
-/// per-block [`BlockShard`] write-views, and the results are committed in
-/// ascending block-id order — bit-identical to the sequential path in memory
-/// contents, shadow/ECC state, statistics and first-fault coordinates (the
-/// differential proptests in `tests/parallel_difftests.rs` hold this
-/// equivalence under random kernels, geometries, injected faults and
-/// watchdog budgets).
+/// otherwise blocks execute across `threads` host threads
+/// ([`simcore::par::map_indexed`]) against per-block [`BlockShard`]
+/// write-views, and the results are committed in ascending block-id order —
+/// bit-identical to the sequential path in memory contents, shadow/ECC
+/// state, statistics and first-fault coordinates (the differential
+/// proptests in `tests/parallel_difftests.rs` hold this equivalence under
+/// random kernels, geometries, injected faults and watchdog budgets).
 #[allow(clippy::too_many_arguments)]
 pub fn run_lowered_full(
     prog: &Program,
@@ -157,14 +158,14 @@ struct BlockOutcome {
 
 /// Parallel block execution with a sequential-equivalent commit/merge.
 ///
-/// Workers pull block ids from a shared counter and run each block against a
-/// fresh [`BlockShard`] (reads see the pre-launch memory plus the block's
-/// own writes; CUDA blocks are independent by construction, so that equals
-/// what the sequential executor would read). The merge then walks blocks in
-/// ascending id order, replaying each block's buffered writes through the
-/// real [`GlobalMemory::store_u32`] and summing its stats — so the final
-/// memory/shadow/ECC state, the merged [`FunctionalRun`], and the *first*
-/// fault in block order are all bit-identical to the sequential loop.
+/// [`map_indexed`] workers pull block ids from a shared counter and run each
+/// block against a fresh [`BlockShard`] (reads see the pre-launch memory plus
+/// the block's own writes; CUDA blocks are independent by construction, so
+/// that equals what the sequential executor would read). The merge then walks
+/// blocks in ascending id order, replaying each block's buffered writes
+/// through the real [`GlobalMemory::store_u32`] and summing its stats — so
+/// the final memory/shadow/ECC state, the merged [`FunctionalRun`], and the
+/// *first* fault in block order are all bit-identical to the sequential loop.
 ///
 /// Watchdog accounting: the sequential executor drains one global budget in
 /// block order, so each block runs in isolation against the *full* budget,
@@ -185,60 +186,36 @@ fn run_parallel(
     watchdog: Option<u64>,
     threads: usize,
 ) -> DeviceResult<FunctionalRun> {
-    let next = AtomicU32::new(0);
     // Lowest block id seen to fault in isolation: the merge is guaranteed to
     // terminate at or before it, so workers skip everything after it.
     let min_terminal = AtomicU32::new(u32::MAX);
     let base: &GlobalMemory = gmem;
-    let n_workers = threads.min(grid as usize);
-    let mut outcomes: Vec<Option<BlockOutcome>> = (0..grid).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut produced: Vec<(u32, BlockOutcome)> = Vec::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= grid {
-                            break;
-                        }
-                        if b > min_terminal.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let mut shard = BlockShard::new(base);
-                        let mut stats = FunctionalRun::default();
-                        let result = run_block(
-                            prog,
-                            b,
-                            block as usize,
-                            params,
-                            env,
-                            &mut shard,
-                            &mut stats,
-                            plan,
-                            watchdog,
-                        );
-                        if result.is_err() {
-                            min_terminal.fetch_min(b, Ordering::Relaxed);
-                        }
-                        produced.push((
-                            b,
-                            BlockOutcome {
-                                writes: shard.into_writes(),
-                                stats,
-                                result,
-                            },
-                        ));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for h in handles {
-            for (b, o) in h.join().expect("simulator worker thread panicked") {
-                outcomes[b as usize] = Some(o);
-            }
+    let mut outcomes = map_indexed(grid as usize, threads, |b| {
+        let b = b as u32;
+        if b > min_terminal.load(Ordering::Relaxed) {
+            return None;
         }
+        let mut shard = BlockShard::new(base);
+        let mut stats = FunctionalRun::default();
+        let result = run_block(
+            prog,
+            b,
+            block as usize,
+            params,
+            env,
+            &mut shard,
+            &mut stats,
+            plan,
+            watchdog,
+        );
+        if result.is_err() {
+            min_terminal.fetch_min(b, Ordering::Relaxed);
+        }
+        Some(BlockOutcome {
+            writes: shard.into_writes(),
+            stats,
+            result,
+        })
     });
 
     // Deterministic merge, ascending block id.

@@ -35,6 +35,7 @@ use crate::ir::{Instr, Kernel, MemSpace, UnaryOp};
 use crate::mem::{BlockShard, DeviceMem, GlobalMemory};
 use crate::texcache::TexCache;
 use crate::timing::TimingParams;
+use simcore::par::map_indexed;
 
 /// Additional latency before an ALU result can be consumed by the same warp
 /// (G80's register read-after-write pipeline depth, ~6 warp-slots).
@@ -652,52 +653,30 @@ pub fn time_grid_lowered_full(
         return Ok(total);
     }
 
-    // One finished SM-queue: the shard's buffered writes plus its run result.
-    type QueueOutcome = (Vec<(u64, u32)>, DeviceResult<TimedRun>);
     let base: &GlobalMemory = gmem;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut outcomes: Vec<Option<QueueOutcome>> = (0..queues.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads.min(queues.len()))
-            .map(|_| {
-                s.spawn(|| {
-                    let mut produced = Vec::new();
-                    loop {
-                        let qi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(queue) = queues.get(qi) else {
-                            break;
-                        };
-                        let r = (resident_per_sm as usize).min(queue.len());
-                        let mut shard = BlockShard::new(base);
-                        let res = time_sm_queue(
-                            prog,
-                            &queue[..r],
-                            &queue[r..],
-                            block_size,
-                            grid,
-                            params,
-                            &mut shard,
-                            dev,
-                            driver,
-                            tp,
-                        );
-                        produced.push((qi, (shard.into_writes(), res)));
-                    }
-                    produced
-                })
-            })
-            .collect();
-        for h in handles {
-            for (qi, o) in h.join().expect("timed worker thread panicked") {
-                outcomes[qi] = Some(o);
-            }
-        }
+    let outcomes = map_indexed(queues.len(), threads, |qi| {
+        let queue = &queues[qi];
+        let r = (resident_per_sm as usize).min(queue.len());
+        let mut shard = BlockShard::new(base);
+        let res = time_sm_queue(
+            prog,
+            &queue[..r],
+            &queue[r..],
+            block_size,
+            grid,
+            params,
+            &mut shard,
+            dev,
+            driver,
+            tp,
+        );
+        (shard.into_writes(), res)
     });
 
     // Deterministic merge, ascending SM index: commit each SM's writes (the
     // faulting SM's partial writes included — the same side effects the
     // sequential loop leaves behind), return the lowest-SM error if any.
-    for (writes, res) in outcomes.into_iter().flatten() {
+    for (writes, res) in outcomes {
         for (a, v) in writes {
             GlobalMemory::store_u32(gmem, a, v).map_err(|e| e.with_kernel(&prog.name))?;
         }

@@ -3,10 +3,8 @@
 //! The paper's Sec. I-C/I-D landscape, as selectable engines:
 //!
 //! * [`Backend::CpuSerial`] — the original O(n²) loop (the 87× baseline);
-//! * [`Backend::CpuParallel`] — the same loop written against Rayon's
-//!   parallel iterators, a multi-core comparator the paper didn't have (the
-//!   vendored `shims/rayon` stand-in runs it serially, so here it is as fast
-//!   as `CpuSerial`);
+//! * [`Backend::CpuParallel`] — the same loop spread over every host thread
+//!   (`simcore::par`), a multi-core comparator the paper didn't have;
 //! * [`Backend::BarnesHut`] — Gravit's O(n log n) tree code;
 //! * [`Backend::GpuSim`] — the tiled CUDA kernel at a chosen optimization
 //!   level, *functionally executed* on the simulated GPU. Physics results
@@ -52,8 +50,8 @@ use simcore::Vec3;
 pub enum Backend {
     /// Serial O(n²) on the CPU.
     CpuSerial,
-    /// O(n²) on the CPU through Rayon's parallel iterators (serial under
-    /// the vendored `shims/rayon`).
+    /// O(n²) on the CPU across every host thread, bit-identical to
+    /// [`Backend::CpuSerial`].
     CpuParallel,
     /// Barnes–Hut tree code with opening angle θ.
     BarnesHut {

@@ -71,21 +71,29 @@ fn cmd_run(args: &[String]) {
         .unwrap_or(42);
     let backend = match flag(args, "--backend").as_deref() {
         Some("cpu") => Backend::CpuSerial,
+        Some("par") | None => Backend::CpuParallel,
         Some("bh") => Backend::BarnesHut { theta: 0.6 },
         Some("gpu") => Backend::GpuSim {
             level: OptLevel::Full,
             driver: DriverModel::Cuda10,
         },
-        _ => Backend::CpuParallel,
+        Some(other) => {
+            eprintln!("unknown --backend {other:?} (expected cpu|par|bh|gpu)");
+            std::process::exit(2);
+        }
     };
     let spawn = match flag(args, "--spawn").as_deref() {
         Some("ball") => SpawnKind::UniformBall { radius: 5.0 },
+        Some("disk") | None => SpawnKind::DiskGalaxy { radius: 5.0 },
         Some("plummer") => SpawnKind::Plummer { a: 1.0 },
         Some("collision") => SpawnKind::Collision {
             separation: 20.0,
             approach_speed: 0.4,
         },
-        _ => SpawnKind::DiskGalaxy { radius: 5.0 },
+        Some(other) => {
+            eprintln!("unknown --spawn {other:?} (expected ball|disk|collision|plummer)");
+            std::process::exit(2);
+        }
     };
     let fault_policy = match flag(args, "--fault-policy").as_deref() {
         Some("fail") => FaultPolicy::FailFast,

@@ -8,7 +8,7 @@
 //! * [`config`] — simulation configuration (workload, force law, integrator,
 //!   backend);
 //! * [`backend`] — force-calculation backends: serial CPU (the paper's 87×
-//!   baseline), Rayon-parallel CPU, Barnes–Hut (Gravit's tree code), and the
+//!   baseline), multi-threaded CPU, Barnes–Hut (Gravit's tree code), and the
 //!   simulated-GPU kernel at any optimization level;
 //! * [`model`] — the device frame-time model (Fig. 12's quantity);
 //! * [`sim`] — the time-stepping loop with energy/momentum diagnostics;

@@ -299,3 +299,58 @@ fn report_emits_valid_json() {
     assert_eq!(v["recommended_unroll"], 128);
     assert_eq!(v["ladder"].as_array().unwrap().len(), 6);
 }
+
+/// The deterministic tail of `gravit run`'s summary line (energy drift and
+/// momentum; the wall-clock fields before it vary run to run).
+fn run_physics(extra: &[&str]) -> String {
+    let out = gravit()
+        .args(["run", "--n", "64", "--steps", "3", "--seed", "9"])
+        .args(extra)
+        .output()
+        .expect("run");
+    assert!(
+        out.status.success(),
+        "{extra:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let at = text.find("energy drift").expect("summary line");
+    text[at..].to_string()
+}
+
+#[test]
+fn unknown_backend_or_spawn_exits_2_naming_the_accepted_values() {
+    for (flag, value, accepted) in [
+        ("--backend", "gpuu", "cpu|par|bh|gpu"),
+        ("--spawn", "nope", "ball|disk|collision|plummer"),
+    ] {
+        let out = gravit()
+            .args(["run", "--n", "16", "--steps", "1", flag, value])
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(value) && err.contains(accepted),
+            "{flag} {value}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value} must not run");
+    }
+}
+
+#[test]
+fn par_and_disk_are_the_defaults_and_selectable_by_name() {
+    let out = gravit()
+        .args(["run", "--n", "16", "--steps", "1", "--backend", "par"])
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("backend=cpu-parallel"));
+
+    let default = run_physics(&[]);
+    assert_eq!(
+        default,
+        run_physics(&["--backend", "par", "--spawn", "disk"])
+    );
+    assert_ne!(default, run_physics(&["--spawn", "ball"]));
+}

@@ -13,7 +13,7 @@
 //! law as every other solver ([`crate::model::accel_one_exact`]).
 
 use crate::model::{accel_one_exact, Bodies, ForceParams};
-use rayon::prelude::*;
+use simcore::par::{host_threads, map_indexed};
 use simcore::Vec3;
 
 /// Bodies per leaf before a cell splits. Small buckets keep the tree shallow
@@ -276,13 +276,14 @@ impl Octree {
     }
 }
 
-/// All-body accelerations via Barnes–Hut, Rayon-parallel over targets.
+/// All-body accelerations via Barnes–Hut, parallel over targets on
+/// [`host_threads`]. Each target's traversal is sequential, so the result is
+/// bit-identical to a serial per-target [`Octree::accel_recursive`] map.
 pub fn accelerations_bh(b: &Bodies, params: &ForceParams, theta: f32) -> Vec<Vec3> {
     let tree = Octree::build(b);
-    b.pos
-        .par_iter()
-        .map(|&p| tree.accel_recursive(b, params, p, theta))
-        .collect()
+    map_indexed(b.len(), host_threads(), |i| {
+        tree.accel_recursive(b, params, b.pos[i], theta)
+    })
 }
 
 fn octant(center: Vec3, p: Vec3) -> usize {
@@ -317,7 +318,7 @@ mod tests {
 
     #[test]
     fn theta_zero_equals_direct_sum() {
-        // θ = 0 never opens a cell by the s/d < θ criterion... it always
+        // θ = 0 never opens a cell by the s/d < θ test... it always
         // opens (open >= 0 is true), so every interaction is exact.
         let b = spawn::uniform_ball(200, 3.0, 1.0, 2);
         let p = ForceParams::default();
@@ -345,6 +346,21 @@ mod tests {
             worst < 0.05,
             "worst relative error {worst} too large for θ=0.5"
         );
+    }
+
+    #[test]
+    fn parallel_bh_matches_serial_traversal_bitwise() {
+        let b = spawn::uniform_ball(700, 8.0, 1.0, 5);
+        let p = ForceParams::default();
+        let t = Octree::build(&b);
+        let bh = accelerations_bh(&b, &p, 0.6);
+        assert_eq!(bh.len(), b.len());
+        for (i, a) in bh.iter().enumerate() {
+            let s = t.accel_recursive(&b, &p, b.pos[i], 0.6);
+            assert_eq!(a.x.to_bits(), s.x.to_bits(), "body {i} x");
+            assert_eq!(a.y.to_bits(), s.y.to_bits(), "body {i} y");
+            assert_eq!(a.z.to_bits(), s.z.to_bits(), "body {i} z");
+        }
     }
 
     #[test]

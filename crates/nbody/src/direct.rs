@@ -4,8 +4,8 @@
 //!
 //! * [`accelerations`] — the serial loop (paper Fig. 1), the "original CPU
 //!   implementation" baseline of the 87× claim;
-//! * [`accelerations_par`] — Rayon data-parallel over target bodies, the fair
-//!   multi-core CPU comparator;
+//! * [`accelerations_par`] — parallel over target bodies on every host thread
+//!   ([`simcore::par`]), the fair multi-core CPU comparator;
 //! * [`accelerations_tiled`] — serial but iterating sources in K-sized tiles,
 //!   mirroring the GPU kernel's shared-memory tiling. Because f32 addition is
 //!   order-sensitive, bit-exact CPU↔GPU comparisons use this variant with the
@@ -13,7 +13,7 @@
 //!   they are in fact all bit-identical — a property the tests pin down).
 
 use crate::model::{accel_one_exact, Bodies, ForceParams};
-use rayon::prelude::*;
+use simcore::par::{host_threads, map_indexed};
 use simcore::Vec3;
 
 /// Serial O(n²) accelerations.
@@ -27,15 +27,15 @@ pub fn accelerations(b: &Bodies, params: &ForceParams) -> Vec<Vec3> {
     out
 }
 
-/// Rayon-parallel O(n²) accelerations (identical results to the serial
-/// version: each body's source loop is still sequential and ascending).
+/// Parallel O(n²) accelerations over [`host_threads`] (identical results to
+/// the serial version: each body's source loop is still sequential and
+/// ascending).
 pub fn accelerations_par(b: &Bodies, params: &ForceParams) -> Vec<Vec3> {
     let eps2 = params.eps_sq();
     let n = b.len();
-    (0..n)
-        .into_par_iter()
-        .map(|i| accel_on(b, params.g, eps2, b.pos[i], 0, n))
-        .collect()
+    map_indexed(n, host_threads(), |i| {
+        accel_on(b, params.g, eps2, b.pos[i], 0, n)
+    })
 }
 
 /// Serial O(n²) with the source loop blocked into `tile`-sized chunks, the

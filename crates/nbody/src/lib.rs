@@ -7,9 +7,9 @@
 //!
 //! * [`model`] — the softened force law shared by every implementation
 //!   (including the simulated GPU kernels, which must match it bit-for-bit);
-//! * [`direct`] — O(n²) all-pairs solvers: serial, Rayon-parallel, and a
+//! * [`direct`] — O(n²) all-pairs solvers: serial, multi-threaded, and a
 //!   cache-blocked variant mirroring the GPU tiling order;
-//! * [`barnes_hut`] — octree construction, centers of mass, θ-criterion
+//! * [`barnes_hut`] — octree construction, centers of mass, opening-angle (θ)
 //!   traversal (recursive and iterative — the paper notes the recursion is
 //!   what makes the tree code hostile to CC-1.x CUDA);
 //! * [`integrator`] — Euler and leapfrog (KDK) time stepping;

@@ -1,6 +1,6 @@
 //! The shared force model and particle-set container.
 //!
-//! Every force implementation in the workspace — serial CPU, Rayon CPU,
+//! Every force implementation in the workspace — serial CPU, multi-threaded CPU,
 //! Barnes–Hut, and the simulated GPU kernels — evaluates the same Plummer-
 //! softened inverse-square law:
 //!

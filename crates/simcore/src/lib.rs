@@ -5,6 +5,8 @@
 //! * [`vec3`] — a small `f32` 3-vector, the currency of the N-body code.
 //! * [`crc`] — CRC-32 (IEEE) for integrity-protecting on-disk artifacts
 //!   (checkpoints, recordings) against truncation and bit rot.
+//! * [`par`] — the one parallel primitive: an index-ordered map over scoped
+//!   worker threads.
 //! * [`rng`] — deterministic pseudo-random number generation (SplitMix64 and
 //!   Xoshiro256++) plus sampling helpers. We implement these ourselves rather
 //!   than depending on `rand` so that every workload, kernel run and timing
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod crc;
+pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod table;

@@ -168,7 +168,7 @@ impl Xoshiro256pp {
     }
 
     /// The 2^128-step jump, for carving independent parallel streams out of
-    /// one seed (used when sweeps run under Rayon).
+    /// one seed (used when sweeps run on several threads).
     pub fn jump(&mut self) {
         const JUMP: [u64; 4] = [
             0x180e_c6d3_3cfd_0aba,

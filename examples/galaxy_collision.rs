@@ -1,8 +1,9 @@
 //! # Galaxy collision — the Gravit showcase workload
 //!
 //! Two disk galaxies on a collision course, integrated with leapfrog on the
-//! Rayon CPU backend, with energy/momentum diagnostics and a JSON recording —
-//! the "beautiful looking gravity patterns" the paper credits Gravit with.
+//! multi-threaded CPU backend, with energy/momentum diagnostics and a JSON
+//! recording — the "beautiful looking gravity patterns" the paper credits
+//! Gravit with.
 //!
 //! Run: `cargo run --release --example galaxy_collision [-- --n 4000 --steps 200]`
 
