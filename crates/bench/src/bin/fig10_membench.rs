@@ -1,6 +1,6 @@
 //! Regenerates **Figure 10**: average cycle count per single 4-byte read for
 //! each memory layout, under the CUDA 1.0 / 1.1 / 2.2 driver models.
-use bench::membench_harness::{fig10_sweep, fig11_speedups};
+use bench::membench_harness::fig10_sweep;
 use bench::report::emit;
 use gpu_sim::DriverModel;
 use particle_layouts::Layout;
@@ -37,27 +37,6 @@ fn main() {
         ]);
     }
     emit(&t, "fig10_membench");
-
-    let mut s = Table::new(
-        "Fig. 11 preview — speedup over the unoptimized layout",
-        &["driver", "SoA", "AoaS", "SoAoaS"],
-    );
-    let sp = fig11_speedups(&sweep);
-    for driver in DriverModel::ALL {
-        let get = |l: Layout| {
-            sp.iter()
-                .find(|(d, ll, _)| *d == driver && *ll == l)
-                .unwrap()
-                .2
-        };
-        s.row(vec![
-            driver.label().into(),
-            format!("{:.2}x", get(Layout::SoA)),
-            format!("{:.2}x", get(Layout::AoaS)),
-            format!("{:.2}x", get(Layout::SoAoaS)),
-        ]);
-    }
-    emit(&s, "fig11_speedup");
 
     // Per-thread spread behind the CUDA 1.0 averages.
     let mut v = Table::new(

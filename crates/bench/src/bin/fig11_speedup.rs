@@ -22,9 +22,9 @@ fn main() {
         };
         t.row(vec![
             driver.label().into(),
-            format!("{:.2}", get(Layout::SoA)),
-            format!("{:.2}", get(Layout::AoaS)),
-            format!("{:.2}", get(Layout::SoAoaS)),
+            format!("{:.2}x", get(Layout::SoA)),
+            format!("{:.2}x", get(Layout::AoaS)),
+            format!("{:.2}x", get(Layout::SoAoaS)),
         ]);
     }
     emit(&t, "fig11_speedup");

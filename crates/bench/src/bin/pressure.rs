@@ -14,9 +14,7 @@
 //!
 //! Usage: `pressure [--n BODIES] [--reps R] [--out PATH]`.
 
-use std::time::Instant;
-
-use bench::gate::flag;
+use bench::gate::{best_of, flag};
 use gpu_kernels::force::OptLevel;
 use gpu_sim::DriverModel;
 use gravit_app::backend::{frame_memory_budget, Backend, FrameOpts};
@@ -55,19 +53,6 @@ struct Report {
     all_bit_identical: bool,
 }
 
-/// Best-of-`reps` wall time of `f`, plus its (bitwise-comparable) result.
-fn time_best<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("reps >= 1"))
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let n: u32 = flag(&args, "--n")
@@ -96,11 +81,12 @@ fn main() {
         level.label()
     );
 
-    let (full_s, reference) = time_best(reps, || {
+    let (full_ms, reference) = best_of(reps, || {
         backend
             .try_accelerations(&bodies, &fp)
             .expect("unconstrained frame")
     });
+    let full_s = full_ms / 1e3;
     println!("  full resident: {full_s:.4}s (1 launch, {full_budget} B footprint)");
 
     // Chunk sizes from one halving of the padded count down to the floor —
@@ -118,10 +104,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut all_identical = true;
     for &chunk in &chunks {
-        let (wall_s, accels) = time_best(reps, || {
+        let (wall_ms, accels) = best_of(reps, || {
             gpu_frame_chunked(&bodies, &fp, level, chunk, &mut FrameOpts::default())
                 .expect("chunked frame")
         });
+        let wall_s = wall_ms / 1e3;
         let bit_identical = accels == reference;
         all_identical &= bit_identical;
         let n_chunks = padded.div_ceil(chunk) as u64;

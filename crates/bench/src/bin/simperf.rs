@@ -208,7 +208,7 @@ fn main() {
         .split(',')
         .map(|t| t.trim().parse().expect("--threads takes e.g. 1,8"))
         .collect();
-    let reps: usize = flag(&args, "--reps")
+    let reps: u32 = flag(&args, "--reps")
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
@@ -229,15 +229,7 @@ fn main() {
         // The sequential run is the reference every parallel run must match.
         let mut reference: Option<Outcome> = None;
         for &t in &threads {
-            let mut best_ms = f64::INFINITY;
-            let mut outcome = None;
-            for _ in 0..reps {
-                let t0 = std::time::Instant::now();
-                let o = run(t);
-                best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-                outcome = Some(o);
-            }
-            let o = outcome.expect("at least one rep");
+            let (best_ms, o) = gate::best_of(reps, || run(t));
             if let Some(r) = &reference {
                 if r.checksum != o.checksum || r.warp_instructions != o.warp_instructions {
                     println!(

@@ -151,21 +151,16 @@ fn main() {
     // is the honest cost and a transient load spike cannot trip the gate.
     for driver in DriverModel::ALL {
         for target in synth_targets(driver) {
-            let mut best_ms = f64::INFINITY;
-            let mut suggested = false;
-            for _ in 0..3 {
-                let t0 = std::time::Instant::now();
-                let report = target
+            let (best_ms, report) = gate::best_of(3, || {
+                target
                     .synthesize()
-                    .unwrap_or_else(|e| panic!("{}: synthesis must price: {e}", target.name));
-                best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-                suggested = !report.suggestions.is_empty();
-            }
+                    .unwrap_or_else(|e| panic!("{}: synthesis must price: {e}", target.name))
+            });
             times.push(AnalyzeTime {
                 kernel: format!("synth_{}", target.name),
                 driver: driver.label().to_string(),
                 analyze_ms: best_ms,
-                exact: suggested,
+                exact: !report.suggestions.is_empty(),
             });
         }
     }

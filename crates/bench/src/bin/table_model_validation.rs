@@ -1,16 +1,18 @@
 //! Regenerates the **methodology validation**: the Fig. 12 numbers come from
-//! wave extrapolation (simulate one resident wave, multiply by wave count);
-//! this experiment checks that shortcut against the exact full-grid
-//! simulation (every block dispatched through per-SM queues) at sizes where
-//! the exact run is affordable.
+//! wave extrapolation (simulate one resident wave, multiply by wave count
+//! with `gravit_app::model::grid_cycles`, the arithmetic Fig. 12 runs); this
+//! experiment checks that shortcut against the exact full-grid simulation
+//! (every block dispatched through per-SM queues) at sizes where the exact
+//! run is affordable.
 use bench::report::emit;
-use gpu_kernels::force::{build_force_kernel, force_params, ForceKernelConfig};
+use gpu_kernels::force::{build_force_kernel, ForceKernelConfig};
 use gpu_sim::exec::timed::{time_grid, time_resident};
 use gpu_sim::ir::regalloc::register_demand;
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::{DeviceConfig, DriverModel, TimingParams};
-use particle_layouts::{DeviceImage, Layout, Particle};
+use gravit_app::model::{grid_cycles, standard_upload};
+use particle_layouts::{Layout, Particle};
 use simcore::{Table, Vec3};
 
 fn main() {
@@ -46,12 +48,9 @@ fn main() {
             })
             .collect();
         let mut gmem = GlobalMemory::new(256 << 20);
-        let img = DeviceImage::upload(&mut gmem, cfg.layout, &particles, cfg.block)
+        let params = standard_upload(cfg.layout, cfg.block)(&mut gmem, &particles)
             .expect("validation upload fits");
-        let out = particle_layouts::device::alloc_accel_out(&mut gmem, img.padded_n)
-            .expect("output fits");
-        let params = force_params(&img, out, 0.05);
-        let grid = img.padded_n / cfg.block;
+        let grid = n / cfg.block;
 
         let exact = time_grid(
             &kernel,
@@ -74,8 +73,7 @@ fn main() {
             &kernel, &resident, cfg.block, grid, &params, &mut gmem, &dev, driver, &tp,
         )
         .expect("wave launch is well-formed");
-        let waves = (grid as u64).div_ceil(dev.num_sms as u64 * resident.len() as u64);
-        let est = wave.cycles * waves;
+        let est = grid_cycles(&dev, wave.cycles, grid as u64, resident.len() as u64);
         let err = (est as f64 - exact.cycles as f64) / exact.cycles as f64;
         t.row(vec![
             n.to_string(),

@@ -5,15 +5,13 @@
 //! paper's tuned kernel implicitly declined.
 use bench::report::emit;
 use gpu_kernels::force::{build_force_kernel, build_force_kernel_prefetch, ForceKernelConfig};
-use gpu_sim::ir::regalloc::register_demand;
-use gpu_sim::occupancy::occupancy;
-use gpu_sim::{DeviceConfig, DriverModel};
+use gpu_sim::DriverModel;
+use gravit_app::model::{model_kernel, standard_upload};
 use particle_layouts::Layout;
 use simcore::{format_duration_s, Table};
 
 fn main() {
     let n = 200_000u32;
-    let dev = DeviceConfig::g8800gtx();
     let mut t = Table::new(
         format!("Prefetch ablation — SoAoaS + full unroll + ICM, N = {n} (CUDA 1.0)"),
         &["variant", "block", "regs", "occupancy", "kernel time"],
@@ -29,15 +27,20 @@ fn main() {
             ("standard", build_force_kernel(cfg)),
             ("prefetch", build_force_kernel_prefetch(cfg)),
         ] {
-            let regs = register_demand(&kernel).regs_per_thread as u32;
-            let occ = occupancy(&dev, block, regs, kernel.smem_bytes);
-            let secs = bench::tables::time_kernel_at(&kernel, cfg, n, DriverModel::Cuda10);
+            let k = model_kernel(
+                &kernel,
+                block,
+                n,
+                DriverModel::Cuda10,
+                standard_upload(cfg.layout, block),
+            )
+            .expect("the ablation's model launch is well-formed");
             t.row(vec![
                 name.into(),
                 block.to_string(),
-                regs.to_string(),
-                format!("{:.0}%", occ.percent()),
-                format_duration_s(secs),
+                k.regs.to_string(),
+                format!("{:.0}%", k.occupancy.percent()),
+                format_duration_s(k.seconds),
             ]);
         }
     }

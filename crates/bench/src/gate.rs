@@ -1,9 +1,10 @@
 //! What the bench gates (`simperf`, `fleet`, `chaos`, `pressure`,
 //! `table_lint_validation`) share: flag lookup, the FNV-1a checksum behind
-//! their host-independent witnesses, the `--check-against` baseline loader
-//! and the wall-time envelope.
+//! their host-independent witnesses, the `--check-against` baseline loader,
+//! best-of-N timing and the wall-time envelope.
 
 use std::fmt;
+use std::time::Instant;
 
 /// FNV-1a offset basis: the state to start a checksum from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,6 +40,25 @@ pub fn baseline<T: serde::Deserialize>(args: &[String]) -> Option<T> {
     })
 }
 
+/// Best-of-`reps` wall time of `f` in milliseconds, with the result of its
+/// last run. Interference only ever adds time, so the minimum of repeats is
+/// the least noisy estimate of a deterministic call's intrinsic cost; the
+/// result is returned so callers measure the same call they use.
+///
+/// # Panics
+/// If `reps` is 0.
+pub fn best_of<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let v = f();
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        out = Some(v);
+    }
+    (best, out.expect("best_of needs at least one rep"))
+}
+
 /// A wall-time regression envelope: a fresh time regresses when it exceeds
 /// `factor` × the committed time plus `slack_ms` (the slack keeps scheduler
 /// jitter from tripping short rows). Displays as e.g. `1.2x + 50 ms`.
@@ -66,6 +86,23 @@ impl fmt::Display for Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn best_of_returns_the_minimum_and_the_last_result() {
+        let mut calls = 0u32;
+        let (ms, last) = best_of(3, || {
+            calls += 1;
+            if calls == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+            }
+            calls
+        });
+        assert_eq!((calls, last), (3, 3));
+        assert!(
+            ms < 30.0,
+            "the slow first rep must not be the best: {ms} ms"
+        );
+    }
 
     #[test]
     fn fnv1a_matches_the_reference_vectors() {

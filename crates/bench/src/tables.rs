@@ -424,7 +424,7 @@ pub fn bh_crossover(sizes: &[u32]) -> Vec<CrossoverRow> {
     use gpu_sim::exec::timed::time_resident;
     use gpu_sim::mem::GlobalMemory;
     use gpu_sim::TimingParams;
-    use gravit_app::model::model_frame_config;
+    use gravit_app::model::{grid_seconds, model_frame_config};
     use nbody::barnes_hut::LinearTree;
     use nbody::spawn;
 
@@ -495,9 +495,12 @@ pub fn bh_crossover(sizes: &[u32]) -> Vec<CrossoverRow> {
                 .expect("crossover launch is well-formed");
                 cycles += run.cycles;
             }
-            let wave_cycles = cycles / samples as u64;
-            let waves = (grid as u64).div_ceil(dev.num_sms as u64 * occ.active_blocks as u64);
-            let bh_s = (wave_cycles * waves) as f64 / dev.clock_hz;
+            let bh_s = grid_seconds(
+                &dev,
+                cycles / samples as u64,
+                grid as u64,
+                occ.active_blocks as u64,
+            );
             CrossoverRow {
                 n,
                 direct_s: direct.kernel_s,
@@ -560,24 +563,6 @@ pub struct LintValidationRow {
     pub analyze_ms: f64,
 }
 
-/// Wall-time a deterministic closure as the best of three runs. Shared CI
-/// runners are load-sensitive: a descheduled tick inflates a single
-/// measurement several-fold, and the *minimum* of repeats is the least noisy
-/// estimator of intrinsic cost (interference only ever adds time). The
-/// closure's result is returned alongside so callers measure the same call
-/// they use.
-fn best_of_3_ms<T>(mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        let v = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(v);
-    }
-    (out.expect("three runs always produce a value"), best)
-}
-
 /// Cross-validate the static analyzer's transaction prediction against the
 /// dynamic coalescer on the *real* membench kernels (not synthetic affine
 /// accesses): per layout × driver, the two counts must be identical. This is
@@ -608,7 +593,7 @@ pub fn lint_cross_validation() -> Vec<LintValidationRow> {
         params.push(out_sum.0 as u32);
         for driver in DriverModel::ALL {
             let acfg = AnalysisConfig::new(grid, block, params.clone()).with_driver(driver);
-            let (report, analyze_ms) = best_of_3_ms(|| analyze_kernel(&kernel, &acfg));
+            let (analyze_ms, report) = crate::gate::best_of(3, || analyze_kernel(&kernel, &acfg));
             let tp = TimingParams::for_driver(driver);
             let run = time_grid(
                 &kernel,
@@ -695,7 +680,7 @@ pub fn bh_bounds_validation(n: u32) -> Vec<BoundsValidationRow> {
         let acfg = AnalysisConfig::new(grid, cfg.block, params.clone())
             .with_driver(driver)
             .with_trip_budget(budget);
-        let (report, analyze_ms) = best_of_3_ms(|| analyze_kernel(&kernel, &acfg));
+        let (analyze_ms, report) = crate::gate::best_of(3, || analyze_kernel(&kernel, &acfg));
         let (tx_lo, tx_hi) = report.transaction_bounds;
 
         let tp = TimingParams::for_driver(driver);
@@ -765,66 +750,6 @@ mod lint_validation_tests {
     }
 }
 
-/// Model the kernel seconds for an arbitrary force-kernel build sharing the
-/// standard parameter convention (buffers…, out, n, eps, smem0) — used by the
-/// prefetch ablation.
-pub fn time_kernel_at(
-    kernel: &gpu_sim::ir::Kernel,
-    cfg: ForceKernelConfig,
-    n: u32,
-    driver: DriverModel,
-) -> f64 {
-    use gpu_kernels::force::force_params;
-    use gpu_sim::exec::launch::extrapolate_linear;
-    use gpu_sim::exec::timed::time_resident;
-    use gpu_sim::mem::GlobalMemory;
-    use gpu_sim::TimingParams;
-    use particle_layouts::{DeviceImage, Particle};
-
-    let dev = DeviceConfig::g8800gtx();
-    let tp = TimingParams::for_driver(driver);
-    let regs = register_demand(kernel).regs_per_thread as u32;
-    let occ = occupancy(&dev, cfg.block, regs, kernel.smem_bytes);
-    let padded = n.div_ceil(cfg.block) * cfg.block;
-    // Clamp residency to the smallest measured grid (see gravit_app::model):
-    // extra resident blocks would read past the uploaded tiles.
-    let resident: Vec<u32> = (0..occ.active_blocks.min(4)).collect();
-    let mut measured = Vec::new();
-    for tiles in [4u32, 8] {
-        let small_n = tiles * cfg.block;
-        let particles: Vec<Particle> = (0..small_n)
-            .map(|i| Particle {
-                pos: simcore::Vec3::new(i as f32 * 0.01, 1.0, 2.0),
-                vel: simcore::Vec3::ZERO,
-                mass: 1.0,
-            })
-            .collect();
-        let mut gmem = GlobalMemory::new(64 << 20);
-        let img = DeviceImage::upload(&mut gmem, cfg.layout, &particles, cfg.block)
-            .expect("fit-sized upload fits");
-        let out = particle_layouts::device::alloc_accel_out(&mut gmem, img.padded_n)
-            .expect("output fits");
-        let params = force_params(&img, out, 0.05);
-        let run = time_resident(
-            kernel,
-            &resident,
-            cfg.block,
-            resident.len() as u32,
-            &params,
-            &mut gmem,
-            &dev,
-            driver,
-            &tp,
-        )
-        .expect("ablation launch is well-formed");
-        measured.push((small_n as u64, run.cycles));
-    }
-    let wave_cycles = extrapolate_linear(&measured, padded as u64).expect("cost grows with tiles");
-    let blocks = (padded / cfg.block) as u64;
-    let waves = blocks.div_ceil(dev.num_sms as u64 * resident.len() as u64);
-    (wave_cycles * waves) as f64 / dev.clock_hz
-}
-
 /// One row of the static-cycle-model cross-validation (`table_verify`): the
 /// same optimization level priced by `analyze::cost` and timed by the
 /// dynamic engine, under one driver.
@@ -852,6 +777,7 @@ pub struct CostValidationRow {
 pub fn cost_vs_measured(n: u32, driver: DriverModel) -> Vec<CostValidationRow> {
     use gpu_kernels::force::OptLevel;
     use gpu_sim::analyze::{cost, AnalysisConfig};
+    use gravit_app::model::{model_kernel, standard_upload};
 
     const VGRID: u32 = 2;
     let mut rows: Vec<CostValidationRow> = Vec::new();
@@ -873,7 +799,15 @@ pub fn cost_vs_measured(n: u32, driver: DriverModel) -> Vec<CostValidationRow> {
             level,
             driver,
             predicted_cycles_per_pair: c.total_cycles() / pairs,
-            measured_seconds: time_kernel_at(&kernel, fcfg, n, driver),
+            measured_seconds: model_kernel(
+                &kernel,
+                fcfg.block,
+                n,
+                driver,
+                standard_upload(fcfg.layout, fcfg.block),
+            )
+            .expect("the force ladder's model launch is well-formed")
+            .seconds,
             predicted_speedup: 1.0,
             measured_speedup: 1.0,
         });
@@ -979,23 +913,21 @@ fn unopt_word(p: &particle_layouts::Particle, offset: u32) -> f32 {
 }
 
 /// Allocate the rewritten layout's buffers and populate every mapped word
-/// from `particles`, returning the new buffer base parameters. Only the
-/// Unopt source record is understood — the one kernel `table_synth`
-/// measures synthesized rewrites of.
+/// from `particles`, then the acceleration output, returning the kernel's
+/// launch parameters (buffers…, out, n, eps, smem0). Only the Unopt source
+/// record is understood — the one kernel `table_synth` measures synthesized
+/// rewrites of.
 fn upload_rewritten(
     gmem: &mut gpu_sim::mem::GlobalMemory,
     rw: &gpu_sim::ir::layout::LayoutRewrite,
     particles: &[particle_layouts::Particle],
-) -> Vec<u32> {
+) -> gpu_sim::DeviceResult<Vec<u32>> {
     let n = particles.len() as u64;
-    let bases: Vec<gpu_sim::mem::DevicePtr> = rw
+    let bases = rw
         .new_strides
         .iter()
-        .map(|&s| {
-            gmem.alloc_zeroed(n * s as u64)
-                .expect("synthesized buffers fit")
-        })
-        .collect();
+        .map(|&s| gmem.alloc_zeroed(n * s as u64))
+        .collect::<gpu_sim::DeviceResult<Vec<_>>>()?;
     for m in &rw.maps {
         assert_eq!(
             m.param, 0,
@@ -1007,83 +939,14 @@ fn upload_rewritten(
                 gmem.store_f32(
                     bases[dest.buffer].0 + e as u64 * stride + dest.offset as u64,
                     unopt_word(p, old_off),
-                )
-                .expect("mapped word lands inside its buffer");
+                )?;
             }
         }
     }
-    bases.iter().map(|b| b.0 as u32).collect()
-}
-
-/// Model the kernel seconds for a synthesized force-kernel candidate:
-/// `rewrite = None` times the kernel over the standard Unopt upload;
-/// `rewrite = Some` allocates and fills the rewritten buffers instead.
-/// Mirrors [`time_kernel_at`] (tiles 4 and 8, linear extrapolation, waves).
-pub fn time_synth_kernel(
-    kernel: &gpu_sim::ir::Kernel,
-    rewrite: Option<&gpu_sim::ir::layout::LayoutRewrite>,
-    block: u32,
-    n: u32,
-    driver: DriverModel,
-) -> f64 {
-    use gpu_sim::exec::launch::extrapolate_linear;
-    use gpu_sim::exec::timed::time_resident;
-    use gpu_sim::mem::GlobalMemory;
-    use gpu_sim::TimingParams;
-    use particle_layouts::Particle;
-
-    let Some(rw) = rewrite else {
-        let cfg = ForceKernelConfig {
-            layout: Layout::Unopt,
-            block,
-            unroll: 1,
-            icm: false,
-        };
-        return time_kernel_at(kernel, cfg, n, driver);
-    };
-
-    let dev = DeviceConfig::g8800gtx();
-    let tp = TimingParams::for_driver(driver);
-    let regs = register_demand(kernel).regs_per_thread as u32;
-    let occ = occupancy(&dev, block, regs, kernel.smem_bytes);
-    let padded = n.div_ceil(block) * block;
-    let resident: Vec<u32> = (0..occ.active_blocks.min(4)).collect();
-    let mut measured = Vec::new();
-    for tiles in [4u32, 8] {
-        let small_n = tiles * block;
-        let particles: Vec<Particle> = (0..small_n)
-            .map(|i| Particle {
-                pos: simcore::Vec3::new(i as f32 * 0.01, 1.0, 2.0),
-                vel: simcore::Vec3::ZERO,
-                mass: 1.0,
-            })
-            .collect();
-        let mut gmem = GlobalMemory::new(64 << 20);
-        let mut params = upload_rewritten(&mut gmem, rw, &particles);
-        let out =
-            particle_layouts::device::alloc_accel_out(&mut gmem, small_n).expect("output fits");
-        params.push(out.0 as u32);
-        params.push(small_n);
-        params.push(0.05f32.to_bits());
-        params.push(0); // smem0
-        let run = time_resident(
-            kernel,
-            &resident,
-            block,
-            resident.len() as u32,
-            &params,
-            &mut gmem,
-            &dev,
-            driver,
-            &tp,
-        )
-        .expect("synthesized launch is well-formed");
-        measured.push((small_n as u64, run.cycles));
-    }
-    let wave_cycles = extrapolate_linear(&measured, padded as u64).expect("cost grows with tiles");
-    let blocks = (padded / block) as u64;
-    let waves = blocks.div_ceil(dev.num_sms as u64 * resident.len() as u64);
-    (wave_cycles * waves) as f64 / dev.clock_hz
+    let out = particle_layouts::device::alloc_accel_out(gmem, n as u32)?;
+    let mut params: Vec<u32> = bases.iter().map(|b| b.0 as u32).collect();
+    params.extend([out.0 as u32, n as u32, 0.05f32.to_bits(), 0]);
+    Ok(params)
 }
 
 /// Run the synthesizer on the headline naive-AoS force target under
@@ -1091,6 +954,9 @@ pub fn time_synth_kernel(
 /// dynamic engine at `n` particles. The static and measured orderings are
 /// what `table_synth` gates on.
 pub fn synth_vs_measured(n: u32, driver: DriverModel) -> Vec<SynthValidationRow> {
+    use gpu_sim::ir::layout::LayoutRewrite;
+    use gravit_app::model::{model_kernel, standard_upload};
+
     let mut target = gpu_kernels::synthset::force_unopt_target(driver);
     // The CI table wants several rows to rank, not just the winner.
     target.config.max_suggestions = 5;
@@ -1098,7 +964,24 @@ pub fn synth_vs_measured(n: u32, driver: DriverModel) -> Vec<SynthValidationRow>
         .synthesize()
         .expect("the headline synthesis target is priceable");
     let block = target.config.block;
-    let base_meas = time_synth_kernel(&target.kernel, None, block, n, driver);
+    let measure = |kernel: &gpu_sim::ir::Kernel, rewrite: Option<&LayoutRewrite>| {
+        let timed = match rewrite {
+            None => model_kernel(
+                kernel,
+                block,
+                n,
+                driver,
+                standard_upload(Layout::Unopt, block),
+            ),
+            Some(rw) => model_kernel(kernel, block, n, driver, |gmem, ps| {
+                upload_rewritten(gmem, rw, ps)
+            }),
+        };
+        timed
+            .expect("synthesized model launch is well-formed")
+            .seconds
+    };
+    let base_meas = measure(&target.kernel, None);
     let mut rows = vec![SynthValidationRow {
         label: "baseline (as written)".to_string(),
         driver,
@@ -1110,7 +993,7 @@ pub fn synth_vs_measured(n: u32, driver: DriverModel) -> Vec<SynthValidationRow>
         certificate: "-".to_string(),
     }];
     for s in &report.suggestions {
-        let meas = time_synth_kernel(&s.kernel, s.rewrite.as_ref(), block, n, driver);
+        let meas = measure(&s.kernel, s.rewrite.as_ref());
         rows.push(SynthValidationRow {
             label: s.label.clone(),
             driver,

@@ -36,9 +36,12 @@ use super::{AnalysisConfig, Diagnostic, LintKind, Severity};
 use crate::banks::conflict_degree;
 use crate::coalesce::{coalesce_half_warp, AccessWidth};
 use crate::fault::FaultSite;
+/// The exact scalar semantics the `Exact` domain and [`super::verify`]'s
+/// constant folder evaluate — the executors' own, defined once in
+/// [`crate::ir`].
+pub(crate) use crate::ir::{alu, compare, mad, unary};
 use crate::ir::{
-    AluOp, CmpOp, Instr, InstrIndexer, Kernel, MemSpace, Operand, Pred, Reg, SpecialReg, Stmt,
-    UnaryOp,
+    AluOp, Instr, InstrIndexer, Kernel, MemSpace, Operand, Pred, Reg, SpecialReg, Stmt,
 };
 
 /// Warp width (matches `exec::machine::WARP`).
@@ -1345,55 +1348,5 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 }
             }
         }
-    }
-}
-
-/// Exact bit-level ALU semantics, shared with [`super::verify`]'s constant
-/// folder so symbolic proofs rest on the same arithmetic the executors use.
-pub(crate) fn alu(op: AluOp, x: u32, y: u32) -> u32 {
-    let (fx, fy) = (f32::from_bits(x), f32::from_bits(y));
-    match op {
-        AluOp::FAdd => (fx + fy).to_bits(),
-        AluOp::FSub => (fx - fy).to_bits(),
-        AluOp::FMul => (fx * fy).to_bits(),
-        AluOp::FMin => fx.min(fy).to_bits(),
-        AluOp::FMax => fx.max(fy).to_bits(),
-        AluOp::IAdd => x.wrapping_add(y),
-        AluOp::ISub => x.wrapping_sub(y),
-        AluOp::IMul => x.wrapping_mul(y),
-        AluOp::IShl => x.wrapping_shl(y),
-        AluOp::IAnd => x & y,
-        AluOp::IMin => x.min(y),
-    }
-}
-
-/// Exact `mad` semantics (f32 fused form or wrapping u32), as in
-/// `exec::machine`.
-pub(crate) fn mad(float: bool, a: u32, b: u32, c: u32) -> u32 {
-    if float {
-        (f32::from_bits(a) * f32::from_bits(b) + f32::from_bits(c)).to_bits()
-    } else {
-        a.wrapping_mul(b).wrapping_add(c)
-    }
-}
-
-/// Exact unary-op semantics, as in `exec::machine`.
-pub(crate) fn unary(op: UnaryOp, x: u32) -> u32 {
-    match op {
-        UnaryOp::FRsqrt => (1.0 / f32::from_bits(x).sqrt()).to_bits(),
-        UnaryOp::FNeg => (-f32::from_bits(x)).to_bits(),
-        UnaryOp::U2F => (x as f32).to_bits(),
-        UnaryOp::F2U => f32::from_bits(x) as u32,
-    }
-}
-
-/// Exact predicate-compare semantics, as in `exec::machine`.
-pub(crate) fn compare(op: CmpOp, x: u32, y: u32) -> bool {
-    match op {
-        CmpOp::ULt => x < y,
-        CmpOp::UGe => x >= y,
-        CmpOp::UEq => x == y,
-        CmpOp::UNe => x != y,
-        CmpOp::FLt => f32::from_bits(x) < f32::from_bits(y),
     }
 }

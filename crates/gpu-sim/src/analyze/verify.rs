@@ -7,9 +7,9 @@
 //! order, with the same barrier structure. Loads of addresses the kernel did
 //! not itself write become opaque *input terms*, so the proof holds for
 //! **every** possible memory content, not just one test vector; arithmetic
-//! over known bits constant-folds through the exact semantics of
-//! [`super::interp`] (the same wrapping u32 / `f32::from_bits` rules the
-//! executors use), so the symbolic run never disagrees with a dynamic one.
+//! over known bits constant-folds through the executors' own scalar
+//! semantics (`alu`/`mad`/`unary`/`compare`, defined once in [`crate::ir`]),
+//! so the symbolic run never disagrees with a dynamic one.
 //!
 //! Terms live in a single hash-consed [`TermArena`] shared by both kernels:
 //! structural equality is pointer equality, and no float identities are

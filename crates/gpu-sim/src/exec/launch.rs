@@ -1,118 +1,14 @@
-//! Launch configuration and grid-level time estimation.
+//! Steady-state extrapolation for the timed engine.
 //!
-//! The timed engine simulates *one SM's resident blocks*. A full launch of
-//! `G` blocks on a device with `S` SMs and `B` resident blocks per SM runs as
-//! `ceil(G / (S·B))` waves of `B` blocks per SM, so the full-grid estimate is
-//! `waves × cycles(resident wave)`. For kernels whose per-thread work scales
-//! with a parameter (the O(n²) force kernel's tile loop), the benchmarks
-//! simulate two smaller configurations and extrapolate the steady state with
-//! a linear fit (see [`extrapolate_linear`]).
+//! The timed engine simulates *one SM's resident blocks*. For kernels whose
+//! per-thread work scales with a parameter (the O(n²) force kernel's tile
+//! loop), the frame model simulates two smaller configurations and
+//! extrapolates the steady state with a linear fit ([`extrapolate_linear`]).
+//! Scaling that wave to the full grid is the frame model's job
+//! (`gravit_app::model`), not this module's.
 
-use crate::device::DeviceConfig;
-use crate::driver::DriverModel;
-use crate::exec::timed::{time_resident, TimedRun};
 use crate::fault::{DeviceError, DeviceResult, FaultKind};
-use crate::ir::Kernel;
-use crate::mem::GlobalMemory;
-use crate::occupancy::{occupancy, Occupancy};
-use crate::timing::TimingParams;
 use simcore::linear_fit;
-
-/// A 1-D kernel launch shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchConfig {
-    /// Number of blocks.
-    pub grid: u32,
-    /// Threads per block.
-    pub block: u32,
-}
-
-impl LaunchConfig {
-    /// Blocks × threads.
-    pub fn total_threads(&self) -> u64 {
-        self.grid as u64 * self.block as u64
-    }
-
-    /// The launch covering `n` elements with one thread each (grid rounded
-    /// up; kernels pad their data, see the layouts crate).
-    pub fn covering(n: u32, block: u32) -> LaunchConfig {
-        assert!(block > 0);
-        LaunchConfig {
-            grid: n.div_ceil(block).max(1),
-            block,
-        }
-    }
-}
-
-/// Grid-level timing estimate assembled from a resident-wave simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridEstimate {
-    /// Cycles for one wave of resident blocks on one SM.
-    pub cycles_per_wave: u64,
-    /// Number of waves needed to drain the grid.
-    pub waves: u64,
-    /// Total kernel cycles.
-    pub total_cycles: u64,
-    /// Kernel wall time at the device clock.
-    pub seconds: f64,
-    /// The occupancy used.
-    pub occupancy: Occupancy,
-    /// Stats of the simulated wave.
-    pub wave_stats: TimedRun,
-}
-
-/// Estimate the full-grid execution time of `kernel` by simulating one
-/// resident wave on one SM and scaling.
-///
-/// `regs_per_thread` feeds the occupancy calculator (use
-/// [`crate::ir::regalloc::register_demand`]). Functional side effects of the
-/// simulated wave land in `gmem`.
-#[allow(clippy::too_many_arguments)]
-pub fn estimate_grid(
-    kernel: &Kernel,
-    launch: LaunchConfig,
-    regs_per_thread: u32,
-    params: &[u32],
-    gmem: &mut GlobalMemory,
-    dev: &DeviceConfig,
-    driver: DriverModel,
-    tp: &TimingParams,
-) -> DeviceResult<GridEstimate> {
-    let occ = occupancy(dev, launch.block, regs_per_thread, kernel.smem_bytes);
-    let resident_n = occ.active_blocks.min(launch.grid);
-    if resident_n == 0 {
-        return Err(DeviceError::new(FaultKind::BadLaunch {
-            reason: format!(
-                "kernel cannot be made resident: {} threads/block with {regs_per_thread} regs/thread and {} B smem fits zero blocks per SM",
-                launch.block, kernel.smem_bytes
-            ),
-        })
-        .with_kernel(&kernel.name));
-    }
-    let resident: Vec<u32> = (0..resident_n).collect();
-    let wave = time_resident(
-        kernel,
-        &resident,
-        launch.block,
-        launch.grid,
-        params,
-        gmem,
-        dev,
-        driver,
-        tp,
-    )?;
-    let blocks_per_wave = (dev.num_sms * resident_n) as u64;
-    let waves = (launch.grid as u64).div_ceil(blocks_per_wave);
-    let total_cycles = wave.cycles * waves;
-    Ok(GridEstimate {
-        cycles_per_wave: wave.cycles,
-        waves,
-        total_cycles,
-        seconds: total_cycles as f64 / dev.clock_hz,
-        occupancy: occ,
-        wave_stats: wave,
-    })
-}
 
 /// Extrapolate a cost that is affine in a size parameter: measure at two (or
 /// more) sizes, fit `cycles ≈ a + b·size`, and evaluate at `target`.
@@ -137,15 +33,6 @@ pub fn extrapolate_linear(measured: &[(u64, u64)], target: u64) -> DeviceResult<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{KernelBuilder, MemSpace, Operand};
-
-    #[test]
-    fn covering_launch_rounds_up() {
-        let l = LaunchConfig::covering(1000, 128);
-        assert_eq!(l.grid, 8);
-        assert_eq!(l.total_threads(), 1024);
-        assert_eq!(LaunchConfig::covering(1, 128).grid, 1);
-    }
 
     #[test]
     fn extrapolation_recovers_affine_cost() {
@@ -160,39 +47,5 @@ mod tests {
             err.kind,
             crate::fault::FaultKind::BadConfig { .. }
         ));
-    }
-
-    #[test]
-    fn estimate_grid_scales_with_waves() {
-        let mut b = KernelBuilder::new("touch");
-        let po = b.param();
-        let i = b.global_thread_index();
-        let ao = b.mad_u(i.into(), Operand::ImmU(4), po.into());
-        let one = b.mov(Operand::ImmF(1.0));
-        b.st(MemSpace::Global, ao, 0, vec![one.into()]);
-        let k = b.finish();
-        let dev = DeviceConfig::g8800gtx();
-        let tp = TimingParams::for_driver(DriverModel::Cuda10);
-
-        let run = |grid: u32| {
-            let mut gmem = GlobalMemory::new(64 << 20);
-            let o = gmem.alloc(grid as u64 * 128 * 4).unwrap();
-            estimate_grid(
-                &k,
-                LaunchConfig { grid, block: 128 },
-                10,
-                &[o.0 as u32],
-                &mut gmem,
-                &dev,
-                DriverModel::Cuda10,
-                &tp,
-            )
-            .unwrap()
-        };
-        let small = run(16);
-        let big = run(16 * 64);
-        assert!(big.waves > small.waves);
-        assert!(big.total_cycles > small.total_cycles);
-        assert!(big.seconds > small.seconds);
     }
 }

@@ -8,7 +8,7 @@
 use crate::coalesce::AccessWidth;
 use crate::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
 use crate::ir::lower::{LinStmt, Program};
-use crate::ir::{AluOp, CmpOp, Instr, MemSpace, Operand, Pred, Reg, SpecialReg, UnaryOp};
+use crate::ir::{alu, compare, mad, unary, Instr, MemSpace, Operand, Pred, Reg, SpecialReg};
 use crate::mem::DeviceMem;
 
 /// Warp width — fixed at 32 for every CUDA device.
@@ -241,14 +241,7 @@ pub fn exec_instr<M: DeviceMem>(
                 let x = opv(ctx, t, a);
                 let y = opv(ctx, t, b);
                 let z = opv(ctx, t, c);
-                let v = if *float {
-                    // G80 MAD truncates the intermediate product; modern fma
-                    // differs in the last ulp. We use mul+add like the CPU
-                    // reference so functional comparisons are exact.
-                    (f32::from_bits(x) * f32::from_bits(y) + f32::from_bits(z)).to_bits()
-                } else {
-                    x.wrapping_mul(y).wrapping_add(z)
-                };
+                let v = mad(*float, x, y, z);
                 ctx.set_reg(t, *dst, v);
             }
             Ok(None)
@@ -256,15 +249,7 @@ pub fn exec_instr<M: DeviceMem>(
         Instr::Unary { op, dst, a } => {
             for t in active_lanes(mask, warp, ctx.n_threads) {
                 let x = opv(ctx, t, a);
-                let v = match op {
-                    UnaryOp::FRsqrt => {
-                        let f = f32::from_bits(x);
-                        (1.0 / f.sqrt()).to_bits()
-                    }
-                    UnaryOp::FNeg => (-f32::from_bits(x)).to_bits(),
-                    UnaryOp::U2F => (x as f32).to_bits(),
-                    UnaryOp::F2U => f32::from_bits(x) as u32,
-                };
+                let v = unary(*op, x);
                 ctx.set_reg(t, *dst, v);
             }
             Ok(None)
@@ -273,13 +258,7 @@ pub fn exec_instr<M: DeviceMem>(
             for t in active_lanes(mask, warp, ctx.n_threads) {
                 let x = opv(ctx, t, a);
                 let y = opv(ctx, t, b);
-                let v = match cmp {
-                    CmpOp::ULt => x < y,
-                    CmpOp::UGe => x >= y,
-                    CmpOp::UEq => x == y,
-                    CmpOp::UNe => x != y,
-                    CmpOp::FLt => f32::from_bits(x) < f32::from_bits(y),
-                };
+                let v = compare(*cmp, x, y);
                 ctx.set_pred(t, *dst, v);
             }
             Ok(None)
@@ -406,23 +385,6 @@ pub fn exec_instr<M: DeviceMem>(
             }
             Ok(None)
         }
-    }
-}
-
-fn alu(op: AluOp, x: u32, y: u32) -> u32 {
-    let (fx, fy) = (f32::from_bits(x), f32::from_bits(y));
-    match op {
-        AluOp::FAdd => (fx + fy).to_bits(),
-        AluOp::FSub => (fx - fy).to_bits(),
-        AluOp::FMul => (fx * fy).to_bits(),
-        AluOp::FMin => fx.min(fy).to_bits(),
-        AluOp::FMax => fx.max(fy).to_bits(),
-        AluOp::IAdd => x.wrapping_add(y),
-        AluOp::ISub => x.wrapping_sub(y),
-        AluOp::IMul => x.wrapping_mul(y),
-        AluOp::IShl => x.wrapping_shl(y),
-        AluOp::IAnd => x & y,
-        AluOp::IMin => x.min(y),
     }
 }
 
@@ -606,7 +568,7 @@ pub fn live_lane_mask(n_threads: usize, warp: usize) -> u32 {
 mod tests {
     use super::*;
     use crate::ir::lower::lower;
-    use crate::ir::KernelBuilder;
+    use crate::ir::{AluOp, KernelBuilder};
     use crate::mem::GlobalMemory;
 
     fn env() -> LaunchEnv {

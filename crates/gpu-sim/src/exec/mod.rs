@@ -12,8 +12,8 @@
 //! * [`timed`] — simulates the resident blocks of **one SM**: a round-robin
 //!   warp scheduler with a register scoreboard, a global-memory pipeline fed
 //!   by the coalescer, shared-memory bank serialization and block barriers.
-//! * [`launch`] — launch configuration, grid-level drivers and the
-//!   steady-state extrapolation helpers used by the benchmarks.
+//! * [`launch`] — the steady-state extrapolation the frame model fits
+//!   resident-wave cycles with.
 
 pub mod functional;
 pub mod launch;

@@ -148,6 +148,64 @@ pub enum CmpOp {
     FLt,
 }
 
+/// Exact bit-level semantics of a two-operand ALU op. The one definition the
+/// executors ([`crate::exec::machine`]), the analyzer's exact domain and
+/// constant folder, and the IR passes' folding all evaluate, so a proof or a
+/// folded constant rests on the arithmetic the hardware model runs.
+#[inline]
+pub(crate) fn alu(op: AluOp, x: u32, y: u32) -> u32 {
+    let (fx, fy) = (f32::from_bits(x), f32::from_bits(y));
+    match op {
+        AluOp::FAdd => (fx + fy).to_bits(),
+        AluOp::FSub => (fx - fy).to_bits(),
+        AluOp::FMul => (fx * fy).to_bits(),
+        AluOp::FMin => fx.min(fy).to_bits(),
+        AluOp::FMax => fx.max(fy).to_bits(),
+        AluOp::IAdd => x.wrapping_add(y),
+        AluOp::ISub => x.wrapping_sub(y),
+        AluOp::IMul => x.wrapping_mul(y),
+        AluOp::IShl => x.wrapping_shl(y),
+        AluOp::IAnd => x & y,
+        AluOp::IMin => x.min(y),
+    }
+}
+
+/// Exact `mad` semantics: f32 `a·b + c` or wrapping u32. G80 MAD truncates
+/// the intermediate product and a modern fma differs in the last ulp; the
+/// model rounds the product like the CPU reference so functional
+/// comparisons are exact.
+#[inline]
+pub(crate) fn mad(float: bool, a: u32, b: u32, c: u32) -> u32 {
+    if float {
+        (f32::from_bits(a) * f32::from_bits(b) + f32::from_bits(c)).to_bits()
+    } else {
+        a.wrapping_mul(b).wrapping_add(c)
+    }
+}
+
+/// Exact one-operand semantics.
+#[inline]
+pub(crate) fn unary(op: UnaryOp, x: u32) -> u32 {
+    match op {
+        UnaryOp::FRsqrt => (1.0 / f32::from_bits(x).sqrt()).to_bits(),
+        UnaryOp::FNeg => (-f32::from_bits(x)).to_bits(),
+        UnaryOp::U2F => (x as f32).to_bits(),
+        UnaryOp::F2U => f32::from_bits(x) as u32,
+    }
+}
+
+/// Exact `Setp` predicate semantics.
+#[inline]
+pub(crate) fn compare(op: CmpOp, x: u32, y: u32) -> bool {
+    match op {
+        CmpOp::ULt => x < y,
+        CmpOp::UGe => x >= y,
+        CmpOp::UEq => x == y,
+        CmpOp::UNe => x != y,
+        CmpOp::FLt => f32::from_bits(x) < f32::from_bits(y),
+    }
+}
+
 /// A straight-line instruction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Instr {

@@ -515,20 +515,7 @@ fn fold_instr(i: &mut Instr, known: &mut HashMap<Reg, Known>, mads: &mut MadTabl
             *a = resolve(*a, known);
             *b = resolve(*b, known);
             let k = match (*op, *a, *b) {
-                (AluOp::IAdd, Operand::ImmU(x), Operand::ImmU(y)) => {
-                    Some(Known::Const(x.wrapping_add(y)))
-                }
-                (AluOp::ISub, Operand::ImmU(x), Operand::ImmU(y)) => {
-                    Some(Known::Const(x.wrapping_sub(y)))
-                }
-                (AluOp::IMul, Operand::ImmU(x), Operand::ImmU(y)) => {
-                    Some(Known::Const(x.wrapping_mul(y)))
-                }
-                (AluOp::IShl, Operand::ImmU(x), Operand::ImmU(y)) => {
-                    Some(Known::Const(x.wrapping_shl(y)))
-                }
-                (AluOp::IAnd, Operand::ImmU(x), Operand::ImmU(y)) => Some(Known::Const(x & y)),
-                (AluOp::IMin, Operand::ImmU(x), Operand::ImmU(y)) => Some(Known::Const(x.min(y))),
+                (op, Operand::ImmU(x), Operand::ImmU(y)) => Some(Known::Const(alu(op, x, y))),
                 (AluOp::IAdd, Operand::R(r), Operand::ImmU(c))
                 | (AluOp::IAdd, Operand::ImmU(c), Operand::R(r)) => Some(match known.get(&r) {
                     Some(Known::RegPlus(base, off)) => Known::RegPlus(*base, off.wrapping_add(c)),

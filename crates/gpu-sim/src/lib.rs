@@ -58,7 +58,6 @@ pub mod transient;
 pub use analyze::{analyze_kernel, AnalysisConfig, AnalysisReport, Diagnostic, LintKind, Severity};
 pub use device::DeviceConfig;
 pub use driver::DriverModel;
-pub use exec::launch::LaunchConfig;
 pub use fault::{
     DeviceError, DeviceResult, FaultKind, FaultPlan, FaultSite, InjectedFault, Mutation,
 };
