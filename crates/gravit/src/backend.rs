@@ -30,7 +30,9 @@
 
 use crate::pressure::{downgrade, gpu_frame_chunked, plan_frame, DegradeEvent, ExecMode};
 use crate::recovery::{RecoveryPolicy, RetryEvent};
+use gpu_kernels::chunk::build_chunk_force_kernel;
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
+use gpu_kernels::integrate::{build_integrate_kernel, integrate_params};
 use gpu_sim::exec::functional::{configured_threads, run_lowered_full, FunctionalRun};
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
 use gpu_sim::ir::lower::{lower, Program};
@@ -44,6 +46,7 @@ use particle_layouts::device::{alloc_accel_out, download_accels};
 use particle_layouts::{DeviceImage, Particle};
 use serde::{Deserialize, Serialize};
 use simcore::Vec3;
+use std::sync::OnceLock;
 
 /// A force backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -435,6 +438,61 @@ pub(crate) fn check_finite(accels: &[Vec3], kernel: &str) -> DeviceResult<()> {
     }
 }
 
+/// The kernels a gravit frame path launches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameKernel {
+    /// The force kernel over the whole resident working set.
+    Force,
+    /// The chunk-streaming force kernel of the memory-pressure ladder.
+    ChunkForce,
+    /// The Euler integration kernel of the device-resident loop.
+    Integrate,
+}
+
+impl FrameKernel {
+    const ALL: [FrameKernel; 3] = [
+        FrameKernel::Force,
+        FrameKernel::ChunkForce,
+        FrameKernel::Integrate,
+    ];
+}
+
+/// One lowered program per (level, kernel) pair, each built and lowered on
+/// first use. Fixed-size, so it needs no eviction.
+struct ProgramTable([OnceLock<Program>; ProgramTable::SLOTS]);
+
+impl ProgramTable {
+    const SLOTS: usize = OptLevel::ALL.len() * FrameKernel::ALL.len();
+
+    const fn new() -> Self {
+        ProgramTable([const { OnceLock::new() }; ProgramTable::SLOTS])
+    }
+
+    fn get(&self, level: OptLevel, kind: FrameKernel) -> &Program {
+        let slot = level as usize * FrameKernel::ALL.len() + kind as usize;
+        self.0[slot].get_or_init(|| {
+            let cfg = level.config();
+            lower(&match kind {
+                FrameKernel::Force => build_force_kernel(cfg),
+                FrameKernel::ChunkForce => build_chunk_force_kernel(cfg),
+                FrameKernel::Integrate => build_integrate_kernel(cfg.layout),
+            })
+        })
+    }
+}
+
+/// The lowered `kind` kernel of `level`: built and lowered once per process,
+/// then shared by every frame — the way Gravit compiles its kernel once and
+/// afterwards only uploads, launches and downloads.
+///
+/// A kernel is a pure function of its level, and a [`Program`] is immutable
+/// and carries its kernel's name, so one value serves every simulation,
+/// retry, fleet worker and resumed checkpoint.
+pub(crate) fn program(level: OptLevel, kind: FrameKernel) -> &'static Program {
+    static PROGRAMS: ProgramTable = ProgramTable::new();
+    PROGRAMS.get(level, kind)
+}
+
 /// Run the force kernel functionally on the simulated device with the whole
 /// working set resident. Each call rebuilds the device image from host
 /// state, so it is the unit of retry for [`Backend::frame`].
@@ -445,10 +503,7 @@ fn gpu_frame(
     opts: &mut FrameOpts,
 ) -> DeviceResult<Vec<Vec3>> {
     let cfg = level.config();
-    let kernel = build_force_kernel(cfg);
-    // Decode once: the structured kernel is lowered to its flat pre-resolved
-    // form a single time per frame.
-    let prog = lower(&kernel);
+    let prog = program(level, FrameKernel::Force);
     // Memory budget: the exact footprint of the layout buffers + the float4
     // output under the device allocator (alignment + redzones), not a guess.
     let budget = frame_memory_budget(level, bodies.len() as u32);
@@ -463,9 +518,9 @@ fn gpu_frame(
     );
     let params = force_params(&img, out, fp.softening);
     let grid = img.padded_n / cfg.block;
-    opts.launch(&prog, grid, cfg.block, &params, &mut gmem)?;
+    opts.launch(prog, grid, cfg.block, &params, &mut gmem)?;
     let accels = download_accels(&gmem, out, img.n)?;
-    check_finite(&accels, &kernel.name)?;
+    check_finite(&accels, &prog.name)?;
     Ok(accels)
 }
 
@@ -482,15 +537,12 @@ pub fn run_device_resident(
     steps: u32,
     level: OptLevel,
 ) -> DeviceResult<Bodies> {
-    use gpu_kernels::integrate::{build_integrate_kernel, integrate_params};
     if bodies.is_empty() {
         return Ok(Bodies::default());
     }
     let cfg = level.config();
-    // Decode once, launch `steps` times: both kernels are lowered before the
-    // step loop so per-launch cost is execution alone.
-    let force_p = lower(&build_force_kernel(cfg));
-    let integ_p = lower(&build_integrate_kernel(cfg.layout));
+    let force_p = program(level, FrameKernel::Force);
+    let integ_p = program(level, FrameKernel::Integrate);
     let budget = frame_memory_budget(level, bodies.len() as u32);
     let mut gmem = GlobalMemory::new(budget);
     let particles = device_particles(bodies, fp);
@@ -506,8 +558,8 @@ pub fn run_device_resident(
     let iparams = integrate_params(&img, acc, dt);
     let mut plain = FrameOpts::default();
     for _ in 0..steps {
-        plain.launch(&force_p, grid, cfg.block, &fparams, &mut gmem)?;
-        plain.launch(&integ_p, grid, cfg.block, &iparams, &mut gmem)?;
+        plain.launch(force_p, grid, cfg.block, &fparams, &mut gmem)?;
+        plain.launch(integ_p, grid, cfg.block, &iparams, &mut gmem)?;
     }
     let out = img.read_all(&gmem)?;
     let mut result = Bodies::with_capacity(bodies.len());
@@ -548,6 +600,43 @@ mod tests {
             let err = (bh[i] - reference[i]).norm() / reference[i].norm().max(1e-9);
             assert!(err < 0.05, "body {i} err {err}");
         }
+    }
+
+    fn fresh_program(level: OptLevel, kind: FrameKernel) -> Program {
+        let cfg = level.config();
+        lower(&match kind {
+            FrameKernel::Force => build_force_kernel(cfg),
+            FrameKernel::ChunkForce => build_chunk_force_kernel(cfg),
+            FrameKernel::Integrate => build_integrate_kernel(cfg.layout),
+        })
+    }
+
+    #[test]
+    fn program_table_holds_each_levels_freshly_lowered_kernel() {
+        for level in OptLevel::ALL {
+            for kind in FrameKernel::ALL {
+                let p = program(level, kind);
+                assert_eq!(*p, fresh_program(level, kind), "{level:?} {kind:?}");
+                assert!(
+                    std::ptr::eq(p, program(level, kind)),
+                    "{level:?} {kind:?}: a second call must return the same program"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_first_use_builds_one_program() {
+        // A fresh table, so this really is the first use of the slot.
+        let table = ProgramTable::new();
+        let ptrs = simcore::par::map_indexed(8, 8, |_| {
+            table.get(OptLevel::SoA, FrameKernel::ChunkForce) as *const Program as usize
+        });
+        assert!(ptrs.iter().all(|&p| p == ptrs[0]), "{ptrs:?}");
+        assert_eq!(
+            *table.get(OptLevel::SoA, FrameKernel::ChunkForce),
+            fresh_program(OptLevel::SoA, FrameKernel::ChunkForce)
+        );
     }
 
     #[test]

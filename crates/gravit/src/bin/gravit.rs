@@ -475,6 +475,9 @@ fn cmd_fleet(args: &[String]) {
     for (spec, why) in &outcome.rejected {
         println!("rejected job {} ({}): {why}", spec.id, why.label());
     }
+    for f in fleet.failed() {
+        println!("failed job {} ({}): {}", f.id, f.failure.label(), f.failure);
+    }
 }
 
 fn print_help() {

@@ -2,8 +2,9 @@
 //! finished job returns.
 
 use crate::backend::Backend;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::{ConfigError, SimConfig};
+use crate::sim::SimError;
 use gpu_sim::fault::DeviceError;
 use std::fmt;
 
@@ -108,6 +109,54 @@ pub struct CompletedJob {
     pub migrations: u32,
     /// Tick the job completed at.
     pub completed_tick: u64,
+}
+
+/// Why an admitted job could not (re)start on a device. The job ends with
+/// this typed cause; the other jobs and the pool go on.
+#[derive(Debug)]
+pub enum JobFailure {
+    /// The frozen checkpoint failed its CRC framing or did not parse.
+    CorruptCheckpoint(CheckpointError),
+    /// The simulation refused to resume from the decoded checkpoint.
+    Resume(SimError),
+    /// The simulation could not be constructed from the job's config.
+    Start(SimError),
+}
+
+impl JobFailure {
+    /// Short machine-stable label (event logs, metrics).
+    pub fn label(&self) -> &'static str {
+        match self {
+            JobFailure::CorruptCheckpoint(_) => "corrupt-checkpoint",
+            JobFailure::Resume(_) => "resume-refused",
+            JobFailure::Start(_) => "start-refused",
+        }
+    }
+}
+
+impl fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JobFailure::CorruptCheckpoint(e) => write!(f, "frozen checkpoint unreadable: {e}"),
+            JobFailure::Resume(e) => write!(f, "resume refused: {e}"),
+            JobFailure::Start(e) => write!(f, "start refused: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for JobFailure {}
+
+/// An admitted job that ended with a typed failure instead of completing.
+#[derive(Debug)]
+pub struct FailedJob {
+    /// The job id.
+    pub id: u64,
+    /// Device the job failed to (re)start on.
+    pub device: usize,
+    /// Tick the job failed at.
+    pub failed_tick: u64,
+    /// Why it failed.
+    pub failure: JobFailure,
 }
 
 #[cfg(test)]

@@ -29,14 +29,16 @@
 //! [`FaultPolicy::FallbackToCpu`] (a step cannot error), worker panics are
 //! contained by restoring the pre-slice checkpoint, and preempted or
 //! drained jobs always land in the parked list that assignment empties
-//! first.
+//! first. A job whose frozen checkpoint no longer verifies (or that cannot
+//! be constructed or resumed) ends as a typed [`FailedJob`] instead of
+//! panicking the fleet; every other job goes on.
 
 pub mod health;
 pub mod job;
 pub mod schedule;
 
 pub use health::{Health, HealthPolicy};
-pub use job::{CompletedJob, JobSpec, Rejected};
+pub use job::{CompletedJob, FailedJob, JobFailure, JobSpec, Rejected};
 pub use schedule::SchedulePlan;
 
 use crate::backend::FaultPolicy;
@@ -87,7 +89,8 @@ pub struct FaultStamp {
     pub tick: u64,
     /// Job that was running.
     pub job: u64,
-    /// Fault class (`FaultKind::name`, or `worker-panic`).
+    /// Fault class (`FaultKind::name`, `worker-panic`, or a
+    /// [`JobFailure::label`]).
     pub fault: String,
     /// Human-readable detail.
     pub detail: String,
@@ -159,7 +162,9 @@ pub enum FleetEvent {
         /// Steps completed at the preemption boundary.
         at_step: u64,
     },
-    /// A device fault surfaced during a slice.
+    /// A device fault surfaced during a slice, or a job failed to (re)start
+    /// on the device (then `fault` is the [`JobFailure::label`], the job
+    /// ends in [`Fleet::failed`], and the device takes no strike).
     Faulted {
         /// Tick the fault surfaced.
         tick: u64,
@@ -258,6 +263,7 @@ pub struct Fleet {
     accepted: u64,
     events: Vec<FleetEvent>,
     completed: Vec<CompletedJob>,
+    failed: Vec<FailedJob>,
 }
 
 impl Fleet {
@@ -283,6 +289,7 @@ impl Fleet {
             accepted: 0,
             events: Vec::new(),
             completed: Vec::new(),
+            failed: Vec::new(),
         }
     }
 
@@ -445,10 +452,13 @@ impl Fleet {
                 // Bytes we framed ourselves at the preemption boundary:
                 // CRC-verified on the way back in, and the config differs
                 // only in recovery knobs, which compatibility ignores.
-                let ckpt = Checkpoint::from_bytes(bytes)
-                    .expect("in-memory checkpoint framed at preemption verifies");
-                let sim = Simulation::resume(cfg, &ckpt)
-                    .expect("preempted job resumes under FallbackToCpu");
+                let sim = Checkpoint::from_bytes(bytes)
+                    .map_err(JobFailure::CorruptCheckpoint)
+                    .and_then(|ckpt| Simulation::resume(cfg, &ckpt).map_err(JobFailure::Resume));
+                let sim = match sim {
+                    Ok(sim) => sim,
+                    Err(failure) => return self.fail(d, spec, failure, now),
+                };
                 self.events.push(FleetEvent::Resumed {
                     tick: now,
                     job: spec.id,
@@ -469,8 +479,10 @@ impl Fleet {
                 sim
             }
             None => {
-                let sim =
-                    Simulation::new(cfg).expect("validated config constructs under FallbackToCpu");
+                let sim = match Simulation::new(cfg) {
+                    Ok(sim) => sim,
+                    Err(e) => return self.fail(d, spec, JobFailure::Start(e), now),
+                };
                 self.events.push(FleetEvent::Started {
                     tick: now,
                     job: spec.id,
@@ -486,6 +498,35 @@ impl Fleet {
             devices: pending.devices,
             migrations: pending.migrations,
             reports_seen: pending.reports_seen,
+        });
+    }
+
+    /// End a job that could not (re)start on device `d` with a typed
+    /// failure: release its budget, log it against the device without a
+    /// health strike (the job's data is bad, not the card), and leave the
+    /// device free for the next job.
+    fn fail(&mut self, d: usize, spec: JobSpec, failure: JobFailure, now: u64) {
+        self.release_tenant(&spec);
+        let fault = failure.label().to_string();
+        self.events.push(FleetEvent::Faulted {
+            tick: now,
+            device: d,
+            job: spec.id,
+            fault: fault.clone(),
+            strike: false,
+        });
+        self.devices[d].fault_history.push(FaultStamp {
+            tick: now,
+            job: spec.id,
+            fault,
+            detail: failure.to_string(),
+            strike: false,
+        });
+        self.failed.push(FailedJob {
+            id: spec.id,
+            device: d,
+            failed_tick: now,
+            failure,
         });
     }
 
@@ -691,6 +732,11 @@ impl Fleet {
         &self.completed
     }
 
+    /// Jobs that ended with a typed failure, in failure order.
+    pub fn failed(&self) -> &[FailedJob] {
+        &self.failed
+    }
+
     /// A device's current health.
     pub fn device_health(&self, d: usize) -> Option<Health> {
         self.devices.get(d).map(|s| s.health)
@@ -759,14 +805,18 @@ fn run_slice(mut rj: RunningJob, pre_plan: TransientFaultPlan, slice: u64) -> Sl
     }
 }
 
-/// Outcome of [`drive`]: how long the drain took and which submissions were
-/// terminally rejected (every one carries its typed reason).
+/// Outcome of [`drive`]: how long the drain took, which submissions were
+/// terminally rejected (every one carries its typed reason) and which
+/// admitted jobs failed.
 #[derive(Debug)]
 pub struct DriveOutcome {
     /// Ticks the drive spent.
     pub ticks: u64,
     /// Terminal rejections, in submission order.
     pub rejected: Vec<(JobSpec, Rejected)>,
+    /// Ids of the admitted jobs that ended with a typed failure during the
+    /// drive, in failure order; [`Fleet::failed`] holds each cause.
+    pub failed: Vec<u64>,
 }
 
 /// Feed `jobs` into the fleet and tick until everything drains. Transient
@@ -781,6 +831,7 @@ pub fn drive(
     let mut pending: VecDeque<JobSpec> = jobs.into();
     let mut rejected = Vec::new();
     let start = fleet.tick_count();
+    let failed_before = fleet.failed().len();
     loop {
         while let Some(spec) = pending.pop_front() {
             match fleet.submit(spec.clone()) {
@@ -796,6 +847,10 @@ pub fn drive(
             return Ok(DriveOutcome {
                 ticks: fleet.tick_count() - start,
                 rejected,
+                failed: fleet.failed()[failed_before..]
+                    .iter()
+                    .map(|f| f.id)
+                    .collect(),
             });
         }
         if fleet.tick_count() - start >= max_ticks {
@@ -806,5 +861,121 @@ pub fn drive(
             ));
         }
         fleet.tick();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::Backend;
+    use crate::checkpoint::CheckpointError;
+    use crate::config::{SimConfig, SpawnKind};
+    use gpu_kernels::force::OptLevel;
+    use gpu_sim::pool::DeviceSpec;
+    use gpu_sim::DriverModel;
+
+    fn job(id: u64) -> JobSpec {
+        JobSpec {
+            id,
+            tenant: format!("t{}", id % 2),
+            config: SimConfig {
+                n: 32,
+                spawn: SpawnKind::UniformBall { radius: 4.0 },
+                seed: 300 + id,
+                dt: 0.01,
+                backend: Backend::GpuSim {
+                    level: OptLevel::Full,
+                    driver: DriverModel::Cuda10,
+                },
+                fault_policy: FaultPolicy::FallbackToCpu,
+                ..SimConfig::default()
+            },
+            steps: 8,
+        }
+    }
+
+    /// The job run alone on the serial CPU direct sum.
+    fn cpu_serial_run(spec: &JobSpec) -> Checkpoint {
+        let mut sim = Simulation::new(SimConfig {
+            backend: Backend::CpuSerial,
+            ..spec.config.clone()
+        })
+        .unwrap();
+        sim.run(spec.steps).unwrap();
+        sim.checkpoint()
+    }
+
+    #[test]
+    fn corrupt_frozen_checkpoint_fails_one_job_typed_and_the_rest_complete() {
+        let pool = DevicePool::uniform(5, 2, DeviceSpec::quiet()).unwrap();
+        let cfg = FleetConfig {
+            slice_steps: 2,
+            preempt_rate: 0.5,
+            tenant_budget: Some(1 << 20),
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::new(cfg, pool);
+        let jobs: Vec<JobSpec> = (0..6).map(job).collect();
+        for spec in &jobs {
+            fleet.submit(spec.clone()).unwrap();
+        }
+        // Tick until a job is preempted, then flip one byte of its frozen
+        // checkpoint's payload.
+        let victim = loop {
+            assert!(fleet.tick_count() < 100, "no job was ever preempted");
+            fleet.tick();
+            if let Some(p) = fleet.parked.iter_mut().find(|p| p.frozen.is_some()) {
+                let bytes = p.frozen.as_mut().unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x01;
+                break p.spec.id;
+            }
+        };
+        let outcome = drive(&mut fleet, Vec::new(), 1000).unwrap();
+        assert_eq!(outcome.failed, vec![victim]);
+        let failed = fleet.failed();
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].id, victim);
+        assert!(
+            matches!(
+                failed[0].failure,
+                JobFailure::CorruptCheckpoint(CheckpointError::CrcMismatch { .. })
+            ),
+            "{:?}",
+            failed[0].failure
+        );
+        let failure_events: Vec<&FleetEvent> = fleet
+            .events()
+            .iter()
+            .filter(
+                |e| matches!(e, FleetEvent::Faulted { fault, .. } if fault == "corrupt-checkpoint"),
+            )
+            .collect();
+        assert_eq!(failure_events.len(), 1, "{failure_events:?}");
+        assert!(matches!(
+            failure_events[0],
+            FleetEvent::Faulted { job, strike: false, .. } if *job == victim
+        ));
+        // The failed job released its budget; the pool stays healthy.
+        assert_eq!(fleet.tenants.values().map(|b| b.reserved()).sum::<u64>(), 0);
+        for d in 0..2 {
+            assert_eq!(fleet.device_health(d), Some(Health::Healthy));
+        }
+        // Every other job completed, bit-identical to its serial CPU run.
+        assert_eq!(fleet.completed().len(), jobs.len() - 1);
+        for spec in jobs.iter().filter(|s| s.id != victim) {
+            let done = fleet
+                .completed()
+                .iter()
+                .find(|c| c.id == spec.id)
+                .expect("every other job completes");
+            let (got, want) = (&done.final_state, cpu_serial_run(spec));
+            assert_eq!(got.steps, want.steps);
+            assert_eq!(got.time_bits, want.time_bits);
+            assert_eq!(got.pos, want.pos, "job {}", spec.id);
+            assert_eq!(got.vel, want.vel, "job {}", spec.id);
+            assert_eq!(got.accels, want.accels, "job {}", spec.id);
+            assert_eq!(got.energy0_bits, want.energy0_bits);
+        }
     }
 }

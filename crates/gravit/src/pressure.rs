@@ -23,11 +23,12 @@
 //! upload ever happens. The same downgrade rule doubles as a reactive safety
 //! net should a launch OOM anyway.
 
-use crate::backend::{check_finite, device_particles, frame_memory_budget, FrameOpts};
-use gpu_kernels::chunk::{build_chunk_force_kernel, chunk_force_params};
+use crate::backend::{
+    check_finite, device_particles, frame_memory_budget, program, FrameKernel, FrameOpts,
+};
+use gpu_kernels::chunk::chunk_force_params;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind};
-use gpu_sim::ir::lower::lower;
 use gpu_sim::mem::{GlobalMemory, MemoryBudget};
 use nbody::model::{Bodies, ForceParams};
 use particle_layouts::device::{alloc_accel_out, download_accels};
@@ -283,9 +284,7 @@ pub fn gpu_frame_chunked(
     if bodies.is_empty() {
         return Ok(Vec::new());
     }
-    let kernel = build_chunk_force_kernel(cfg);
-    // Decode once for the whole target × source launch matrix.
-    let prog = lower(&kernel);
+    let prog = program(level, FrameKernel::ChunkForce);
     let particles = device_particles(bodies, fp);
     let footprint = chunked_memory_budget(level, chunk);
     let mut gmem = GlobalMemory::new(opts.recovery.device_capacity.unwrap_or(footprint));
@@ -304,7 +303,7 @@ pub fn gpu_frame_chunked(
             let s_hi = (s + chunk as usize).min(particles.len());
             let src = DeviceImage::upload(&mut gmem, cfg.layout, &particles[s..s_hi], cfg.block)?;
             let params = chunk_force_params(&tgt, &src, out, fp.softening);
-            opts.launch(&prog, grid, cfg.block, &params, &mut gmem)?;
+            opts.launch(prog, grid, cfg.block, &params, &mut gmem)?;
             src.free(&mut gmem)?;
             s = s_hi;
         }
@@ -316,7 +315,7 @@ pub fn gpu_frame_chunked(
         "chunked execution exceeded its planned footprint: {} > {footprint}",
         gmem.high_water()
     );
-    check_finite(&accels, &kernel.name)?;
+    check_finite(&accels, &prog.name)?;
     Ok(accels)
 }
 

@@ -324,6 +324,34 @@ mod tests {
     }
 
     #[test]
+    fn simulations_at_different_levels_interleaved_stay_bitwise_on_the_cpu() {
+        // Two levels with different layouts and block sizes share the
+        // process-wide program table; stepping them alternately catches a
+        // frame launching the other level's kernel.
+        let gpu = |level| Backend::GpuSim {
+            level,
+            driver: DriverModel::Cuda10,
+        };
+        let config = |backend| SimConfig {
+            n: 200,
+            ..small_config(backend)
+        };
+        let mut a = Simulation::new(config(gpu(OptLevel::Baseline))).unwrap();
+        let mut b = Simulation::new(config(gpu(OptLevel::Full))).unwrap();
+        let mut cpu = Simulation::new(config(Backend::CpuSerial)).unwrap();
+        for _ in 0..3 {
+            a.step().unwrap();
+            b.step().unwrap();
+            cpu.step().unwrap();
+            assert_eq!(a.bodies, cpu.bodies);
+            assert_eq!(b.bodies, cpu.bodies);
+            assert_eq!(a.accels, cpu.accels);
+            assert_eq!(b.accels, cpu.accels);
+        }
+        assert!(a.fault_reports.is_empty() && b.fault_reports.is_empty());
+    }
+
+    #[test]
     fn leapfrog_keeps_energy_drift_small() {
         let mut sim = Simulation::new(small_config(Backend::CpuParallel)).unwrap();
         sim.run(100).unwrap();
