@@ -444,7 +444,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         } else {
             (1u32 << (cfg.block - first)) - 1
         };
-        // Registers zero-init like `BlockCtx`, params bound to Reg(0..).
+        // Registers zero-init like the executors' `Block`, params bound to Reg(0..).
         let mut regs =
             vec![vec![AbsVal::Exact(0); kernel.n_regs.max(kernel.n_params) as usize]; WARP];
         for lane in &mut regs {

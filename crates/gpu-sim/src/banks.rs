@@ -26,48 +26,28 @@
 /// hardware; callers decompose them (see the timing engine).
 pub fn conflict_degree(addrs: &[Option<u64>], banks: u32) -> u32 {
     assert!(banks.is_power_of_two() && banks > 0);
-    let words: Vec<u64> = addrs.iter().flatten().map(|&a| a / 4).collect();
-    if words.is_empty() {
-        return 1;
+    // A broadcast word is serviced in a phase that still occupies a slot of
+    // its bank, so every bank serializes exactly its distinct words.
+    if addrs.len() <= 32 {
+        conflict_degree_in(addrs, banks, &mut [0; 32])
+    } else {
+        conflict_degree_in(addrs, banks, &mut vec![0; addrs.len()])
     }
-    // Count distinct words per bank.
-    let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
-    for &w in &words {
-        let b = (w % banks as u64) as usize;
-        if !per_bank[b].contains(&w) {
-            per_bank[b].push(w);
+}
+
+/// [`conflict_degree`] with `distinct` as scratch for the distinct words.
+fn conflict_degree_in(addrs: &[Option<u64>], banks: u32, distinct: &mut [u64]) -> u32 {
+    let mut n = 0;
+    for w in addrs.iter().flatten().map(|&a| a / 4) {
+        if !distinct[..n].contains(&w) {
+            distinct[n] = w;
+            n += 1;
         }
     }
-    // Broadcast: the hardware can broadcast one word; pick the word that is
-    // read by the most lanes and discount it from its bank's serialization.
-    let mut lane_counts: Vec<(u64, usize)> = Vec::new();
-    for &w in &words {
-        match lane_counts.iter_mut().find(|(x, _)| *x == w) {
-            Some((_, c)) => *c += 1,
-            None => lane_counts.push((w, 1)),
-        }
-    }
-    let broadcast_word = lane_counts
-        .iter()
-        .max_by_key(|(_, c)| *c)
-        .filter(|(_, c)| *c > 1)
-        .map(|(w, _)| *w);
-    let mut degree = 1u32;
-    for (b, ws) in per_bank.iter().enumerate() {
-        let mut n = ws.len() as u32;
-        if let Some(bw) = broadcast_word {
-            if (bw % banks as u64) as usize == b && ws.contains(&bw) && n > 0 {
-                // The broadcast word is serviced in the broadcast phase, but
-                // that phase still occupies one slot for this bank.
-                n = n.max(1);
-                if ws.len() > 1 {
-                    n = ws.len() as u32; // remaining words still serialize
-                }
-            }
-        }
-        degree = degree.max(n.max(1));
-    }
-    degree
+    let bank = |w: u64| w % banks as u64;
+    let words = &distinct[..n];
+    let per_bank = |w: u64| words.iter().filter(|&&x| bank(x) == bank(w)).count() as u32;
+    words.iter().map(|&w| per_bank(w)).max().unwrap_or(1)
 }
 
 /// `true` if the access is conflict-free (degree 1).

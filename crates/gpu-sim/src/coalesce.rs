@@ -30,6 +30,12 @@ impl AccessWidth {
         self as u64
     }
 
+    /// Width in 32-bit words (1, 2 or 4).
+    #[inline]
+    pub fn words(self) -> usize {
+        self as usize / 4
+    }
+
     /// Construct from a byte width.
     pub fn from_bytes(b: u32) -> Option<AccessWidth> {
         match b {

@@ -1,9 +1,15 @@
 //! Functional (untimed) execution of a whole grid.
 //!
-//! Inside a block, warps run round-robin in barrier-delimited segments (a
-//! warp runs until it hits `Sync` or retires, then the next warp runs),
-//! which is equivalent to lock-step execution for race-free kernels and
-//! keeps the interpreter simple and fast.
+//! Every block runs the program's tape on a `Block`. Inside a block,
+//! warps run round-robin in barrier-delimited segments (a warp runs down the
+//! tape until it reaches `Sync` or `Exit`, then the next warp runs), which
+//! is equivalent to lock-step execution for race-free kernels and keeps the
+//! interpreter simple and fast.
+//!
+//! Accounting: every instruction, `Bra`, `While` back-edge and `bar.sync`
+//! retires one warp instruction; entering an `If` or a `While` retires none
+//! (the timed engine charges an `If` entry — see DESIGN.md, "The warp
+//! tape").
 //!
 //! Blocks run sequentially by default, or across host threads when
 //! `GPU_SIM_THREADS` (or an explicit [`run_lowered_full`] thread count) asks
@@ -16,11 +22,10 @@
 //! — deterministic, and good enough for the membench kernels' *functional*
 //! validation (their timing numbers come from the timed engine).
 
-use super::machine::{
-    exec_instr, live_lane_mask, pred_mask, BlockCtx, Cursor, FetchItem, LaunchEnv, WARP,
-};
+use super::machine::{Block, LaunchEnv, WARP};
+use super::tape::{Op, Tape};
 use crate::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
-use crate::ir::lower::{lower, LinStmt, Program};
+use crate::ir::lower::{lower, Program};
 use crate::ir::Kernel;
 use crate::mem::{BlockShard, DeviceMem, GlobalMemory};
 use simcore::par::map_indexed;
@@ -117,6 +122,7 @@ pub fn run_lowered_full(
     threads: usize,
 ) -> DeviceResult<FunctionalRun> {
     validate_launch(grid, block).map_err(|e| e.with_kernel(&prog.name))?;
+    let tape = prog.tape()?;
     let env = LaunchEnv {
         block_dim: block,
         grid_dim: grid,
@@ -125,7 +131,7 @@ pub fn run_lowered_full(
         let mut stats = FunctionalRun::default();
         for b in 0..grid {
             run_block(
-                prog,
+                tape,
                 b,
                 block as usize,
                 params,
@@ -140,7 +146,7 @@ pub fn run_lowered_full(
         return Ok(stats);
     }
     run_parallel(
-        prog, grid, block, params, &env, gmem, plan, watchdog, threads,
+        prog, tape, grid, block, params, &env, gmem, plan, watchdog, threads,
     )
 }
 
@@ -177,6 +183,7 @@ struct BlockOutcome {
 #[allow(clippy::too_many_arguments)]
 fn run_parallel(
     prog: &Program,
+    tape: &Tape,
     grid: u32,
     block: u32,
     params: &[u32],
@@ -198,7 +205,7 @@ fn run_parallel(
         let mut shard = BlockShard::new(base);
         let mut stats = FunctionalRun::default();
         let result = run_block(
-            prog,
+            tape,
             b,
             block as usize,
             params,
@@ -233,7 +240,7 @@ fn run_parallel(
         };
         if replay_sequentially {
             run_block(
-                prog,
+                tape,
                 b,
                 block as usize,
                 params,
@@ -284,9 +291,10 @@ pub fn validate_launch(grid: u32, block: u32) -> DeviceResult<()> {
     Ok(())
 }
 
+/// Run one block to completion, adding its counts to `stats`.
 #[allow(clippy::too_many_arguments)]
 fn run_block<M: DeviceMem>(
-    prog: &Program,
+    tape: &Tape,
     block_id: u32,
     n_threads: usize,
     params: &[u32],
@@ -296,23 +304,24 @@ fn run_block<M: DeviceMem>(
     plan: Option<&FaultPlan>,
     watchdog: Option<u64>,
 ) -> DeviceResult<()> {
-    let n_warps = n_threads.div_ceil(WARP);
-    let mut ctx = BlockCtx::new(prog, block_id, n_threads, params)?;
-    let mut cursors: Vec<Cursor> = (0..n_warps)
-        .map(|w| Cursor::new(prog, live_lane_mask(n_threads, w)))
-        .collect();
-    let mut instr_counts = vec![0u64; n_warps];
+    let mut blk = Block::new(tape, block_id, n_threads, params)?;
+    let n_warps = blk.n_warps();
+    // Warp instructions each warp has retired: what `clock()` reads and the
+    // instruction coordinate of a fault.
+    let mut retired = vec![0u64; n_warps];
+    let mut at_sync = vec![false; n_warps];
 
     // Run warps in barrier-delimited segments.
     loop {
         let mut any_progress = false;
-        let mut at_sync = vec![false; n_warps];
+        at_sync.fill(false);
         for w in 0..n_warps {
-            if cursors[w].done() {
-                continue;
-            }
-            // Run this warp until Sync or completion.
-            while let Some(item) = cursors[w].fetch(prog) {
+            // Run this warp until Sync or the end of the kernel.
+            loop {
+                let op = blk.op(w);
+                if matches!(op, Op::Exit | Op::ThenEnd { .. } | Op::IfEnd) {
+                    break;
+                }
                 // Step-budget watchdog: a kernel that retires more warp
                 // instructions than its budget is treated as hung and killed
                 // — this is what turns an unbounded `while` into a typed,
@@ -324,47 +333,23 @@ fn run_block<M: DeviceMem>(
                             executed: stats.warp_instructions,
                         })
                         .with_block(block_id)
-                        .with_thread(w as u32 * WARP as u32)
-                        .with_instruction(instr_counts[w]));
+                        .with_thread((w * WARP) as u32)
+                        .with_instruction(retired[w]));
                     }
                 }
-                let (stmt, mask) = match item {
-                    FetchItem::Stmt(s, m) => (s, m),
-                    FetchItem::WhileBackedge { pred, negate, mask } => {
-                        // The loop branch: lanes whose predicate still holds
-                        // run another pass.
-                        let cont = pred_mask(&ctx, w, mask, pred, negate);
-                        cursors[w].while_backedge(cont);
-                        instr_counts[w] += 1;
+                match *op {
+                    Op::Inst(ref i) => {
+                        blk.exec(w, i, env, gmem, retired[w], plan, None)?;
+                        retired[w] += 1;
                         stats.warp_instructions += 1;
-                        any_progress = true;
-                        continue;
                     }
-                };
-                match stmt {
-                    LinStmt::I(i) => {
-                        exec_instr(
-                            i,
-                            &mut ctx,
-                            w,
-                            mask,
-                            env,
-                            gmem,
-                            instr_counts[w],
-                            plan,
-                            false,
-                        )?;
-                        instr_counts[w] += 1;
-                        stats.warp_instructions += 1;
-                        cursors[w].step();
-                        any_progress = true;
-                    }
-                    LinStmt::Bra {
+                    Op::Bra {
                         pred,
                         negate,
                         target,
                     } => {
-                        let m = pred_mask(&ctx, w, mask, *pred, *negate);
+                        let mask = blk.mask(w);
+                        let m = blk.pred_mask(w, pred, negate);
                         if m != 0 && m != mask {
                             // Attribute to the first lane disagreeing with
                             // the majority sense of the branch.
@@ -374,62 +359,50 @@ fn run_block<M: DeviceMem>(
                                 taken: m,
                             })
                             .with_block(block_id)
-                            .with_thread(w as u32 * WARP as u32 + lane)
-                            .with_instruction(instr_counts[w]));
+                            .with_thread((w * WARP) as u32 + lane)
+                            .with_instruction(retired[w]));
                         }
-                        let target = *target;
-                        cursors[w].branch(m == mask, target);
-                        instr_counts[w] += 1;
+                        blk.branch(w, m == mask, target);
+                        retired[w] += 1;
                         stats.warp_instructions += 1;
-                        any_progress = true;
                     }
-                    LinStmt::IfMasked {
+                    Op::If {
                         pred,
                         negate,
-                        then_seq,
-                        else_seq,
-                    } => {
-                        let tm = pred_mask(&ctx, w, mask, *pred, *negate);
-                        let em = mask & !tm;
-                        let (ts, es) = (*then_seq, *else_seq);
-                        cursors[w].enter_if(ts, es, tm, em);
-                        any_progress = true;
+                        else_pc,
+                    } => blk.enter_if(w, pred, negate, else_pc),
+                    Op::While => blk.enter_while(w),
+                    Op::WhileBack { pred, negate, body } => {
+                        // The loop branch: lanes whose predicate still holds
+                        // run another pass.
+                        blk.while_back(w, pred, negate, body);
+                        retired[w] += 1;
+                        stats.warp_instructions += 1;
                     }
-                    LinStmt::WhileMasked {
-                        pred,
-                        negate,
-                        body_seq,
-                    } => {
-                        let (p, n, bs) = (*pred, *negate, *body_seq);
-                        let m = mask;
-                        cursors[w].enter_while(bs, p, n, m);
-                        any_progress = true;
-                    }
-                    LinStmt::Sync => {
+                    Op::Sync => {
                         at_sync[w] = true;
                         break;
                     }
+                    Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => break,
                 }
+                any_progress = true;
             }
         }
-        let done = cursors.iter().all(|c| c.done());
-        if done {
+        if (0..n_warps).all(|w| blk.done(w)) {
             break;
         }
         // Every unfinished warp must be parked at the same barrier.
-        let all_at_sync = (0..n_warps).all(|w| cursors[w].done() || at_sync[w]);
+        let all_at_sync = (0..n_warps).all(|w| blk.done(w) || at_sync[w]);
         if !(all_at_sync && any_progress) {
             return Err(DeviceError::new(FaultKind::Deadlock {
                 reason: "not all warps reached the barrier (a divergent __syncthreads)".into(),
             })
             .with_block(block_id));
         }
-        for (w, c) in cursors.iter_mut().enumerate() {
-            if !c.done() && at_sync[w] {
-                c.step();
-                stats.barriers += 1;
-                stats.warp_instructions += 1; // bar.sync is an instruction
-            }
+        for (w, _) in at_sync.iter().enumerate().filter(|(_, &s)| s) {
+            blk.advance(w);
+            stats.barriers += 1;
+            stats.warp_instructions += 1; // bar.sync is an instruction
         }
     }
     Ok(())

@@ -1,18 +1,30 @@
 //! Shared machine state and instruction semantics.
 //!
-//! One warp-step function ([`exec_instr`]) implements the meaning of every
-//! instruction for all 32 lanes of a warp under an active mask. Both the
-//! functional and the timed executor call it, so values, addresses and
-//! side effects are identical in both modes by construction.
+//! A `Block` is one thread block running a `Tape`: a warp-major register
+//! file (one `[u32; 32]` row per warp and register, so an instruction reads
+//! and writes whole rows), predicates as per-warp lane masks, shared memory,
+//! and each warp's position on the tape with its stack of lane masks.
+//!
+//! `Block::exec` gives every instruction its meaning for all 32 lanes of a
+//! warp: the op is matched once, then a lane loop over fixed arrays computes
+//! every lane and, under a partial mask, blends the result into the row.
+//! The control methods (`branch`, `enter_if`, `enter_while`, `while_back`,
+//! `advance`) move
+//! a warp along the tape. Both the functional and the timed executor call
+//! these, so values, addresses and side effects are identical in both modes
+//! by construction; each engine does its own accounting around them.
 
+use super::tape::{Inst, Op, Row, Tape};
 use crate::coalesce::AccessWidth;
 use crate::fault::{DeviceError, DeviceResult, FaultKind, FaultPlan};
-use crate::ir::lower::{LinStmt, Program};
-use crate::ir::{alu, compare, mad, unary, Instr, MemSpace, Operand, Pred, Reg, SpecialReg};
+use crate::ir::{alu, compare, mad, unary, AluOp, CmpOp, MemSpace, SpecialReg, UnaryOp};
 use crate::mem::DeviceMem;
 
 /// Warp width — fixed at 32 for every CUDA device.
 pub const WARP: usize = 32;
+
+/// One register row: a value per lane.
+pub(crate) type Lanes = [u32; WARP];
 
 /// Launch-wide environment visible to special registers.
 #[derive(Debug, Clone, Copy)]
@@ -23,88 +35,526 @@ pub struct LaunchEnv {
     pub grid_dim: u32,
 }
 
-/// Mutable state of one thread block.
-#[derive(Debug)]
-pub struct BlockCtx {
-    /// `blockIdx.x`
-    pub block_id: u32,
-    /// Threads in this block.
-    pub n_threads: usize,
-    n_regs: usize,
-    n_preds: usize,
-    /// Register file: `regs[thread * n_regs + reg]`, raw 32-bit values.
-    regs: Vec<u32>,
-    /// Predicate file.
-    preds: Vec<bool>,
-    /// Shared memory bytes.
-    pub smem: Vec<u8>,
+/// The effective byte address of every active lane of one memory access,
+/// for the timed engine's coalescer and bank models.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneAddrs {
+    /// Per-lane addresses; only lanes in `mask` are meaningful.
+    pub addrs: [u64; WARP],
+    /// The lanes that accessed memory.
+    pub mask: u32,
 }
 
-impl BlockCtx {
-    /// Create block state with parameters bound to the first registers of
-    /// every thread (as the lowered ABI requires). A parameter-count mismatch
-    /// is a [`FaultKind::BadLaunch`].
+impl Default for LaneAddrs {
+    fn default() -> Self {
+        LaneAddrs {
+            addrs: [0; WARP],
+            mask: 0,
+        }
+    }
+}
+
+impl LaneAddrs {
+    /// The addresses offset by `delta`, with `None` for inactive lanes — the
+    /// shape [`crate::coalesce`] and [`crate::banks`] take.
+    pub fn lanes(&self, delta: u64) -> [Option<u64>; WARP] {
+        std::array::from_fn(|l| (self.mask >> l & 1 != 0).then(|| self.addrs[l] + delta))
+    }
+
+    /// Active addresses in lane order.
+    pub fn active(&self) -> impl Iterator<Item = u64> + '_ {
+        lanes_of(self.mask).map(|l| self.addrs[l])
+    }
+}
+
+/// The set lanes of `mask`, ascending.
+#[inline]
+fn lanes_of(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// Mask of lanes of `warp` that map to real threads of the block.
+pub fn live_lane_mask(n_threads: usize, warp: usize) -> u32 {
+    match n_threads.saturating_sub(warp * WARP) {
+        0 => 0,
+        n if n >= WARP => u32::MAX,
+        n => (1u32 << n) - 1,
+    }
+}
+
+/// Where one warp is on the tape.
+#[derive(Debug, Clone, Copy)]
+struct WarpPos {
+    pc: u32,
+    /// Active lanes.
+    mask: u32,
+    /// Mask-stack height.
+    sp: usize,
+}
+
+/// One entry of a warp's mask stack, pushed by `If` and `While`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Frame {
+    /// The mask to restore when the region ends.
+    parent: u32,
+    /// The else-arm lanes still to run (an `If` in its then-arm only).
+    pending: u32,
+}
+
+#[inline(always)]
+fn map1(a: &Lanes, f: impl Fn(u32) -> u32) -> Lanes {
+    let mut out = [0; WARP];
+    for l in 0..WARP {
+        out[l] = f(a[l]);
+    }
+    out
+}
+
+#[inline(always)]
+fn map2(a: &Lanes, b: &Lanes, f: impl Fn(u32, u32) -> u32) -> Lanes {
+    let mut out = [0; WARP];
+    for l in 0..WARP {
+        out[l] = f(a[l], b[l]);
+    }
+    out
+}
+
+#[inline(always)]
+fn map3(a: &Lanes, b: &Lanes, c: &Lanes, f: impl Fn(u32, u32, u32) -> u32) -> Lanes {
+    let mut out = [0; WARP];
+    for l in 0..WARP {
+        out[l] = f(a[l], b[l], c[l]);
+    }
+    out
+}
+
+#[inline(always)]
+fn bits2(a: &Lanes, b: &Lanes, f: impl Fn(u32, u32) -> bool) -> u32 {
+    let mut out = 0;
+    for l in 0..WARP {
+        out |= (f(a[l], b[l]) as u32) << l;
+    }
+    out
+}
+
+/// [`alu`] on every lane, with the op matched once outside the lane loop.
+fn alu_lanes(op: AluOp, a: &Lanes, b: &Lanes) -> Lanes {
+    macro_rules! each {
+        ($($op:ident),*) => {
+            match op {
+                $(AluOp::$op => map2(a, b, |x, y| alu(AluOp::$op, x, y)),)*
+            }
+        };
+    }
+    each!(FAdd, FSub, FMul, FMin, FMax, IAdd, ISub, IMul, IShl, IAnd, IMin)
+}
+
+/// [`unary`] on every lane.
+fn unary_lanes(op: UnaryOp, a: &Lanes) -> Lanes {
+    macro_rules! each {
+        ($($op:ident),*) => {
+            match op {
+                $(UnaryOp::$op => map1(a, |x| unary(UnaryOp::$op, x)),)*
+            }
+        };
+    }
+    each!(FRsqrt, FNeg, U2F, F2U)
+}
+
+/// [`compare`] on every lane, as a lane mask.
+fn compare_lanes(cmp: CmpOp, a: &Lanes, b: &Lanes) -> u32 {
+    macro_rules! each {
+        ($($op:ident),*) => {
+            match cmp {
+                $(CmpOp::$op => bits2(a, b, |x, y| compare(CmpOp::$op, x, y)),)*
+            }
+        };
+    }
+    each!(ULt, UGe, UEq, UNe, FLt)
+}
+
+/// Mutable state of one thread block running a tape.
+#[derive(Debug)]
+pub(crate) struct Block<'t> {
+    tape: &'t Tape,
+    /// `blockIdx.x`
+    pub block_id: u32,
+    /// Register-file rows per warp.
+    rows: usize,
+    /// Register file, warp-major: `regs[warp * rows + row]`.
+    regs: Vec<Lanes>,
+    /// Predicate file as lane masks: `preds[warp * n_preds + pred]`.
+    preds: Vec<u32>,
+    /// Shared memory words.
+    smem: Vec<u32>,
+    warps: Vec<WarpPos>,
+    /// Mask stacks: `frames[warp * depth + level]`.
+    frames: Vec<Frame>,
+}
+
+impl<'t> Block<'t> {
+    /// Block state with parameters bound to the first registers and
+    /// immediates splatted into their rows (as the lowered ABI requires),
+    /// every warp at the tape's start under its live-lane mask. A
+    /// parameter-count mismatch is a [`FaultKind::BadLaunch`].
     pub fn new(
-        prog: &Program,
+        tape: &'t Tape,
         block_id: u32,
         n_threads: usize,
         params: &[u32],
     ) -> DeviceResult<Self> {
-        if params.len() != prog.n_params as usize {
+        if params.len() != tape.n_params as usize {
             return Err(DeviceError::new(FaultKind::BadLaunch {
                 reason: format!(
                     "kernel expects {} parameters, launch passed {}",
-                    prog.n_params,
+                    tape.n_params,
                     params.len()
                 ),
             })
-            .with_kernel(&prog.name)
             .with_block(block_id));
         }
-        let n_regs = prog.n_regs as usize;
-        let n_preds = prog.n_preds as usize;
-        let mut regs = vec![0u32; n_threads * n_regs];
-        for t in 0..n_threads {
-            regs[t * n_regs..t * n_regs + params.len()].copy_from_slice(params);
+        let n_warps = n_threads.div_ceil(WARP);
+        let rows = tape.rows();
+        let mut regs = vec![[0u32; WARP]; n_warps * rows];
+        for warp_rows in regs.chunks_exact_mut(rows.max(1)) {
+            for (row, &v) in warp_rows.iter_mut().zip(params) {
+                *row = [v; WARP];
+            }
+            let consts = &mut warp_rows[tape.n_regs as usize..];
+            for (row, &v) in consts.iter_mut().zip(&tape.consts) {
+                *row = [v; WARP];
+            }
         }
-        Ok(BlockCtx {
+        let mut block = Block {
+            tape,
             block_id,
-            n_threads,
-            n_regs,
-            n_preds,
+            rows,
             regs,
-            preds: vec![false; n_threads * n_preds.max(1)],
-            smem: vec![0u8; prog.smem_bytes as usize],
-        })
+            preds: vec![0; n_warps * tape.n_preds as usize],
+            smem: vec![0; tape.smem_bytes as usize / 4],
+            warps: (0..n_warps)
+                .map(|w| WarpPos {
+                    pc: 0,
+                    mask: live_lane_mask(n_threads, w),
+                    sp: 0,
+                })
+                .collect(),
+            frames: vec![Frame::default(); n_warps * tape.depth],
+        };
+        for w in 0..n_warps {
+            block.settle(w);
+        }
+        Ok(block)
     }
 
-    /// Read a register of a thread.
+    /// Warps in the block.
+    pub fn n_warps(&self) -> usize {
+        self.warps.len()
+    }
+
+    /// The op warp `w` runs next: an instruction, a control op or
+    /// [`Op::Exit`] (never `ThenEnd`/`IfEnd`, which the control methods
+    /// resolve as they move the warp).
     #[inline]
-    pub fn reg(&self, t: usize, r: Reg) -> u32 {
-        self.regs[t * self.n_regs + r.0 as usize]
+    pub fn op(&self, w: usize) -> &'t Op {
+        &self.tape.ops[self.warps[w].pc as usize]
     }
 
-    /// Write a register of a thread.
+    /// Tape index of warp `w`'s next op.
     #[inline]
-    pub fn set_reg(&mut self, t: usize, r: Reg, v: u32) {
-        self.regs[t * self.n_regs + r.0 as usize] = v;
+    pub fn pc(&self, w: usize) -> usize {
+        self.warps[w].pc as usize
     }
 
-    /// Read a predicate of a thread.
+    /// `true` once warp `w` has reached the end of the kernel.
     #[inline]
-    pub fn pred(&self, t: usize, p: Pred) -> bool {
-        self.preds[t * self.n_preds.max(1) + p.0 as usize]
+    pub fn done(&self, w: usize) -> bool {
+        matches!(self.op(w), Op::Exit)
     }
 
+    /// Warp `w`'s active-lane mask.
     #[inline]
-    fn set_pred(&mut self, t: usize, p: Pred, v: bool) {
-        self.preds[t * self.n_preds.max(1) + p.0 as usize] = v;
+    pub fn mask(&self, w: usize) -> u32 {
+        self.warps[w].mask
     }
 
-    /// Validate a shared-memory word access. Shared memory is zero-initialized
-    /// on real hardware-adjacent semantics here (no poison tracking): the
-    /// sanitizer checks alignment and bounds only.
-    fn smem_check(&self, addr: u64) -> DeviceResult<()> {
+    /// Active lanes of warp `w` where predicate `p` (xor `negate`) holds.
+    #[inline]
+    pub fn pred_mask(&self, w: usize, p: u16, negate: bool) -> u32 {
+        let bits = self.preds[w * self.tape.n_preds as usize + p as usize];
+        (if negate { !bits } else { bits }) & self.warps[w].mask
+    }
+
+    #[cfg(test)]
+    fn reg(&self, w: usize, lane: usize, r: Row) -> u32 {
+        self.regs[w * self.rows + r as usize][lane]
+    }
+
+    #[inline(always)]
+    fn row(&self, w: usize, r: Row) -> &Lanes {
+        &self.regs[w * self.rows + r as usize]
+    }
+
+    /// Write `v` into register `dst` of warp `w` on the lanes of `mask`.
+    #[inline(always)]
+    fn put(&mut self, w: usize, dst: Row, mask: u32, v: &Lanes) {
+        let row = &mut self.regs[w * self.rows + dst as usize];
+        if mask == u32::MAX {
+            *row = *v;
+        } else {
+            for l in 0..WARP {
+                row[l] = if mask >> l & 1 != 0 { v[l] } else { row[l] };
+            }
+        }
+    }
+
+    /// Resolve `ThenEnd`/`IfEnd` ops at warp `w`'s position: they cost
+    /// nothing and retire nothing, they only pick the next mask.
+    fn settle(&mut self, w: usize) {
+        loop {
+            let pos = &mut self.warps[w];
+            match self.tape.ops[pos.pc as usize] {
+                Op::ThenEnd { end_pc } => {
+                    let f = &mut self.frames[w * self.tape.depth + pos.sp - 1];
+                    if f.pending != 0 {
+                        pos.mask = f.pending;
+                        f.pending = 0;
+                        pos.pc += 1;
+                    } else {
+                        pos.mask = f.parent;
+                        pos.sp -= 1;
+                        pos.pc = end_pc;
+                    }
+                }
+                Op::IfEnd => {
+                    pos.sp -= 1;
+                    pos.mask = self.frames[w * self.tape.depth + pos.sp].parent;
+                    pos.pc += 1;
+                }
+                _ => return,
+            }
+        }
+    }
+
+    fn push_frame(&mut self, w: usize, pending: u32) {
+        let pos = &mut self.warps[w];
+        self.frames[w * self.tape.depth + pos.sp] = Frame {
+            parent: pos.mask,
+            pending,
+        };
+        pos.sp += 1;
+    }
+
+    /// Move warp `w` to the next op (past an instruction or a released
+    /// barrier).
+    #[inline]
+    pub fn advance(&mut self, w: usize) {
+        self.warps[w].pc += 1;
+        self.settle(w);
+    }
+
+    /// Resolve a uniform branch: to `target` if `taken`, else fall through.
+    pub fn branch(&mut self, w: usize, taken: bool, target: u32) {
+        if taken {
+            self.warps[w].pc = target;
+            self.settle(w);
+        } else {
+            self.advance(w);
+        }
+    }
+
+    /// Enter an `If`: the then-arm runs first under the lanes where the
+    /// predicate holds, then the else-arm under the rest; an empty arm is
+    /// skipped.
+    pub fn enter_if(&mut self, w: usize, pred: u16, negate: bool, else_pc: u32) {
+        let then_mask = self.pred_mask(w, pred, negate);
+        let else_mask = self.warps[w].mask & !then_mask;
+        if then_mask != 0 {
+            self.push_frame(w, else_mask);
+            let pos = &mut self.warps[w];
+            pos.mask = then_mask;
+            pos.pc += 1;
+        } else {
+            self.push_frame(w, 0);
+            let pos = &mut self.warps[w];
+            pos.mask = else_mask;
+            pos.pc = else_pc;
+        }
+        self.settle(w);
+    }
+
+    /// Enter a `While` body (bottom-tested: it runs at least once under the
+    /// current mask).
+    pub fn enter_while(&mut self, w: usize) {
+        self.push_frame(w, 0);
+        self.advance(w);
+    }
+
+    /// Resolve a `While` back-edge: lanes whose predicate still holds run
+    /// another pass from `body`; with none left the loop exits.
+    pub fn while_back(&mut self, w: usize, pred: u16, negate: bool, body: u32) {
+        let cont = self.pred_mask(w, pred, negate);
+        let pos = &mut self.warps[w];
+        if cont != 0 {
+            pos.mask = cont;
+            pos.pc = body;
+        } else {
+            pos.sp -= 1;
+            pos.mask = self.frames[w * self.tape.depth + pos.sp].parent;
+            pos.pc += 1;
+        }
+        self.settle(w);
+    }
+
+    /// Execute instruction `i` for warp `w` under its active mask and move
+    /// the warp past it.
+    ///
+    /// `clock` is what a `Clock` instruction reads and the instruction
+    /// coordinate of a fault. With `addrs` set, a memory access records its
+    /// per-lane effective addresses there (the timed engine feeds them to
+    /// the coalescer/bank models). A memory fault carries the exact (block,
+    /// thread, instruction) coordinates of the offending lane; lanes are
+    /// served in ascending order, so a faulting store leaves the side
+    /// effects of every lane and word before it.
+    ///
+    /// Generic over [`DeviceMem`] so the same semantics run against the real
+    /// [`crate::mem::GlobalMemory`] (sequential path) and against per-block
+    /// [`crate::mem::BlockShard`] write-views (parallel path).
+    ///
+    /// `plan` is the fault-injection hook: when set, the effective address of
+    /// a matching (block, thread, instruction) access is mutated before the
+    /// access is performed (test harness only — production paths pass
+    /// `None`).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn exec<M: DeviceMem>(
+        &mut self,
+        w: usize,
+        i: &Inst,
+        env: &LaunchEnv,
+        gmem: &mut M,
+        clock: u64,
+        plan: Option<&FaultPlan>,
+        addrs: Option<&mut LaneAddrs>,
+    ) -> DeviceResult<()> {
+        let mask = self.warps[w].mask;
+        match *i {
+            Inst::Mov { dst, src } => {
+                let v = *self.row(w, src);
+                self.put(w, dst, mask, &v);
+            }
+            Inst::Special { dst, sr } => {
+                let v = match sr {
+                    SpecialReg::TidX => std::array::from_fn(|l| (w * WARP + l) as u32),
+                    SpecialReg::CtaidX => [self.block_id; WARP],
+                    SpecialReg::NtidX => [env.block_dim; WARP],
+                    SpecialReg::NctaidX => [env.grid_dim; WARP],
+                };
+                self.put(w, dst, mask, &v);
+            }
+            Inst::Alu { op, dst, a, b } => {
+                let v = alu_lanes(op, self.row(w, a), self.row(w, b));
+                self.put(w, dst, mask, &v);
+            }
+            Inst::Mad {
+                float,
+                dst,
+                a,
+                b,
+                c,
+            } => {
+                let (a, b, c) = (self.row(w, a), self.row(w, b), self.row(w, c));
+                let v = if float {
+                    map3(a, b, c, |x, y, z| mad(true, x, y, z))
+                } else {
+                    map3(a, b, c, |x, y, z| mad(false, x, y, z))
+                };
+                self.put(w, dst, mask, &v);
+            }
+            Inst::Unary { op, dst, a } => {
+                let v = unary_lanes(op, self.row(w, a));
+                self.put(w, dst, mask, &v);
+            }
+            Inst::Setp { cmp, dst, a, b } => {
+                let bits = compare_lanes(cmp, self.row(w, a), self.row(w, b));
+                let p = &mut self.preds[w * self.tape.n_preds as usize + dst as usize];
+                *p = (*p & !mask) | (bits & mask);
+            }
+            Inst::Ld {
+                space,
+                width,
+                dsts,
+                base,
+                offset,
+            } => {
+                let at = self.addresses(w, base, offset, clock, plan);
+                if let Some(out) = addrs {
+                    *out = at;
+                }
+                self.load(w, space, width, &dsts, &at, gmem, clock)?;
+            }
+            Inst::St {
+                space,
+                width,
+                srcs,
+                base,
+                offset,
+            } => {
+                let at = self.addresses(w, base, offset, clock, plan);
+                if let Some(out) = addrs {
+                    *out = at;
+                }
+                self.store(w, space, width, &srcs, &at, gmem, clock)?;
+            }
+            Inst::Clock { dst } => self.put(w, dst, mask, &[clock as u32; WARP]),
+        }
+        self.advance(w);
+        Ok(())
+    }
+
+    /// Effective address of every active lane: `base + offset` as a 32-bit
+    /// sum, then the fault plan's mutation if one matches.
+    fn addresses(
+        &self,
+        w: usize,
+        base: Row,
+        offset: u32,
+        clock: u64,
+        plan: Option<&FaultPlan>,
+    ) -> LaneAddrs {
+        let row = self.row(w, base);
+        let mut at = LaneAddrs {
+            addrs: std::array::from_fn(|l| row[l].wrapping_add(offset) as u64),
+            mask: self.warps[w].mask,
+        };
+        if let Some(p) = plan {
+            for l in lanes_of(at.mask) {
+                at.addrs[l] = p.mutate(self.block_id, (w * WARP + l) as u32, clock, at.addrs[l]);
+            }
+        }
+        at
+    }
+
+    /// Attach the coordinates of lane `l` of warp `w` to a fault.
+    fn fault_at(&self, w: usize, l: usize, clock: u64, e: DeviceError) -> DeviceError {
+        e.with_block(self.block_id)
+            .with_thread((w * WARP + l) as u32)
+            .with_instruction(clock)
+    }
+
+    /// Read one word of shared memory. Shared memory is zero-initialized
+    /// (no poison tracking): the sanitizer checks alignment and bounds only.
+    fn smem_load(&self, addr: u64) -> DeviceResult<u32> {
+        Ok(self.smem[self.smem_word(addr)?])
+    }
+
+    fn smem_word(&self, addr: u64) -> DeviceResult<usize> {
         if !addr.is_multiple_of(4) {
             return Err(DeviceError::new(FaultKind::Misaligned {
                 space: MemSpace::Shared,
@@ -112,463 +562,125 @@ impl BlockCtx {
                 width: 4,
             }));
         }
-        if addr + 4 > self.smem.len() as u64 {
+        let limit = self.tape.smem_bytes as u64;
+        if addr + 4 > limit {
             return Err(DeviceError::new(FaultKind::OutOfBounds {
                 space: MemSpace::Shared,
                 addr,
                 width: 4,
-                limit: self.smem.len() as u64,
+                limit,
                 redzone: false,
             }));
         }
+        Ok((addr / 4) as usize)
+    }
+
+    /// Load `width` bytes per active lane. A broadcast (every active lane at
+    /// one address) is served once and splatted; whichever lane would fault
+    /// first is the first active lane either way.
+    #[allow(clippy::too_many_arguments)]
+    fn load<M: DeviceMem>(
+        &mut self,
+        w: usize,
+        space: MemSpace,
+        width: AccessWidth,
+        dsts: &[Row; 4],
+        at: &LaneAddrs,
+        gmem: &M,
+        clock: u64,
+    ) -> DeviceResult<()> {
+        let words = width.words();
+        let first = at.mask.trailing_zeros() as usize;
+        let a0 = at.addrs[first % WARP];
+        let broadcast = (0..WARP).all(|l| at.mask >> l & 1 == 0 || at.addrs[l] == a0);
+        let mut vals = [[0u32; WARP]; 4];
+        for l in lanes_of(at.mask) {
+            let addr = at.addrs[l];
+            // A vector access must be naturally aligned as a whole; the
+            // per-word checks would only catch word misalignment.
+            if space != MemSpace::Shared && !addr.is_multiple_of(width.bytes()) {
+                return Err(self.fault_at(
+                    w,
+                    l,
+                    clock,
+                    DeviceError::new(FaultKind::Misaligned {
+                        space,
+                        addr,
+                        width: width.bytes(),
+                    }),
+                ));
+            }
+            for (k, val) in vals.iter_mut().enumerate().take(words) {
+                let a = addr + 4 * k as u64;
+                let word = match space {
+                    MemSpace::Global | MemSpace::Texture => gmem.load_u32(a),
+                    MemSpace::Shared => self.smem_load(a),
+                };
+                val[l] = word.map_err(|e| self.fault_at(w, l, clock, e))?;
+            }
+            if broadcast {
+                for val in vals.iter_mut().take(words) {
+                    *val = [val[l]; WARP];
+                }
+                break;
+            }
+        }
+        for (k, val) in vals.iter().enumerate().take(words) {
+            self.put(w, dsts[k], at.mask, val);
+        }
         Ok(())
     }
 
-    fn smem_load_u32(&self, addr: u64) -> DeviceResult<u32> {
-        self.smem_check(addr)?;
-        let a = addr as usize;
-        Ok(u32::from_le_bytes(
-            self.smem[a..a + 4].try_into().expect("4-byte slice"),
-        ))
-    }
-
-    fn smem_store_u32(&mut self, addr: u64, v: u32) -> DeviceResult<()> {
-        self.smem_check(addr)?;
-        let a = addr as usize;
-        self.smem[a..a + 4].copy_from_slice(&v.to_le_bytes());
+    /// Store `width` bytes per active lane, lane by lane.
+    #[allow(clippy::too_many_arguments)]
+    fn store<M: DeviceMem>(
+        &mut self,
+        w: usize,
+        space: MemSpace,
+        width: AccessWidth,
+        srcs: &[Row; 4],
+        at: &LaneAddrs,
+        gmem: &mut M,
+        clock: u64,
+    ) -> DeviceResult<()> {
+        let words = width.words();
+        for l in lanes_of(at.mask) {
+            let addr = at.addrs[l];
+            if space == MemSpace::Global && !addr.is_multiple_of(width.bytes()) {
+                return Err(self.fault_at(
+                    w,
+                    l,
+                    clock,
+                    DeviceError::new(FaultKind::Misaligned {
+                        space,
+                        addr,
+                        width: width.bytes(),
+                    }),
+                ));
+            }
+            for (k, &src) in srcs.iter().enumerate().take(words) {
+                let v = self.row(w, src)[l];
+                let a = addr + 4 * k as u64;
+                let stored = match space {
+                    MemSpace::Global => gmem.store_u32(a, v),
+                    MemSpace::Shared => self.smem_word(a).map(|i| self.smem[i] = v),
+                    MemSpace::Texture => Err(DeviceError::new(FaultKind::ReadOnlyWrite {
+                        space: MemSpace::Texture,
+                        addr,
+                    })),
+                };
+                stored.map_err(|e| self.fault_at(w, l, clock, e))?;
+            }
+        }
         Ok(())
     }
-}
-
-/// Description of the memory traffic of one executed warp instruction, for
-/// the timed engine's coalescer/bank models.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemTrace {
-    /// Space accessed.
-    pub space: MemSpace,
-    /// `true` for a load (creates a register dependency), `false` for a store.
-    pub is_load: bool,
-    /// Access width.
-    pub width: AccessWidth,
-    /// Per-lane byte addresses (`None` = lane inactive), 32 entries.
-    pub addrs: Vec<Option<u64>>,
-}
-
-/// The block-local thread indices selected by an active-lane mask — the
-/// zero-allocation replacement for collecting lanes into a `Vec` on every
-/// executed instruction (the functional hot loop's biggest malloc source).
-#[inline]
-fn active_lanes(mask: u32, warp: usize, n_threads: usize) -> impl Iterator<Item = usize> {
-    (0..WARP)
-        .filter(move |l| mask & (1 << l) != 0)
-        .map(move |l| warp * WARP + l)
-        .filter(move |t| *t < n_threads)
-}
-
-/// Execute one instruction for a warp.
-///
-/// `warp` is the warp index within the block, `mask` the active-lane mask,
-/// `clock_value` what a `Clock` instruction should read. With `want_trace`
-/// set, returns the memory trace if the instruction touched memory (the
-/// timed engine feeds it to the coalescer/bank models); the functional
-/// executor passes `false` and skips the per-lane address bookkeeping
-/// entirely. A memory fault carries the exact (block, thread, instruction)
-/// coordinates of the offending lane.
-///
-/// Generic over [`DeviceMem`] so the same semantics run against the real
-/// [`crate::mem::GlobalMemory`] (sequential path) and against per-block
-/// [`crate::mem::BlockShard`] write-views (parallel path).
-///
-/// `plan` is the fault-injection hook: when set, the effective address of a
-/// matching (block, thread, instruction) access is mutated before the access
-/// is performed (test harness only — production paths pass `None`).
-#[allow(clippy::too_many_arguments)]
-pub fn exec_instr<M: DeviceMem>(
-    i: &Instr,
-    ctx: &mut BlockCtx,
-    warp: usize,
-    mask: u32,
-    env: &LaunchEnv,
-    gmem: &mut M,
-    clock_value: u64,
-    plan: Option<&FaultPlan>,
-    want_trace: bool,
-) -> DeviceResult<Option<MemTrace>> {
-    let opv = |ctx: &BlockCtx, t: usize, o: &Operand| -> u32 {
-        match o {
-            Operand::R(r) => ctx.reg(t, *r),
-            Operand::ImmU(v) => *v,
-            Operand::ImmF(f) => f.to_bits(),
-        }
-    };
-    match i {
-        Instr::Mov { dst, src } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let v = opv(ctx, t, src);
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Special { dst, sr } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let v = match sr {
-                    SpecialReg::TidX => t as u32,
-                    SpecialReg::CtaidX => ctx.block_id,
-                    SpecialReg::NtidX => env.block_dim,
-                    SpecialReg::NctaidX => env.grid_dim,
-                };
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Alu { op, dst, a, b } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let y = opv(ctx, t, b);
-                let v = alu(*op, x, y);
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Mad {
-            float,
-            dst,
-            a,
-            b,
-            c,
-        } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let y = opv(ctx, t, b);
-                let z = opv(ctx, t, c);
-                let v = mad(*float, x, y, z);
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Unary { op, dst, a } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let v = unary(*op, x);
-                ctx.set_reg(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Setp { dst, cmp, a, b } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let x = opv(ctx, t, a);
-                let y = opv(ctx, t, b);
-                let v = compare(*cmp, x, y);
-                ctx.set_pred(t, *dst, v);
-            }
-            Ok(None)
-        }
-        Instr::Ld {
-            dsts,
-            space,
-            base,
-            offset,
-        } => {
-            let width = AccessWidth::from_bytes(4 * dsts.len() as u32).expect("load width");
-            let n_words = dsts.len() as u64;
-            let mut addrs = if want_trace {
-                vec![None; WARP]
-            } else {
-                Vec::new()
-            };
-            let bid = ctx.block_id;
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let mut addr = ctx.reg(t, *base).wrapping_add(*offset) as u64;
-                if let Some(p) = plan {
-                    addr = p.mutate(bid, t as u32, clock_value, addr);
-                }
-                if want_trace {
-                    addrs[t % WARP] = Some(addr);
-                }
-                // A vector access must be naturally aligned as a whole; the
-                // per-word loop below would only catch word misalignment.
-                let fault_at = move |e: DeviceError| {
-                    e.with_block(bid)
-                        .with_thread(t as u32)
-                        .with_instruction(clock_value)
-                };
-                if matches!(space, MemSpace::Global | MemSpace::Texture)
-                    && !addr.is_multiple_of(4 * n_words)
-                {
-                    return Err(fault_at(DeviceError::new(FaultKind::Misaligned {
-                        space: *space,
-                        addr,
-                        width: 4 * n_words,
-                    })));
-                }
-                for (w, d) in dsts.iter().enumerate() {
-                    let v = match space {
-                        MemSpace::Global | MemSpace::Texture => {
-                            gmem.load_u32(addr + 4 * w as u64).map_err(fault_at)?
-                        }
-                        MemSpace::Shared => {
-                            ctx.smem_load_u32(addr + 4 * w as u64).map_err(fault_at)?
-                        }
-                    };
-                    ctx.set_reg(t, *d, v);
-                }
-            }
-            Ok(want_trace.then_some(MemTrace {
-                space: *space,
-                is_load: true,
-                width,
-                addrs,
-            }))
-        }
-        Instr::St {
-            srcs,
-            space,
-            base,
-            offset,
-        } => {
-            let width = AccessWidth::from_bytes(4 * srcs.len() as u32).expect("store width");
-            let n_words = srcs.len() as u64;
-            let mut addrs = if want_trace {
-                vec![None; WARP]
-            } else {
-                Vec::new()
-            };
-            let bid = ctx.block_id;
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                let mut addr = ctx.reg(t, *base).wrapping_add(*offset) as u64;
-                if let Some(p) = plan {
-                    addr = p.mutate(bid, t as u32, clock_value, addr);
-                }
-                if want_trace {
-                    addrs[t % WARP] = Some(addr);
-                }
-                let fault_at = move |e: DeviceError| {
-                    e.with_block(bid)
-                        .with_thread(t as u32)
-                        .with_instruction(clock_value)
-                };
-                if *space == MemSpace::Global && !addr.is_multiple_of(4 * n_words) {
-                    return Err(fault_at(DeviceError::new(FaultKind::Misaligned {
-                        space: *space,
-                        addr,
-                        width: 4 * n_words,
-                    })));
-                }
-                for (w, s) in srcs.iter().enumerate() {
-                    let v = opv(ctx, t, s);
-                    match space {
-                        MemSpace::Global => {
-                            gmem.store_u32(addr + 4 * w as u64, v).map_err(fault_at)?
-                        }
-                        MemSpace::Shared => ctx
-                            .smem_store_u32(addr + 4 * w as u64, v)
-                            .map_err(fault_at)?,
-                        MemSpace::Texture => {
-                            return Err(fault_at(DeviceError::new(FaultKind::ReadOnlyWrite {
-                                space: MemSpace::Texture,
-                                addr,
-                            })));
-                        }
-                    }
-                }
-            }
-            Ok(want_trace.then_some(MemTrace {
-                space: *space,
-                is_load: false,
-                width,
-                addrs,
-            }))
-        }
-        Instr::Clock { dst } => {
-            for t in active_lanes(mask, warp, ctx.n_threads) {
-                ctx.set_reg(t, *dst, clock_value as u32);
-            }
-            Ok(None)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Warp cursor over the lowered program
-// ---------------------------------------------------------------------------
-
-/// One stack frame of a warp's position in the program arena.
-#[derive(Debug, Clone, Copy)]
-pub struct Frame {
-    /// Sequence index in the arena.
-    pub seq: usize,
-    /// Next statement index within the sequence.
-    pub idx: usize,
-    /// Active-lane mask for this frame.
-    pub mask: u32,
-    /// For a divergent-loop body frame: the continuation predicate tested at
-    /// the bottom of each pass.
-    pub while_of: Option<(Pred, bool)>,
-}
-
-/// A warp's resumable position in a lowered program.
-#[derive(Debug, Clone)]
-pub struct Cursor {
-    frames: Vec<Frame>,
-}
-
-/// What [`Cursor::fetch`] yields.
-#[derive(Debug)]
-pub enum FetchItem<'a> {
-    /// A lowered statement to handle under the given mask.
-    Stmt(&'a LinStmt, u32),
-    /// The bottom of a divergent loop pass: the executor must evaluate the
-    /// predicate under `mask` and call [`Cursor::while_backedge`].
-    WhileBackedge {
-        /// Continuation predicate.
-        pred: Pred,
-        /// Invert the predicate sense.
-        negate: bool,
-        /// The lanes that executed this pass.
-        mask: u32,
-    },
-}
-
-impl Cursor {
-    /// Cursor at the program entry with the given initial active mask.
-    pub fn new(prog: &Program, mask: u32) -> Self {
-        Cursor {
-            frames: vec![Frame {
-                seq: prog.root,
-                idx: 0,
-                mask,
-                while_of: None,
-            }],
-        }
-    }
-
-    /// `true` once the warp has retired every instruction.
-    pub fn done(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Peek the next fetchable item, resolving control flow that needs no
-    /// execution (frame pops). Branches, `IfMasked` and while back-edges need
-    /// predicate values, so those are surfaced for the executor to resolve.
-    pub fn fetch<'a>(&mut self, prog: &'a Program) -> Option<FetchItem<'a>> {
-        loop {
-            let top = self.frames.last().copied()?;
-            if top.idx >= prog.seqs[top.seq].len() {
-                if let Some((pred, negate)) = top.while_of {
-                    return Some(FetchItem::WhileBackedge {
-                        pred,
-                        negate,
-                        mask: top.mask,
-                    });
-                }
-                self.frames.pop();
-                continue;
-            }
-            return Some(FetchItem::Stmt(&prog.seqs[top.seq][top.idx], top.mask));
-        }
-    }
-
-    /// Advance past a plain instruction or `Sync`.
-    pub fn step(&mut self) {
-        self.frames.last_mut().expect("step on finished cursor").idx += 1;
-    }
-
-    /// Resolve a branch: if `taken`, jump to `target` in the current
-    /// sequence; otherwise fall through.
-    pub fn branch(&mut self, taken: bool, target: usize) {
-        let f = self.frames.last_mut().expect("branch on finished cursor");
-        if taken {
-            f.idx = target;
-        } else {
-            f.idx += 1;
-        }
-    }
-
-    /// Enter an `IfMasked`: push the else and then frames (then executes
-    /// first). Frames with empty masks are skipped.
-    pub fn enter_if(&mut self, then_seq: usize, else_seq: usize, then_mask: u32, else_mask: u32) {
-        self.step();
-        if else_mask != 0 {
-            self.frames.push(Frame {
-                seq: else_seq,
-                idx: 0,
-                mask: else_mask,
-                while_of: None,
-            });
-        }
-        if then_mask != 0 {
-            self.frames.push(Frame {
-                seq: then_seq,
-                idx: 0,
-                mask: then_mask,
-                while_of: None,
-            });
-        }
-    }
-
-    /// Enter a `WhileMasked` body (bottom-tested: the body runs at least once
-    /// with the current mask).
-    pub fn enter_while(&mut self, body_seq: usize, pred: Pred, negate: bool, mask: u32) {
-        self.step();
-        if mask != 0 {
-            self.frames.push(Frame {
-                seq: body_seq,
-                idx: 0,
-                mask,
-                while_of: Some((pred, negate)),
-            });
-        }
-    }
-
-    /// Resolve a while back-edge: lanes in `continue_mask` run another pass;
-    /// an empty mask exits the loop.
-    pub fn while_backedge(&mut self, continue_mask: u32) {
-        let f = self.frames.last_mut().expect("backedge on finished cursor");
-        assert!(f.while_of.is_some(), "while_backedge outside a while frame");
-        if continue_mask != 0 {
-            f.mask = continue_mask;
-            f.idx = 0;
-        } else {
-            self.frames.pop();
-        }
-    }
-}
-
-/// Evaluate a predicate for every active lane of a warp; returns the lane
-/// mask of threads where it holds.
-pub fn pred_mask(ctx: &BlockCtx, warp: usize, mask: u32, p: Pred, negate: bool) -> u32 {
-    let mut out = 0u32;
-    for l in 0..WARP {
-        if mask & (1 << l) == 0 {
-            continue;
-        }
-        let t = warp * WARP + l;
-        if t >= ctx.n_threads {
-            continue;
-        }
-        if ctx.pred(t, p) != negate {
-            out |= 1 << l;
-        }
-    }
-    out
-}
-
-/// Mask of lanes of `warp` that map to real threads of the block.
-pub fn live_lane_mask(n_threads: usize, warp: usize) -> u32 {
-    let mut m = 0u32;
-    for l in 0..WARP {
-        if warp * WARP + l < n_threads {
-            m |= 1 << l;
-        }
-    }
-    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::lower::lower;
-    use crate::ir::{AluOp, KernelBuilder};
+    use crate::ir::{Instr, KernelBuilder, Operand, Reg};
     use crate::mem::GlobalMemory;
 
     fn env() -> LaunchEnv {
@@ -585,9 +697,9 @@ mod tests {
         let _p1 = b.param();
         let _ = b.iadd(p0.into(), Operand::ImmU(1));
         let prog = lower(&b.finish());
-        let ctx = BlockCtx::new(&prog, 0, 32, &[11, 22]).unwrap();
-        assert_eq!(ctx.reg(0, Reg(0)), 11);
-        assert_eq!(ctx.reg(31, Reg(1)), 22);
+        let blk = Block::new(prog.tape().unwrap(), 0, 32, &[11, 22]).unwrap();
+        assert_eq!(blk.reg(0, 0, 0), 11);
+        assert_eq!(blk.reg(0, 31, 1), 22);
     }
 
     #[test]
@@ -604,6 +716,21 @@ mod tests {
         );
     }
 
+    /// Run warp 0 of a one-block launch to the end of the tape, executing
+    /// straight-line instructions under `mask`.
+    fn run_straight(b: KernelBuilder, n_threads: usize, mask: u32) -> (Block<'static>, Reg) {
+        let k = b.finish();
+        let last = Reg(k.n_regs - 1);
+        let prog = Box::leak(Box::new(lower(&k)));
+        let mut blk = Block::new(prog.tape().unwrap(), 5, n_threads, &[]).unwrap();
+        blk.warps[0].mask = mask;
+        let mut gmem = GlobalMemory::new(64);
+        while let Op::Inst(i) = blk.op(0) {
+            blk.exec(0, i, &env(), &mut gmem, 0, None, None).unwrap();
+        }
+        (blk, last)
+    }
+
     #[test]
     fn exec_mov_respects_mask() {
         let mut b = KernelBuilder::new("m");
@@ -612,117 +739,46 @@ mod tests {
             dst: r,
             src: Operand::ImmU(7),
         });
-        let k = b.finish();
-        let prog = lower(&k);
-        let mut ctx = BlockCtx::new(&prog, 0, 32, &[]).unwrap();
-        let mut gmem = GlobalMemory::new(64);
         // Only lanes 0 and 3 active.
-        exec_instr(
-            &Instr::Mov {
-                dst: r,
-                src: Operand::ImmU(7),
-            },
-            &mut ctx,
-            0,
-            0b1001,
-            &env(),
-            &mut gmem,
-            0,
-            None,
-            true,
-        )
-        .unwrap();
-        assert_eq!(ctx.reg(0, r), 7);
-        assert_eq!(ctx.reg(1, r), 0);
-        assert_eq!(ctx.reg(3, r), 7);
+        let (blk, r) = run_straight(b, 32, 0b1001);
+        assert_eq!(blk.reg(0, 0, r.0), 7);
+        assert_eq!(blk.reg(0, 1, r.0), 0);
+        assert_eq!(blk.reg(0, 3, r.0), 7);
     }
 
     #[test]
     fn special_regs_reflect_thread_identity() {
         let mut b = KernelBuilder::new("s");
-        let t = b.special(SpecialReg::TidX);
-        let k = b.finish();
-        let prog = lower(&k);
-        let mut ctx = BlockCtx::new(&prog, 5, 64, &[]).unwrap();
-        let mut gmem = GlobalMemory::new(64);
-        let e = LaunchEnv {
-            block_dim: 64,
-            grid_dim: 9,
-        };
-        exec_instr(
-            &Instr::Special {
-                dst: t,
-                sr: SpecialReg::TidX,
-            },
-            &mut ctx,
-            1,
-            u32::MAX,
-            &e,
-            &mut gmem,
-            0,
-            None,
-            true,
-        )
-        .unwrap();
-        assert_eq!(ctx.reg(32, t), 32);
-        assert_eq!(ctx.reg(63, t), 63);
-        exec_instr(
-            &Instr::Special {
-                dst: t,
-                sr: SpecialReg::CtaidX,
-            },
-            &mut ctx,
-            0,
-            u32::MAX,
-            &e,
-            &mut gmem,
-            0,
-            None,
-            true,
-        )
-        .unwrap();
-        assert_eq!(ctx.reg(0, t), 5);
+        b.special(SpecialReg::TidX);
+        let (blk, t) = run_straight(b, 64, u32::MAX);
+        assert_eq!(blk.reg(0, 7, t.0), 7);
+        let mut b = KernelBuilder::new("s");
+        b.special(SpecialReg::CtaidX);
+        let (blk, t) = run_straight(b, 64, u32::MAX);
+        assert_eq!(blk.reg(0, 0, t.0), 5);
     }
 
     #[test]
-    fn global_load_produces_mem_trace() {
+    fn global_load_records_lane_addresses() {
         let mut b = KernelBuilder::new("ld");
         let base = b.param();
-        let _v = b.ld(MemSpace::Global, base, 0, 1);
-        let k = b.finish();
-        let prog = lower(&k);
+        let tid = b.special(SpecialReg::TidX);
+        let a = b.mad_u(tid.into(), Operand::ImmU(4), base.into());
+        let v = b.ld(MemSpace::Global, a, 0, 1)[0];
+        let prog = lower(&b.finish());
         let mut gmem = GlobalMemory::new(1024);
         let ptr = gmem.alloc_f32(&[1.0; 64]).unwrap();
-        let mut ctx = BlockCtx::new(&prog, 0, 32, &[ptr.0 as u32]).unwrap();
-        // Give each lane a distinct address: addr = base + 4*t via a mad.
-        // Simpler: directly execute a load with base reg holding per-thread
-        // addresses.
-        let r = Reg(0);
-        for t in 0..32 {
-            let a = ptr.0 as u32 + 4 * t as u32;
-            ctx.set_reg(t, r, a);
+        let mut blk = Block::new(prog.tape().unwrap(), 0, 32, &[ptr.0 as u32]).unwrap();
+        let mut at = LaneAddrs::default();
+        while let Op::Inst(i) = blk.op(0) {
+            let is_load = matches!(i, Inst::Ld { .. });
+            blk.exec(0, i, &env(), &mut gmem, 0, None, is_load.then_some(&mut at))
+                .unwrap();
         }
-        let tr = exec_instr(
-            &Instr::Ld {
-                dsts: vec![Reg(1)],
-                space: MemSpace::Global,
-                base: r,
-                offset: 0,
-            },
-            &mut ctx,
-            0,
-            u32::MAX,
-            &env(),
-            &mut gmem,
-            0,
-            None,
-            true,
-        )
-        .unwrap()
-        .unwrap();
-        assert!(tr.is_load);
-        assert_eq!(tr.addrs.iter().flatten().count(), 32);
-        assert_eq!(f32::from_bits(ctx.reg(7, Reg(1))), 1.0);
+        assert_eq!(at.mask, u32::MAX);
+        assert_eq!(at.active().count(), 32);
+        assert_eq!(at.addrs[3], ptr.0 + 12);
+        assert_eq!(f32::from_bits(blk.reg(0, 7, v.0)), 1.0);
     }
 
     #[test]
@@ -733,58 +789,39 @@ mod tests {
         let v = b.mov(Operand::ImmF(3.5));
         b.st(MemSpace::Shared, r, 0, vec![v.into()]);
         let _w = b.ld(MemSpace::Shared, r, 0, 1);
-        let k = b.finish();
-        let prog = lower(&k);
-        let mut ctx = BlockCtx::new(&prog, 0, 1, &[]).unwrap();
-        let mut gmem = GlobalMemory::new(64);
-        for s in &prog.seqs[prog.root] {
-            if let LinStmt::I(i) = s {
-                exec_instr(i, &mut ctx, 0, 1, &env(), &mut gmem, 0, None, false).unwrap();
-            }
-        }
         // The load's destination is the last register.
-        let last = Reg(k.n_regs - 1);
-        assert_eq!(f32::from_bits(ctx.reg(0, last)), 3.5);
+        let (blk, last) = run_straight(b, 1, 1);
+        assert_eq!(f32::from_bits(blk.reg(0, 0, last.0)), 3.5);
     }
 
     #[test]
-    fn cursor_walks_pops_and_branches() {
+    fn tape_walks_loops_and_branches() {
         let mut b = KernelBuilder::new("c");
         b.for_loop(Operand::ImmU(0), Operand::ImmU(2), 1, |b, _| {
             b.mov(Operand::ImmU(1));
         });
         let prog = lower(&b.finish());
-        let mut cur = Cursor::new(&prog, u32::MAX);
-        let mut executed = 0;
-        let mut ctx = BlockCtx::new(&prog, 0, 32, &[]).unwrap();
+        let mut blk = Block::new(prog.tape().unwrap(), 0, 32, &[]).unwrap();
         let mut gmem = GlobalMemory::new(64);
-        while let Some(item) = cur.fetch(&prog) {
-            let FetchItem::Stmt(stmt, mask) = item else {
-                unreachable!("no while loops here")
-            };
-            match stmt {
-                LinStmt::I(i) => {
-                    exec_instr(i, &mut ctx, 0, mask, &env(), &mut gmem, 0, None, false).unwrap();
-                    executed += 1;
-                    cur.step();
-                }
-                LinStmt::Bra {
+        let mut executed = 0;
+        while !blk.done(0) {
+            match *blk.op(0) {
+                Op::Inst(ref i) => blk.exec(0, i, &env(), &mut gmem, 0, None, None).unwrap(),
+                Op::Bra {
                     pred,
                     negate,
                     target,
                 } => {
-                    let m = pred_mask(&ctx, 0, mask, *pred, *negate);
-                    assert!(m == 0 || m == mask, "non-uniform loop branch");
-                    cur.branch(m == mask, *target);
+                    let m = blk.pred_mask(0, pred, negate);
+                    assert!(m == 0 || m == blk.mask(0), "non-uniform loop branch");
+                    blk.branch(0, m != 0, target);
                 }
-                LinStmt::IfMasked { .. } | LinStmt::WhileMasked { .. } | LinStmt::Sync => {
-                    unreachable!()
-                }
+                ref other => unreachable!("no masked regions here: {other:?}"),
             }
+            executed += 1;
         }
-        // mov init + 2 × (body mov + add + setp) = 7 executed instructions.
-        assert_eq!(executed, 7);
-        assert!(cur.done());
+        // mov init + 2 × (body mov + add + setp + bra) = 9 retired ops.
+        assert_eq!(executed, 9);
     }
 
     #[test]

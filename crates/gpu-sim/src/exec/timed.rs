@@ -22,16 +22,15 @@
 //! the paper's 50 % → 67 % occupancy step buys its ~6 %.
 
 use super::functional::{configured_threads, validate_launch};
-use super::machine::{
-    exec_instr, live_lane_mask, pred_mask, BlockCtx, Cursor, FetchItem, LaunchEnv,
-};
+use super::machine::{Block, LaneAddrs, LaunchEnv, WARP};
+use super::tape::{Inst, Op, Tape};
 use crate::banks::conflict_degree;
 use crate::coalesce::CoalesceCache;
 use crate::device::DeviceConfig;
 use crate::driver::DriverModel;
 use crate::fault::{DeviceError, DeviceResult, FaultKind};
-use crate::ir::lower::{lower, LinStmt, Program};
-use crate::ir::{Instr, Kernel, MemSpace, UnaryOp};
+use crate::ir::lower::{lower, Program};
+use crate::ir::{Kernel, MemSpace, UnaryOp};
 use crate::mem::{BlockShard, DeviceMem, GlobalMemory};
 use crate::texcache::TexCache;
 use crate::timing::TimingParams;
@@ -88,15 +87,33 @@ enum WarpPhase {
 struct WarpSim {
     block: usize,
     warp_in_block: usize,
-    cursor: Cursor,
     phase: WarpPhase,
     /// Earliest cycle this warp may issue again.
     resume_at: u64,
     reg_ready: Vec<u64>,
     pred_ready: Vec<u64>,
-    /// Completion times of in-flight loads.
+    /// Completion times of in-flight loads, ascending.
     outstanding: Vec<u64>,
     finish: u64,
+}
+
+impl WarpSim {
+    /// Reset for a newly admitted block whose slot retired at `retire`.
+    fn admit(&mut self, retire: u64) {
+        self.phase = WarpPhase::Ready;
+        self.resume_at = retire;
+        self.reg_ready.fill(retire);
+        self.pred_ready.fill(retire);
+        self.outstanding.clear();
+        self.finish = retire;
+    }
+
+    /// Record a load completing at `done`, dropping loads retired by `now`.
+    fn track_load(&mut self, now: u64, done: u64) {
+        self.outstanding.retain(|&d| d > now);
+        let at = self.outstanding.partition_point(|&d| d <= done);
+        self.outstanding.insert(at, done);
+    }
 }
 
 /// Simulate the given resident blocks of a launch on one SM.
@@ -136,6 +153,10 @@ pub fn time_resident(
 /// behaviour. This is the exact engine behind [`time_grid`]; the
 /// wave-extrapolation path ([`time_resident`]) is its `pending = []` special
 /// case.
+///
+/// Accounting: every instruction, `Bra`, `If` entry, `While` back-edge and
+/// `bar.sync` issues one counted warp instruction; a `While` entry takes an
+/// issue slot but is not counted (see DESIGN.md, "The warp tape").
 #[allow(clippy::too_many_arguments)]
 pub fn time_sm_queue<M: DeviceMem>(
     prog: &Program,
@@ -153,24 +174,27 @@ pub fn time_sm_queue<M: DeviceMem>(
         Err(DeviceError::new(FaultKind::BadLaunch { reason }).with_kernel(&prog.name))
     };
     validate_launch(grid, block_size).map_err(|e| e.with_kernel(&prog.name))?;
+    let tape = prog.tape()?;
     if resident.is_empty() {
         return bad("no resident blocks".into());
     }
-    let mut pending: std::collections::VecDeque<u32> = pending.iter().copied().collect();
     if let Some(b) = pending.iter().chain(resident.iter()).find(|b| **b >= grid) {
         return bad(format!("block id {b} beyond grid of {grid}"));
     }
+    let mut queue = pending;
     let env = LaunchEnv {
         block_dim: block_size,
         grid_dim: grid,
     };
     let n_threads = block_size as usize;
-    let warps_per_block = n_threads.div_ceil(32);
+    let warps_per_block = n_threads.div_ceil(WARP);
     let half = dev.half_warp as usize;
+    let new_block =
+        |b: u32| Block::new(tape, b, n_threads, params).map_err(|e| e.with_kernel(&prog.name));
 
-    let mut blocks: Vec<BlockCtx> = resident
+    let mut blocks: Vec<Block> = resident
         .iter()
-        .map(|&b| BlockCtx::new(prog, b, n_threads, params))
+        .map(|&b| new_block(b))
         .collect::<DeviceResult<_>>()?;
     let mut warps: Vec<WarpSim> = Vec::new();
     for (bi, _) in resident.iter().enumerate() {
@@ -178,12 +202,11 @@ pub fn time_sm_queue<M: DeviceMem>(
             warps.push(WarpSim {
                 block: bi,
                 warp_in_block: w,
-                cursor: Cursor::new(prog, live_lane_mask(n_threads, w)),
                 phase: WarpPhase::Ready,
                 resume_at: 0,
-                reg_ready: vec![0; prog.n_regs as usize],
-                pred_ready: vec![0; prog.n_preds as usize],
-                outstanding: Vec::new(),
+                reg_ready: vec![0; tape.n_regs as usize],
+                pred_ready: vec![0; tape.n_preds as usize],
+                outstanding: Vec::with_capacity(tp.max_outstanding_loads as usize + 1),
                 finish: 0,
             });
         }
@@ -217,7 +240,7 @@ pub fn time_sm_queue<M: DeviceMem>(
         let mut best: Option<(u64, usize)> = None;
         for off in 0..warps.len() {
             let wi = (last_issued + 1 + off) % warps.len();
-            let Some(t) = earliest_issue(&warps[wi], prog, issue_free, tp) else {
+            let Some(t) = earliest_issue(&warps[wi], &blocks, tape, issue_free, tp) else {
                 continue;
             };
             match best {
@@ -233,64 +256,27 @@ pub fn time_sm_queue<M: DeviceMem>(
         }
 
         last_issued = wi;
-        let item = {
-            let w = &mut warps[wi];
-            match w
-                .cursor
-                .fetch(prog)
-                .expect("issueable warp has an instruction")
-            {
-                FetchItem::Stmt(s, m) => (Some(s.clone()), m, None),
-                FetchItem::WhileBackedge { pred, negate, mask } => {
-                    (None, mask, Some((pred, negate)))
-                }
-            }
-        };
-        if let (None, mask, Some((pred, negate))) = (&item.0, item.1, item.2) {
-            // Divergent-loop back-edge: a branch instruction.
-            stats.warp_instructions += 1;
-            let w = &warps[wi];
-            let cont = pred_mask(&blocks[w.block], w.warp_in_block, mask, pred, negate);
-            let w = &mut warps[wi];
-            issue_free = now + tp.issue_alu;
-            busy_until = busy_until.max(issue_free);
-            w.resume_at = issue_free;
-            w.cursor.while_backedge(cont);
-            w.finish = w.finish.max(issue_free);
-            if w.cursor.fetch(prog).is_none() {
-                w.phase = WarpPhase::Done;
-            }
-            continue;
-        }
-        let (stmt, mask) = (item.0.expect("statement"), item.1);
-
-        match &stmt {
-            LinStmt::I(i) => {
-                let trace = {
-                    let w = &warps[wi];
-                    let ctx = &mut blocks[w.block];
-                    let wib = w.warp_in_block;
-                    exec_instr(i, ctx, wib, mask, &env, gmem, now, None, true)
-                        .map_err(|e| e.with_kernel(&prog.name))?
-                };
+        let (bi, wib) = (warps[wi].block, warps[wi].warp_in_block);
+        let blk = &mut blocks[bi];
+        let w = &mut warps[wi];
+        let issue_cost = match *blk.op(wib) {
+            Op::Inst(ref i) => {
+                let mut at = LaneAddrs::default();
+                blk.exec(wib, i, &env, gmem, now, None, Some(&mut at))
+                    .map_err(|e| e.with_kernel(&prog.name))?;
                 stats.warp_instructions += 1;
-                let w = &mut warps[wi];
-                let issue_cost;
-                match (i, &trace) {
-                    (
-                        Instr::Ld {
-                            dsts,
-                            space: MemSpace::Global,
-                            ..
-                        },
-                        Some(tr),
-                    ) => {
-                        issue_cost = tp.issue_mem;
+                match *i {
+                    Inst::Ld {
+                        space: MemSpace::Global,
+                        width,
+                        dsts,
+                        ..
+                    } => {
                         // Coalesce each half-warp and push transactions
                         // through the memory pipe.
                         let mut data_ready = now + tp.issue_mem + tp.mem_latency;
-                        for h in tr.addrs.chunks(half) {
-                            for &bytes in co_cache.transaction_sizes(h, tr.width) {
+                        for h in at.lanes(0).chunks(half) {
+                            for &bytes in co_cache.transaction_sizes(h, width) {
                                 let start = mem_free.max(now + tp.issue_mem);
                                 mem_free = start + tp.transaction_busy(bytes);
                                 data_ready = data_ready.max(start + tp.mem_latency);
@@ -298,42 +284,37 @@ pub fn time_sm_queue<M: DeviceMem>(
                                 stats.bus_bytes += bytes as u64;
                             }
                         }
-                        for d in dsts {
-                            w.reg_ready[d.0 as usize] = data_ready;
+                        for d in &dsts[..width.words()] {
+                            w.reg_ready[*d as usize] = data_ready;
                         }
-                        w.outstanding.retain(|&d| d > now);
-                        w.outstanding.push(data_ready);
+                        w.track_load(now, data_ready);
+                        tp.issue_mem
                     }
-                    (
-                        Instr::St {
-                            space: MemSpace::Global,
-                            ..
-                        },
-                        Some(tr),
-                    ) => {
-                        issue_cost = tp.issue_mem;
-                        for h in tr.addrs.chunks(half) {
-                            for &bytes in co_cache.transaction_sizes(h, tr.width) {
+                    Inst::St {
+                        space: MemSpace::Global,
+                        width,
+                        ..
+                    } => {
+                        for h in at.lanes(0).chunks(half) {
+                            for &bytes in co_cache.transaction_sizes(h, width) {
                                 let start = mem_free.max(now + tp.issue_mem);
                                 mem_free = start + tp.transaction_busy(bytes);
                                 stats.transactions += 1;
                                 stats.bus_bytes += bytes as u64;
                             }
                         }
+                        tp.issue_mem
                     }
-                    (
-                        Instr::Ld {
-                            dsts,
-                            space: MemSpace::Texture,
-                            ..
-                        },
-                        Some(tr),
-                    ) => {
+                    Inst::Ld {
+                        space: MemSpace::Texture,
+                        width,
+                        dsts,
+                        ..
+                    } => {
                         // Texture path: no coalescing; 32B-line cache per SM.
-                        issue_cost = tp.issue_mem;
                         let mut data_ready = now + tp.issue_mem + tp.tex_hit_latency;
-                        for a in tr.addrs.iter().flatten() {
-                            for line in TexCache::lines_of(*a, tr.width.bytes()) {
+                        for a in at.active() {
+                            for line in TexCache::lines_of(a, width.bytes()) {
                                 if tex_cache.access(line) {
                                     stats.tex_hits += 1;
                                 } else {
@@ -346,214 +327,184 @@ pub fn time_sm_queue<M: DeviceMem>(
                                 }
                             }
                         }
-                        for d in dsts {
-                            w.reg_ready[d.0 as usize] = data_ready;
+                        for d in &dsts[..width.words()] {
+                            w.reg_ready[*d as usize] = data_ready;
                         }
-                        w.outstanding.retain(|&d| d > now);
-                        w.outstanding.push(data_ready);
+                        w.track_load(now, data_ready);
+                        tp.issue_mem
                     }
-                    (
-                        Instr::Ld {
-                            space: MemSpace::Shared,
-                            ..
-                        },
-                        Some(tr),
-                    )
-                    | (
-                        Instr::St {
-                            space: MemSpace::Shared,
-                            ..
-                        },
-                        Some(tr),
-                    ) => {
-                        let words = tr.width.bytes() / 4;
+                    Inst::Ld {
+                        space: MemSpace::Shared,
+                        width,
+                        ..
+                    }
+                    | Inst::St {
+                        space: MemSpace::Shared,
+                        width,
+                        ..
+                    } => {
+                        let words = width.words();
                         // Worst conflict degree across half-warps and phases.
                         let mut degree = 1u64;
-                        for h in tr.addrs.chunks(half) {
-                            for phase in 0..words {
-                                let phase_addrs: Vec<Option<u64>> =
-                                    h.iter().map(|a| a.map(|a| a + 4 * phase)).collect();
-                                degree = degree
-                                    .max(conflict_degree(&phase_addrs, dev.smem_banks) as u64);
+                        for phase in 0..words as u64 {
+                            for h in at.lanes(4 * phase).chunks(half) {
+                                degree = degree.max(conflict_degree(h, dev.smem_banks) as u64);
                             }
                         }
-                        issue_cost = tp.issue_smem * words * degree;
-                        if let Instr::Ld { dsts, .. } = i {
-                            for d in dsts {
-                                w.reg_ready[d.0 as usize] = now + issue_cost + SMEM_LATENCY;
+                        let cost = tp.issue_smem * words as u64 * degree;
+                        if let Inst::Ld { dsts, .. } = i {
+                            for d in &dsts[..words] {
+                                w.reg_ready[*d as usize] = now + cost + SMEM_LATENCY;
                             }
                         }
+                        cost
                     }
-                    (
-                        Instr::Unary {
-                            op: UnaryOp::FRsqrt,
-                            dst,
-                            ..
-                        },
-                        _,
-                    ) => {
-                        issue_cost = tp.issue_sfu;
-                        w.reg_ready[dst.0 as usize] = now + issue_cost + SFU_RAW_LATENCY;
+                    Inst::Unary {
+                        op: UnaryOp::FRsqrt,
+                        dst,
+                        ..
+                    } => {
+                        w.reg_ready[dst as usize] = now + tp.issue_sfu + SFU_RAW_LATENCY;
+                        tp.issue_sfu
                     }
-                    (Instr::Setp { dst, .. }, _) => {
-                        issue_cost = tp.issue_alu;
-                        w.pred_ready[dst.0 as usize] = now + issue_cost + ALU_RAW_LATENCY;
+                    Inst::Setp { dst, .. } => {
+                        w.pred_ready[dst as usize] = now + tp.issue_alu + ALU_RAW_LATENCY;
+                        tp.issue_alu
                     }
-                    _ => {
-                        issue_cost = tp.issue_alu;
-                        for d in i.defs() {
-                            w.reg_ready[d.0 as usize] = now + issue_cost + ALU_RAW_LATENCY;
-                        }
+                    Inst::Mov { dst, .. }
+                    | Inst::Special { dst, .. }
+                    | Inst::Alu { dst, .. }
+                    | Inst::Mad { dst, .. }
+                    | Inst::Unary { dst, .. }
+                    | Inst::Clock { dst } => {
+                        w.reg_ready[dst as usize] = now + tp.issue_alu + ALU_RAW_LATENCY;
+                        tp.issue_alu
                     }
-                }
-                issue_free = now + issue_cost;
-                busy_until = busy_until.max(issue_free);
-                w.resume_at = issue_free;
-                w.cursor.step();
-                w.finish = w.finish.max(issue_free);
-                if w.cursor.fetch(prog).is_none() {
-                    w.phase = WarpPhase::Done;
+                    // A texture store faults in `exec` before it gets here.
+                    Inst::St {
+                        space: MemSpace::Texture,
+                        ..
+                    } => tp.issue_alu,
                 }
             }
-            LinStmt::Bra {
+            Op::Bra {
                 pred,
                 negate,
                 target,
             } => {
                 stats.warp_instructions += 1;
-                let w = &warps[wi];
-                let m = pred_mask(&blocks[w.block], w.warp_in_block, mask, *pred, *negate);
+                let mask = blk.mask(wib);
+                let m = blk.pred_mask(wib, pred, negate);
                 if m != 0 && m != mask {
                     let lane = (m ^ mask).trailing_zeros();
                     return Err(
                         DeviceError::new(FaultKind::DivergentBranch { mask, taken: m })
                             .with_kernel(&prog.name)
-                            .with_block(blocks[w.block].block_id)
-                            .with_thread(w.warp_in_block as u32 * 32 + lane)
+                            .with_block(blk.block_id)
+                            .with_thread((wib * WARP) as u32 + lane)
                             .with_instruction(now),
                     );
                 }
-                let taken = m == mask;
-                let w = &mut warps[wi];
-                issue_free = now + tp.issue_alu;
-                busy_until = busy_until.max(issue_free);
-                w.resume_at = issue_free;
-                w.cursor.branch(taken, *target);
-                w.finish = w.finish.max(issue_free);
-                if w.cursor.fetch(prog).is_none() {
-                    w.phase = WarpPhase::Done;
-                }
+                blk.branch(wib, m == mask, target);
+                tp.issue_alu
             }
-            LinStmt::IfMasked {
+            Op::If {
                 pred,
                 negate,
-                then_seq,
-                else_seq,
+                else_pc,
             } => {
                 // The branch instruction guarding the region.
                 stats.warp_instructions += 1;
-                let w = &warps[wi];
-                let tm = pred_mask(&blocks[w.block], w.warp_in_block, mask, *pred, *negate);
-                let em = mask & !tm;
-                let w = &mut warps[wi];
-                issue_free = now + tp.issue_alu;
-                busy_until = busy_until.max(issue_free);
-                w.resume_at = issue_free;
-                w.cursor.enter_if(*then_seq, *else_seq, tm, em);
-                w.finish = w.finish.max(issue_free);
-                if w.cursor.fetch(prog).is_none() {
-                    w.phase = WarpPhase::Done;
-                }
+                blk.enter_if(wib, pred, negate, else_pc);
+                tp.issue_alu
             }
-            LinStmt::WhileMasked {
-                pred,
-                negate,
-                body_seq,
-            } => {
-                let w = &mut warps[wi];
-                issue_free = now + tp.issue_alu;
-                busy_until = busy_until.max(issue_free);
-                w.resume_at = issue_free;
-                w.cursor.enter_while(*body_seq, *pred, *negate, mask);
-                w.finish = w.finish.max(issue_free);
-                if w.cursor.fetch(prog).is_none() {
-                    w.phase = WarpPhase::Done;
-                }
+            Op::While => {
+                blk.enter_while(wib);
+                tp.issue_alu
             }
-            LinStmt::Sync => {
+            Op::WhileBack { pred, negate, body } => {
+                // Divergent-loop back-edge: a branch instruction.
+                stats.warp_instructions += 1;
+                blk.while_back(wib, pred, negate, body);
+                tp.issue_alu
+            }
+            Op::Sync => {
                 stats.warp_instructions += 1; // bar.sync is an instruction
-                                              // (fallthrough to barrier handling below)
-                let w = &mut warps[wi];
-                issue_free = now + tp.issue_sync;
-                busy_until = busy_until.max(issue_free);
                 w.phase = WarpPhase::AtBarrier;
-                w.resume_at = issue_free;
-                w.finish = w.finish.max(issue_free);
-                // Release the barrier if everyone arrived.
-                let block = warps[wi].block;
-                let all_arrived = warps
+                tp.issue_sync
+            }
+            // `earliest_issue` never offers a warp at the end of the tape.
+            Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => continue,
+        };
+        issue_free = now + issue_cost;
+        busy_until = busy_until.max(issue_free);
+        w.resume_at = issue_free;
+        w.finish = w.finish.max(issue_free);
+        if w.phase == WarpPhase::AtBarrier {
+            // Release the barrier if everyone arrived.
+            let block = w.block;
+            let all_arrived = warps
+                .iter()
+                .filter(|x| x.block == block)
+                .all(|x| matches!(x.phase, WarpPhase::AtBarrier | WarpPhase::Done));
+            if all_arrived {
+                let release = warps
                     .iter()
-                    .filter(|x| x.block == block)
-                    .all(|x| matches!(x.phase, WarpPhase::AtBarrier | WarpPhase::Done));
-                if all_arrived {
-                    let release = warps
-                        .iter()
-                        .filter(|x| x.block == block && x.phase == WarpPhase::AtBarrier)
-                        .map(|x| x.resume_at)
-                        .max()
-                        .unwrap_or(now);
-                    for x in warps.iter_mut().filter(|x| x.block == block) {
-                        if x.phase == WarpPhase::AtBarrier {
-                            x.phase = WarpPhase::Ready;
-                            x.resume_at = x.resume_at.max(release);
-                            x.cursor.step();
-                            if x.cursor.fetch(prog).is_none() {
-                                x.phase = WarpPhase::Done;
-                            }
+                    .filter(|x| x.block == block && x.phase == WarpPhase::AtBarrier)
+                    .map(|x| x.resume_at)
+                    .max()
+                    .unwrap_or(now);
+                for x in warps.iter_mut().filter(|x| x.block == block) {
+                    if x.phase == WarpPhase::AtBarrier {
+                        x.phase = WarpPhase::Ready;
+                        x.resume_at = x.resume_at.max(release);
+                        blocks[block].advance(x.warp_in_block);
+                        if blocks[block].done(x.warp_in_block) {
+                            x.phase = WarpPhase::Done;
                         }
                     }
                 }
             }
+        } else if blk.done(wib) {
+            w.phase = WarpPhase::Done;
         }
 
         // Block retirement → admit the next pending block into the slot.
-        if !pending.is_empty() {
-            let slot = warps[wi].block;
-            let all_done = warps
+        let slot = warps[wi].block;
+        if let Some((&next_id, rest)) = queue.split_first() {
+            if warps
                 .iter()
                 .filter(|x| x.block == slot)
-                .all(|x| x.phase == WarpPhase::Done);
-            if all_done {
-                if let Some(next_id) = pending.pop_front() {
-                    let retire = warps
-                        .iter()
-                        .filter(|x| x.block == slot)
-                        .map(|x| x.finish)
-                        .max()
-                        .unwrap_or(0);
-                    blocks[slot] = BlockCtx::new(prog, next_id, n_threads, params)?;
-                    for x in warps.iter_mut().filter(|x| x.block == slot) {
-                        x.cursor = Cursor::new(prog, live_lane_mask(n_threads, x.warp_in_block));
-                        x.phase = WarpPhase::Ready;
-                        x.resume_at = retire;
-                        x.reg_ready.iter_mut().for_each(|r| *r = retire);
-                        x.pred_ready.iter_mut().for_each(|r| *r = retire);
-                        x.outstanding.clear();
-                        x.finish = retire;
-                    }
+                .all(|x| x.phase == WarpPhase::Done)
+            {
+                queue = rest;
+                let retire = warps
+                    .iter()
+                    .filter(|x| x.block == slot)
+                    .map(|x| x.finish)
+                    .max()
+                    .unwrap_or(0);
+                blocks[slot] = new_block(next_id)?;
+                for x in warps.iter_mut().filter(|x| x.block == slot) {
+                    x.admit(retire);
                 }
             }
         }
     }
 
-    // Sanity: nobody left parked at a barrier.
+    // Sanity: nobody left parked at a barrier, and every block admitted.
     if !warps.iter().all(|w| w.phase == WarpPhase::Done) {
         return Err(DeviceError::new(FaultKind::Deadlock {
             reason: "warp parked at a barrier at end of simulation".into(),
         })
         .with_kernel(&prog.name));
     }
-    assert!(pending.is_empty(), "blocks left unadmitted");
+    if !queue.is_empty() {
+        return Err(DeviceError::new(FaultKind::Deadlock {
+            reason: format!("{} blocks never admitted", queue.len()),
+        })
+        .with_kernel(&prog.name));
+    }
     stats.cycles = warps
         .iter()
         .map(|w| w.finish)
@@ -685,47 +636,44 @@ pub fn time_grid_lowered_full(
     Ok(total)
 }
 
-/// Earliest cycle at which this warp could issue its next instruction, or
-/// `None` if it cannot issue at all right now (done, or parked at a barrier).
-fn earliest_issue(w: &WarpSim, prog: &Program, issue_free: u64, tp: &TimingParams) -> Option<u64> {
+/// Earliest cycle at which this warp could issue its next op, or `None` if
+/// it cannot issue at all right now (done, or parked at a barrier).
+fn earliest_issue(
+    w: &WarpSim,
+    blocks: &[Block],
+    tape: &Tape,
+    issue_free: u64,
+    tp: &TimingParams,
+) -> Option<u64> {
     if w.phase != WarpPhase::Ready {
         return None;
     }
-    // Peek the next statement without mutating the cursor: clone it (frames
-    // are tiny).
-    let mut c = w.cursor.clone();
-    let item = c.fetch(prog)?;
+    let blk = &blocks[w.block];
     let mut t = issue_free.max(w.resume_at);
-    let stmt = match item {
-        FetchItem::Stmt(s, _) => s,
-        FetchItem::WhileBackedge { pred, .. } => {
-            return Some(t.max(w.pred_ready[pred.0 as usize]));
-        }
-    };
-    match stmt {
-        LinStmt::I(i) => {
-            for u in i.uses() {
-                t = t.max(w.reg_ready[u.0 as usize]);
+    match blk.op(w.warp_in_block) {
+        Op::Inst(i) => {
+            for &u in tape.uses[blk.pc(w.warp_in_block)].regs() {
+                t = t.max(w.reg_ready[u as usize]);
             }
-            if let Instr::Ld {
+            if let Inst::Ld {
                 space: MemSpace::Global,
                 ..
             } = i
             {
-                let in_flight = w.outstanding.iter().filter(|&&done| done > t).count() as u32;
-                if in_flight >= tp.max_outstanding_loads {
-                    let mut completions: Vec<u64> =
-                        w.outstanding.iter().copied().filter(|&d| d > t).collect();
-                    completions.sort_unstable();
-                    let idx = completions.len() - tp.max_outstanding_loads as usize;
-                    t = t.max(completions[idx]);
+                // At most `max_outstanding_loads` loads in flight: wait for
+                // enough of those still pending at `t` to complete.
+                let limit = (tp.max_outstanding_loads as usize).max(1);
+                let in_flight = &w.outstanding[w.outstanding.partition_point(|&d| d <= t)..];
+                if in_flight.len() >= limit {
+                    t = t.max(in_flight[in_flight.len() - limit]);
                 }
             }
         }
-        LinStmt::Bra { pred, .. } | LinStmt::IfMasked { pred, .. } => {
-            t = t.max(w.pred_ready[pred.0 as usize]);
+        Op::Bra { pred, .. } | Op::If { pred, .. } | Op::WhileBack { pred, .. } => {
+            t = t.max(w.pred_ready[*pred as usize]);
         }
-        LinStmt::WhileMasked { .. } | LinStmt::Sync => {}
+        Op::While | Op::Sync => {}
+        Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => return None,
     }
     Some(t)
 }
@@ -883,7 +831,7 @@ mod tests {
         let tid = b.special(crate::ir::SpecialReg::TidX);
         let sa = b.imul(tid.into(), Operand::ImmU(4));
         let tf = b.reg();
-        b.emit(Instr::Unary {
+        b.emit(crate::ir::Instr::Unary {
             op: UnaryOp::U2F,
             dst: tf,
             a: tid.into(),

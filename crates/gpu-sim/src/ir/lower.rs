@@ -17,10 +17,16 @@
 //! — which is exactly the per-iteration overhead (one add, one compare, one
 //! jump, plus the address add inside the body) the paper's unrolling analysis
 //! eliminates. The lowered form executes at least one iteration; all loops in
-//! this workspace have statically positive trip counts, and the executor
-//! asserts uniformity of the branch predicate.
+//! this workspace have statically positive trip counts, and a branch whose
+//! predicate differs across the active lanes of a warp fails the launch with
+//! a typed [`FaultKind::DivergentBranch`].
+//!
+//! [`lower()`] then compiles the sequences once more into the flat tape both
+//! execution engines run (`exec::tape`), and keeps it in the [`Program`].
 
 use super::*;
+use crate::exec::tape::{compile, Tape};
+use crate::fault::{DeviceError, DeviceResult, FaultKind};
 
 /// A lowered statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,6 +87,8 @@ pub struct Program {
     pub n_preds: u16,
     /// Static shared memory bytes per block.
     pub smem_bytes: u32,
+    /// The sequences compiled for the engines, or why they are malformed.
+    tape: Result<Tape, String>,
 }
 
 struct Lowerer {
@@ -173,6 +181,14 @@ pub fn lower(kernel: &Kernel) -> Program {
     };
     // Reserve the root slot first so nested sequences come after it.
     let root = l.lower_body(&kernel.body);
+    let tape = compile(
+        &l.seqs,
+        root,
+        kernel.n_params,
+        kernel.n_regs,
+        l.next_pred,
+        kernel.smem_bytes,
+    );
     Program {
         name: kernel.name.clone(),
         seqs: l.seqs,
@@ -181,18 +197,22 @@ pub fn lower(kernel: &Kernel) -> Program {
         n_regs: kernel.n_regs,
         n_preds: l.next_pred,
         smem_bytes: kernel.smem_bytes,
+        tape,
     }
 }
 
 impl Program {
-    /// Total lowered instructions (static), across all sequences; branches
-    /// count as instructions, `Sync`/`IfMasked` markers do not.
-    pub fn static_instr_count(&self) -> usize {
-        self.seqs
-            .iter()
-            .flatten()
-            .filter(|s| matches!(s, LinStmt::I(_) | LinStmt::Bra { .. }))
-            .count()
+    /// The tape the engines run. A program that failed to compile (a
+    /// load/store width other than 1, 2 or 4 words, a register or predicate
+    /// index out of range, a branch target past its sequence) is a
+    /// [`FaultKind::BadLaunch`] naming the kernel.
+    pub(crate) fn tape(&self) -> DeviceResult<&Tape> {
+        self.tape.as_ref().map_err(|reason| {
+            DeviceError::new(FaultKind::BadLaunch {
+                reason: format!("malformed program: {reason}"),
+            })
+            .with_kernel(&self.name)
+        })
     }
 }
 

@@ -329,9 +329,8 @@ impl GlobalMemory {
     pub fn load_u32(&self, addr: u64) -> DeviceResult<u32> {
         self.check(addr, 4, true)?;
         let a = addr as usize;
-        Ok(u32::from_le_bytes(
-            self.data[a..a + 4].try_into().expect("4-byte slice"),
-        ))
+        let d = &self.data[a..a + 4];
+        Ok(u32::from_le_bytes([d[0], d[1], d[2], d[3]]))
     }
 
     /// Store a 32-bit word as raw bits.
@@ -464,7 +463,7 @@ impl GlobalMemory {
 }
 
 /// Word-granular device memory as seen by the warp stepper: everything
-/// [`crate::exec::machine::exec_instr`] needs from a memory. Implemented by
+/// the executors' `Block::exec` needs from a memory. Implemented by
 /// the real [`GlobalMemory`] and by per-block [`BlockShard`] write-views, so
 /// one generic executor serves both the sequential and the parallel path.
 pub trait DeviceMem {

@@ -243,7 +243,10 @@ fn cases() -> Vec<(&'static str, Launch)> {
         ("force_soa_256", force_launch(OptLevel::SoA, 256)),
         ("force_aoas_256", force_launch(OptLevel::AoaS, 256)),
         ("force_soaoas_256", force_launch(OptLevel::SoAoaS, 256)),
-        ("force_unrolled_256", force_launch(OptLevel::SoAoaSUnrolled, 256)),
+        (
+            "force_unrolled_256",
+            force_launch(OptLevel::SoAoaSUnrolled, 256),
+        ),
         ("force_full_256", force_launch(OptLevel::Full, 256)),
         // 200 bodies: the last block is partly padding.
         ("force_full_200", force_launch(OptLevel::Full, 200)),
@@ -327,9 +330,13 @@ fn collatz_passes(threads: std::ops::Range<u32>) -> Passes {
         if !stepping.is_empty() {
             p.then += 1;
             p.odd += stepping.iter().any(|&l| n[l] % 2 == 1) as u64;
-            p.even += stepping.iter().any(|&l| n[l] % 2 == 0) as u64;
+            p.even += stepping.iter().any(|&l| n[l].is_multiple_of(2)) as u64;
             for &l in &stepping {
-                n[l] = if n[l] % 2 == 1 { 3 * n[l] + 1 } else { n[l] / 2 };
+                n[l] = if n[l] % 2 == 1 {
+                    3 * n[l] + 1
+                } else {
+                    n[l] / 2
+                };
             }
         }
         for l in 0..n.len() {
