@@ -37,21 +37,12 @@ pub struct LaunchEnv {
 
 /// The effective byte address of every active lane of one memory access,
 /// for the timed engine's coalescer and bank models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct LaneAddrs {
     /// Per-lane addresses; only lanes in `mask` are meaningful.
     pub addrs: [u64; WARP],
     /// The lanes that accessed memory.
     pub mask: u32,
-}
-
-impl Default for LaneAddrs {
-    fn default() -> Self {
-        LaneAddrs {
-            addrs: [0; WARP],
-            mask: 0,
-        }
-    }
 }
 
 impl LaneAddrs {
