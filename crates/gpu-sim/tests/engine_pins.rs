@@ -15,7 +15,7 @@
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
 use gpu_kernels::membench::{build_membench_kernel, build_membench_texture_kernel, MembenchConfig};
 use gpu_sim::exec::functional::{run_lowered_full, FunctionalRun};
-use gpu_sim::exec::timed::{time_resident, TimedRun};
+use gpu_sim::exec::timed::{time_grid_lowered_full, time_resident, TimedRun};
 use gpu_sim::ir::lower::lower;
 use gpu_sim::ir::{AluOp, CmpOp, Kernel, KernelBuilder, MemSpace, Operand, SpecialReg, UnaryOp};
 use gpu_sim::mem::{DevicePtr, GlobalMemory};
@@ -405,4 +405,149 @@ fn branches_and_barriers_count_once_in_both_engines() {
     assert_eq!(run.warp_instructions, 3 * per_warp);
     assert_eq!(run.barriers, 3 * 3);
     assert_eq!(timed(&l).warp_instructions, 3 * per_warp);
+}
+
+/// Warp instructions and digest of a 4096-body force frame at the full
+/// optimization level on the functional engine: G-scaled masses from
+/// `uniform_ball(4096, 5.0, 2.0, 42)`, as gravit uploads them. The digest
+/// covers the accelerations, then the instruction and barrier counts.
+fn force_n4096(threads: usize) -> (u64, u64) {
+    let cfg = OptLevel::Full.config();
+    let fp = nbody::model::ForceParams::default();
+    let bodies = nbody::spawn::uniform_ball(4096, 5.0, 2.0, 42);
+    let particles: Vec<Particle> = (0..bodies.len())
+        .map(|i| Particle {
+            pos: bodies.pos[i],
+            vel: bodies.vel[i],
+            mass: fp.g * bodies.mass[i],
+        })
+        .collect();
+    let mut gmem = GlobalMemory::new(64 << 20);
+    let img = DeviceImage::upload(&mut gmem, cfg.layout, &particles, cfg.block).unwrap();
+    let out = alloc_accel_out(&mut gmem, img.padded_n).unwrap();
+    let run = run_lowered_full(
+        &lower(&build_force_kernel(cfg)),
+        img.padded_n / cfg.block,
+        cfg.block,
+        &force_params(&img, out, fp.softening),
+        &mut gmem,
+        None,
+        None,
+        threads,
+    )
+    .unwrap();
+    let mut bytes = gmem.download(out, u64::from(img.n) * 16).unwrap();
+    bytes.extend(run.warp_instructions.to_le_bytes());
+    bytes.extend(run.barriers.to_le_bytes());
+    (run.warp_instructions, fnv1a(&bytes))
+}
+
+/// The SoAoaS membench kernel over 64 blocks of 64 threads on sentinel
+/// particles, with both output buffers (delta, then sum) read back.
+fn membench_64x64() -> (Kernel, GlobalMemory, Vec<u32>, [(DevicePtr, u64); 2]) {
+    let cfg = MembenchConfig {
+        layout: Layout::SoAoaS,
+        iters: 2,
+    };
+    let (grid, block) = (64u32, 64u32);
+    let ps = vec![Particle::SENTINEL; cfg.particles_needed(grid, block) as usize];
+    let mut gmem = GlobalMemory::new(64 << 20);
+    let img = DeviceImage::upload(&mut gmem, cfg.layout, &ps, block).unwrap();
+    let bytes = u64::from(grid * block) * 4;
+    let out_delta = gmem.alloc(bytes).unwrap();
+    let out_sum = gmem.alloc(bytes).unwrap();
+    let mut params = img.base_params();
+    params.push(out_delta.0 as u32);
+    params.push(out_sum.0 as u32);
+    let outs = [(out_delta, bytes), (out_sum, bytes)];
+    (build_membench_kernel(cfg), gmem, params, outs)
+}
+
+fn outputs(gmem: &GlobalMemory, outs: &[(DevicePtr, u64)], stats: &[u64]) -> u64 {
+    let mut bytes = Vec::new();
+    for &(ptr, len) in outs {
+        bytes.extend(gmem.download(ptr, len).unwrap());
+    }
+    for s in stats {
+        bytes.extend(s.to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+/// [`membench_64x64`] on the functional engine; the digest folds in the
+/// instruction and barrier counts.
+fn membench_functional(threads: usize) -> (u64, u64) {
+    let (kernel, mut gmem, params, outs) = membench_64x64();
+    let run = run_lowered_full(
+        &lower(&kernel),
+        64,
+        64,
+        &params,
+        &mut gmem,
+        None,
+        None,
+        threads,
+    )
+    .unwrap();
+    let stats = [run.warp_instructions, run.barriers];
+    (run.warp_instructions, outputs(&gmem, &outs, &stats))
+}
+
+/// [`membench_64x64`] on the timed engine (one resident block per SM); the
+/// digest folds in instructions, cycles, transactions and bus bytes.
+fn membench_timed(threads: usize) -> (u64, u64) {
+    let (kernel, mut gmem, params, outs) = membench_64x64();
+    let driver = DriverModel::Cuda10;
+    let run = time_grid_lowered_full(
+        &lower(&kernel),
+        64,
+        64,
+        1,
+        &params,
+        &mut gmem,
+        &DeviceConfig::g8800gtx(),
+        driver,
+        &TimingParams::for_driver(driver),
+        threads,
+    )
+    .unwrap();
+    let stats = [
+        run.warp_instructions,
+        run.cycles,
+        run.transactions,
+        run.bus_bytes,
+    ];
+    (run.warp_instructions, outputs(&gmem, &outs, &stats))
+}
+
+/// Full-scale launches at 1 and 8 host threads: warp instructions and the
+/// output-plus-statistics digest.
+#[test]
+fn full_scale_launches_match_their_pins() {
+    type Case = (&'static str, fn(usize) -> (u64, u64), u64, u64);
+    let cases: [Case; 3] = [
+        ("force_n4096", force_n4096, 8_423_296, 0xf336_893c_fca6_7c5d),
+        (
+            "membench_soaos",
+            membench_functional,
+            6_144,
+            0xedcc_23af_11a4_bedd,
+        ),
+        (
+            "timed_membench",
+            membench_timed,
+            6_144,
+            0x8ba3_7555_dc4b_47e9,
+        ),
+    ];
+    for (name, run, winst, digest) in cases {
+        for threads in [1, 8] {
+            let (got_winst, got_digest) = run(threads);
+            assert_eq!(
+                (got_winst, format!("{got_digest:016x}")),
+                (winst, format!("{digest:016x}")),
+                "{name} at {threads} threads"
+            );
+        }
+    }
 }

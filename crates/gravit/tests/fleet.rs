@@ -83,6 +83,62 @@ fn quiet_pool_completes_every_job_bitwise_identical() {
     }
 }
 
+fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The pinned quiet batch: 24 jobs of 96 bodies for 6 steps, tenant
+/// `id % 4`, workload seed `42 ^ id`, on a quiet pool and schedule seeded 42.
+/// Each pool size pins its tick count and an FNV-1a digest of the event log
+/// (as JSON) followed by every final state, so any change to scheduling or
+/// to a job's physics moves it.
+#[test]
+fn quiet_batch_schedule_matches_its_pins() {
+    let spec = |id: u64| JobSpec {
+        id,
+        tenant: format!("tenant-{}", id % 4),
+        config: SimConfig {
+            n: 96,
+            spawn: SpawnKind::UniformBall { radius: 4.0 },
+            seed: 42 ^ id,
+            dt: 0.01,
+            backend: gpu_backend(),
+            fault_policy: FaultPolicy::FallbackToCpu,
+            ..SimConfig::default()
+        },
+        steps: 6,
+    };
+    for (devices, ticks, digest) in [
+        (1, 48, 0x037b_a03c_937b_32f3_u64),
+        (2, 24, 0xb81e_5bbc_3113_1bf5),
+        (4, 16, 0x908c_295c_7dc4_91df),
+    ] {
+        let pool = DevicePool::uniform(42, devices, DeviceSpec::quiet()).unwrap();
+        let cfg = FleetConfig {
+            seed: 42,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::new(cfg, pool);
+        let outcome = drive(&mut fleet, (0..24).map(spec).collect(), 100_000).unwrap();
+        assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
+        assert_eq!(fleet.completed().len(), 24);
+        let events = serde_json::to_string(fleet.events()).unwrap();
+        let mut h = fnv1a(events.as_bytes(), 0xcbf2_9ce4_8422_2325);
+        for done in fleet.completed() {
+            h = fnv1a(&done.final_state.to_bytes(), h);
+        }
+        assert_eq!(
+            (outcome.ticks, format!("{h:016x}")),
+            (ticks, format!("{digest:016x}")),
+            "{devices} devices"
+        );
+    }
+}
+
 #[test]
 fn chaotic_pool_loses_no_job_and_stays_bitwise_identical() {
     let spec = DeviceSpec {

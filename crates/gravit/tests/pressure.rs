@@ -11,7 +11,9 @@ use gpu_sim::transient::{FaultRates, TransientFaultPlan};
 use gpu_sim::DriverModel;
 use gravit_app::backend::{frame_memory_budget, Backend, FaultPolicy, FrameOpts};
 use gravit_app::config::{SimConfig, SpawnKind};
-use gravit_app::pressure::{chunked_memory_budget, plan_frame, ExecMode};
+use gravit_app::pressure::{
+    chunked_memory_budget, downgrade, gpu_frame_chunked, plan_frame, ExecMode,
+};
 use gravit_app::recovery::RecoveryPolicy;
 use gravit_app::sim::Simulation;
 use gravit_app::Integrator;
@@ -137,6 +139,33 @@ fn hopeless_capacity_ends_on_the_cpu_rung() {
         "full -> chunked... -> cpu: {:?}",
         report.ladder
     );
+}
+
+/// The ladder at n = 960, full optimization level: the full frame's device
+/// footprint, then every chunked rung `downgrade` visits with its footprint,
+/// then the CPU. Each chunked frame is bitwise equal to the unconstrained
+/// frame.
+#[test]
+fn ladder_rungs_at_n960_match_their_pins() {
+    let level = OptLevel::Full;
+    let n = 960;
+    let bodies = spawn::uniform_ball(n as usize, 5.0, 2.0, 42);
+    let fp = ForceParams::default();
+    let reference = gpu(level).try_accelerations(&bodies, &fp).unwrap();
+    assert_eq!(frame_memory_budget(level, n), 49_920);
+    let mut rungs = Vec::new();
+    let mut mode = ExecMode::Full;
+    while let Some(next) = downgrade(level, n, mode) {
+        if let ExecMode::Chunked { chunk } = next {
+            let accels =
+                gpu_frame_chunked(&bodies, &fp, level, chunk, &mut FrameOpts::default()).unwrap();
+            assert!(accels == reference, "chunk {chunk} is not bit-identical");
+            rungs.push((chunk, chunked_memory_budget(level, chunk)));
+        }
+        mode = next;
+    }
+    assert_eq!(mode, ExecMode::Cpu);
+    assert_eq!(rungs, [(512, 42_240), (256, 21_760), (128, 11_520)]);
 }
 
 /// A full constrained *simulation* (multi-step leapfrog) produces the exact
