@@ -1,8 +1,8 @@
-//! Fleet chaos soak + throughput benchmark: the supervised device pool under
-//! rotating fault mixes, with every runtime invariant checked from outside.
+//! Fleet chaos soak: the supervised device pool under rotating fault mixes,
+//! with every runtime invariant checked from outside.
 //!
-//! **Soak** (`--jobs J --devices D`, default 200×4): campaigns of jobs are
-//! driven through a faulty pool while the harness asserts, per tick and per
+//! Campaigns of jobs (`--jobs J --devices D`, default 200×4) are driven
+//! through a faulty pool while the harness asserts, per tick and per
 //! campaign:
 //!
 //! 1. no admitted job is ever lost — `completed + rejected == submitted` and
@@ -15,17 +15,10 @@
 //! 5. the same seed replays the event log, per-device fault history and
 //!    final states exactly (campaign 0 is run twice and compared).
 //!
-//! **Throughput** rows drive a quiet batch through pool sizes {1, 2, 4} and
-//! record jobs/sec into `BENCH_fleet.json`. The event log and final states
-//! are checksummed (FNV-1a): with `--check-against PATH` any checksum or
-//! tick-count drift against the committed baseline fails hard (scheduling is
-//! host-independent), while wall time gets a 1.2× + 50 ms envelope.
-//!
 //! Usage: `fleet [--devices D] [--jobs J] [--campaigns C] [--n N]
-//!         [--steps S] [--seed SEED] [--json PATH] [--check-against PATH]
-//!         [--skip-perf] [--skip-soak]`. Any violation exits nonzero.
+//!         [--steps S] [--seed SEED]`. Any violation exits nonzero.
 
-use bench::gate::{self, flag, fnv1a, Envelope, FNV_OFFSET};
+use bench::gate::flag;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::transient::FaultRates;
 use gpu_sim::{DevicePool, DeviceSpec, DriverModel};
@@ -34,9 +27,7 @@ use gravit_app::checkpoint::Checkpoint;
 use gravit_app::config::{SimConfig, SpawnKind};
 use gravit_app::fleet::{Fleet, FleetConfig, FleetEvent, Health, JobSpec, Rejected};
 use gravit_app::sim::Simulation;
-use serde::{Deserialize, Serialize};
-use simcore::par::host_threads;
-use simcore::{SplitMix64, Table};
+use simcore::SplitMix64;
 
 struct Violations(usize);
 
@@ -282,71 +273,6 @@ fn soak(
     );
 }
 
-/// One measured throughput cell.
-#[derive(Serialize, Deserialize)]
-struct FleetRow {
-    /// Pool size.
-    devices: usize,
-    /// Jobs pushed through.
-    jobs: u64,
-    /// Wall milliseconds for the whole batch.
-    wall_ms: f64,
-    /// Throughput.
-    jobs_per_s: f64,
-    /// Ticks the schedule took (host-independent witness #1).
-    ticks: u64,
-    /// FNV-1a over the event log and every final state, hex
-    /// (host-independent witness #2).
-    checksum: String,
-}
-
-#[derive(Serialize, Deserialize)]
-struct FleetReport {
-    bench: String,
-    host_cores: usize,
-    rows: Vec<FleetRow>,
-}
-
-/// Wall-time regression gate (same envelope as `simperf`).
-const ENVELOPE: Envelope = Envelope {
-    factor: 1.2,
-    slack_ms: 50.0,
-};
-
-fn perf_row(devices: usize, jobs: u64, n: usize, steps: u64, seed: u64) -> FleetRow {
-    let pool =
-        DevicePool::uniform(seed, devices, DeviceSpec::quiet()).expect("quiet pool is valid");
-    let cfg = FleetConfig {
-        seed,
-        ..FleetConfig::default()
-    };
-    let mut fleet = Fleet::new(cfg, pool);
-    let specs: Vec<JobSpec> = (0..jobs).map(|id| job(id, n, steps, seed)).collect();
-    let t0 = std::time::Instant::now();
-    let outcome =
-        gravit_app::fleet::drive(&mut fleet, specs, 100_000).expect("quiet batch converges");
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(outcome.rejected.is_empty(), "quiet batch must admit fully");
-    assert_eq!(fleet.completed().len() as u64, jobs);
-    let mut h = fnv1a(
-        serde_json::to_string(fleet.events())
-            .expect("events serialize")
-            .as_bytes(),
-        FNV_OFFSET,
-    );
-    for done in fleet.completed() {
-        h = fnv1a(&done.final_state.to_bytes(), h);
-    }
-    FleetRow {
-        devices,
-        jobs,
-        wall_ms,
-        jobs_per_s: f64::from(jobs as u32) / (wall_ms / 1e3).max(1e-9),
-        ticks: outcome.ticks,
-        checksum: format!("{h:016x}"),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let devices: usize = flag(&args, "--devices")
@@ -367,92 +293,17 @@ fn main() {
     let base_seed: u64 = flag(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(42);
-    let json_path = flag(&args, "--json").unwrap_or_else(|| "BENCH_fleet.json".into());
-    let baseline: Option<FleetReport> = gate::baseline(&args);
-    let host_cores = host_threads();
 
     let mut violations = Violations(0);
-    if !args.iter().any(|a| a == "--skip-soak") {
-        soak(
-            devices,
-            jobs,
-            campaigns,
-            n,
-            steps,
-            base_seed,
-            &mut violations,
-        );
-    }
-
-    if !args.iter().any(|a| a == "--skip-perf") {
-        // Throughput sweep: a fixed quiet batch through pool sizes {1,2,4}.
-        let perf_jobs = 24u64.min(jobs.max(1));
-        let rows: Vec<FleetRow> = [1usize, 2, 4]
-            .iter()
-            .map(|&d| perf_row(d, perf_jobs, 96, steps, base_seed))
-            .collect();
-        let mut table = Table::new(
-            "Fleet throughput — quiet pool, checkpoint-sliced scheduling",
-            &["devices", "jobs", "wall ms", "jobs/s", "ticks", "checksum"],
-        );
-        for r in &rows {
-            table.row(vec![
-                r.devices.to_string(),
-                r.jobs.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.2}", r.jobs_per_s),
-                r.ticks.to_string(),
-                r.checksum.clone(),
-            ]);
-        }
-        print!("{}", table.to_markdown());
-        println!("host cores: {host_cores}");
-
-        if let Some(b) = &baseline {
-            for r in &rows {
-                let Some(base) = b
-                    .rows
-                    .iter()
-                    .find(|x| x.devices == r.devices && x.jobs == r.jobs)
-                else {
-                    continue;
-                };
-                violations.check(
-                    base.checksum == r.checksum && base.ticks == r.ticks,
-                    &format!(
-                        "{} devices drifted from the committed baseline: checksum {} vs {}, \
-                         ticks {} vs {}",
-                        r.devices, r.checksum, base.checksum, r.ticks, base.ticks
-                    ),
-                );
-                violations.check(
-                    !ENVELOPE.regressed(base.wall_ms, r.wall_ms),
-                    &format!(
-                        "{} devices: {:.1} ms vs committed {:.1} ms (> {ENVELOPE})",
-                        r.devices, r.wall_ms, base.wall_ms
-                    ),
-                );
-            }
-            println!(
-                "checked {} rows against committed baseline (host_cores {} vs baseline {})",
-                rows.len(),
-                host_cores,
-                b.host_cores
-            );
-        }
-
-        let report = FleetReport {
-            bench: "fleet".into(),
-            host_cores,
-            rows,
-        };
-        std::fs::write(
-            &json_path,
-            serde_json::to_string_pretty(&report).expect("serialize"),
-        )
-        .expect("write BENCH_fleet.json");
-        println!("wrote {json_path}");
-    }
+    soak(
+        devices,
+        jobs,
+        campaigns,
+        n,
+        steps,
+        base_seed,
+        &mut violations,
+    );
 
     if violations.0 > 0 {
         eprintln!("[FAIL] {} fleet invariant violations", violations.0);

@@ -13,8 +13,7 @@
 //!   access-frequency grouping ablation;
 //! * [`report`] — writing results as markdown (stdout) + CSV
 //!   (`results/*.csv`);
-//! * [`gate`] — what the baseline-gated bins share: flag lookup, FNV-1a
-//!   checksums, the `--check-against` loader and the wall-time envelope.
+//! * [`gate`] — flag lookup for the bins that take options.
 //!
 //! Binaries under `src/bin/` are thin wrappers over these modules, so the
 //! experiments are also callable as a library (the integration tests do).

@@ -559,8 +559,6 @@ pub struct LintValidationRow {
     pub measured: u64,
     /// Whether the analysis claimed exactness (it must, for these kernels).
     pub exact: bool,
-    /// Analyzer wall time for this kernel × driver, milliseconds.
-    pub analyze_ms: f64,
 }
 
 /// Cross-validate the static analyzer's transaction prediction against the
@@ -593,7 +591,7 @@ pub fn lint_cross_validation() -> Vec<LintValidationRow> {
         params.push(out_sum.0 as u32);
         for driver in DriverModel::ALL {
             let acfg = AnalysisConfig::new(grid, block, params.clone()).with_driver(driver);
-            let (analyze_ms, report) = crate::gate::best_of(3, || analyze_kernel(&kernel, &acfg));
+            let report = analyze_kernel(&kernel, &acfg);
             let tp = TimingParams::for_driver(driver);
             let run = time_grid(
                 &kernel,
@@ -613,7 +611,6 @@ pub fn lint_cross_validation() -> Vec<LintValidationRow> {
                 predicted: report.predicted_transactions,
                 measured: run.transactions,
                 exact: report.exact,
-                analyze_ms,
             });
         }
     }
@@ -638,8 +635,6 @@ pub struct BoundsValidationRow {
     pub measured: u64,
     /// `tx_lo <= measured <= tx_hi` — the interval fragment's soundness.
     pub enclosed: bool,
-    /// Analyzer wall time for this kernel × driver, milliseconds.
-    pub analyze_ms: f64,
 }
 
 /// Cross-validate the interval fragment on the Barnes–Hut traversal: build a
@@ -680,7 +675,7 @@ pub fn bh_bounds_validation(n: u32) -> Vec<BoundsValidationRow> {
         let acfg = AnalysisConfig::new(grid, cfg.block, params.clone())
             .with_driver(driver)
             .with_trip_budget(budget);
-        let (analyze_ms, report) = crate::gate::best_of(3, || analyze_kernel(&kernel, &acfg));
+        let report = analyze_kernel(&kernel, &acfg);
         let (tx_lo, tx_hi) = report.transaction_bounds;
 
         let tp = TimingParams::for_driver(driver);
@@ -703,7 +698,6 @@ pub fn bh_bounds_validation(n: u32) -> Vec<BoundsValidationRow> {
             tx_hi,
             measured: run.transactions,
             enclosed: tx_lo <= run.transactions && run.transactions <= tx_hi,
-            analyze_ms,
         });
     }
     rows
