@@ -43,7 +43,7 @@ use nbody::barnes_hut::accelerations_bh;
 use nbody::direct::{accelerations, accelerations_par};
 use nbody::model::{Bodies, ForceParams};
 use particle_layouts::device::{alloc_accel_out, download_accels};
-use particle_layouts::{DeviceImage, Particle};
+use particle_layouts::{padded_count, DeviceImage, Particle};
 use serde::{Deserialize, Serialize};
 use simcore::Vec3;
 use std::sync::OnceLock;
@@ -405,9 +405,8 @@ impl Backend {
 /// alignment and redzone overhead included.
 pub fn frame_memory_budget(level: OptLevel, n: u32) -> u64 {
     let cfg = level.config();
-    let padded = n.div_ceil(cfg.block) * cfg.block;
     let mut sizes = DeviceImage::alloc_sizes(cfg.layout, n, cfg.block);
-    sizes.push(padded as u64 * 16);
+    sizes.push(padded_count(n, cfg.block) * 16);
     GlobalMemory::footprint(&sizes)
 }
 

@@ -18,7 +18,7 @@ use gpu_sim::occupancy::{occupancy, Occupancy};
 use gpu_sim::transfer::PcieModel;
 use gpu_sim::{DeviceConfig, DeviceResult, DriverModel, TimingParams};
 use particle_layouts::device::alloc_accel_out;
-use particle_layouts::{DeviceImage, Layout, Particle};
+use particle_layouts::{padded_count, DeviceImage, Layout, Particle};
 use simcore::Vec3;
 
 /// One modeled Gravit frame.
@@ -96,18 +96,18 @@ pub fn model_frame_config(
         standard_upload(cfg.layout, cfg.block),
     )
     .expect("the force kernel's model launch is well-formed");
-    let padded = n.div_ceil(cfg.block) * cfg.block;
+    let padded = padded_count(n, cfg.block);
     let buffer_sizes: Vec<u64> = cfg
         .layout
         .buffers()
         .iter()
-        .map(|b| b.stride() * padded as u64)
+        .map(|b| b.stride() * padded)
         .collect();
     (
         ConfigFrame {
             upload_s: pcie.copies_time_s(&buffer_sizes),
             kernel_s: k.seconds,
-            download_s: pcie.copy_time_s(16 * padded as u64),
+            download_s: pcie.copy_time_s(16 * padded),
             occupancy: k.occupancy,
         },
         k.regs,
@@ -146,7 +146,7 @@ pub fn model_kernel(
     let tp = TimingParams::for_driver(driver);
     let regs = register_demand(kernel).regs_per_thread;
     let occ = occupancy(&dev, block, u32::from(regs), kernel.smem_bytes);
-    let padded = n.div_ceil(block) * block;
+    let padded = padded_count(n, block);
     let resident: Vec<u32> = (0..occ.active_blocks.min(FIT_TILES[0])).collect();
     let mut measured = Vec::new();
     for tiles in FIT_TILES {
@@ -166,12 +166,12 @@ pub fn model_kernel(
         )?;
         measured.push((u64::from(small_n), run.cycles));
     }
-    let wave_cycles = extrapolate_linear(&measured, u64::from(padded))?;
+    let wave_cycles = extrapolate_linear(&measured, padded)?;
     Ok(KernelTime {
         seconds: grid_seconds(
             &dev,
             wave_cycles,
-            u64::from(padded / block),
+            padded / u64::from(block),
             resident.len() as u64,
         ),
         regs,
@@ -265,6 +265,17 @@ mod tests {
         .unwrap();
         let modeled = grid_cycles(&dev, wave.cycles, u64::from(grid), u64::from(grid));
         assert_eq!(modeled, exact.cycles);
+    }
+
+    #[test]
+    fn kernel_time_grows_up_to_u32_max() {
+        // u32::MAX pads past u32::MAX at every block size; a wrapped padded
+        // count would model an empty grid.
+        for level in OptLevel::ALL {
+            let at = |n| model_frame(level, n, DriverModel::Cuda10).kernel_s;
+            let (big, max) = (at(1 << 30), at(u32::MAX));
+            assert!(max >= big, "{}: {max} s < {big} s", level.label());
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind};
 use gpu_sim::mem::{GlobalMemory, MemoryBudget};
 use nbody::model::{Bodies, ForceParams};
 use particle_layouts::device::{alloc_accel_out, download_accels};
-use particle_layouts::DeviceImage;
+use particle_layouts::{padded_count, DeviceImage};
 use serde::{Deserialize, Serialize};
 use simcore::Vec3;
 
@@ -145,7 +145,7 @@ impl MemoryPlan {
 pub fn chunked_memory_budget(level: OptLevel, chunk: u32) -> u64 {
     let cfg = level.config();
     let mut sizes = DeviceImage::alloc_sizes(cfg.layout, chunk, cfg.block);
-    sizes.push(chunk.div_ceil(cfg.block) as u64 * cfg.block as u64 * 16);
+    sizes.push(padded_count(chunk, cfg.block) * 16);
     sizes.extend(DeviceImage::alloc_sizes(cfg.layout, chunk, cfg.block));
     GlobalMemory::footprint(&sizes)
 }
@@ -156,12 +156,13 @@ pub fn chunk_floor(level: OptLevel) -> u32 {
 }
 
 /// Halve a chunk size, keeping it a block multiple; `None` below the floor.
-fn halve_chunk(level: OptLevel, chunk: u32) -> Option<u32> {
+/// `chunk` may be a padded count past `u32::MAX`; half of it fits again.
+fn halve_chunk(level: OptLevel, chunk: u64) -> Option<u32> {
     let block = chunk_floor(level);
-    if chunk <= block {
+    if chunk <= u64::from(block) {
         return None;
     }
-    Some((chunk / 2).div_ceil(block) * block)
+    u32::try_from(padded_count(u32::try_from(chunk / 2).ok()?, block)).ok()
 }
 
 /// The next rung down from `mode` (the ladder's single source of truth,
@@ -170,16 +171,15 @@ pub fn downgrade(level: OptLevel, n: u32, mode: ExecMode) -> Option<ExecMode> {
     let block = chunk_floor(level);
     match mode {
         ExecMode::Full => {
-            let padded = n.div_ceil(block) * block;
             // Chunking at the full padded count costs *more* than full
             // residency (duplicate source buffers), so the first chunked
             // rung is already a halving.
-            match halve_chunk(level, padded) {
+            match halve_chunk(level, padded_count(n, block)) {
                 Some(c) => Some(ExecMode::Chunked { chunk: c }),
                 None => Some(ExecMode::Cpu),
             }
         }
-        ExecMode::Chunked { chunk } => match halve_chunk(level, chunk) {
+        ExecMode::Chunked { chunk } => match halve_chunk(level, u64::from(chunk)) {
             Some(c) => Some(ExecMode::Chunked { chunk: c }),
             None => Some(ExecMode::Cpu),
         },
@@ -193,11 +193,6 @@ pub fn downgrade(level: OptLevel, n: u32, mode: ExecMode) -> Option<ExecMode> {
 pub fn plan_frame(level: OptLevel, n: u32, capacity: Option<u64>) -> MemoryPlan {
     let cfg = level.config();
     let full_budget = frame_memory_budget(level, n);
-    let padded = if n == 0 {
-        0
-    } else {
-        n.div_ceil(cfg.block) * cfg.block
-    };
     let mut buffers: Vec<(String, u64)> = cfg
         .layout
         .buffers()
@@ -206,7 +201,7 @@ pub fn plan_frame(level: OptLevel, n: u32, capacity: Option<u64>) -> MemoryPlan 
         .map(|(kind, bytes)| (format!("{kind:?}"), bytes))
         .collect();
     if n > 0 {
-        buffers.push(("AccelOut4".into(), padded as u64 * 16));
+        buffers.push(("AccelOut4".into(), padded_count(n, cfg.block) * 16));
     }
     let mut plan = MemoryPlan {
         level,
@@ -409,6 +404,22 @@ mod tests {
         );
         assert_eq!(*chunks.last().unwrap(), chunk_floor(LEVEL));
         assert!(chunks.iter().all(|c| c.is_multiple_of(chunk_floor(LEVEL))));
+    }
+
+    #[test]
+    fn padding_past_u32_max_is_not_a_free_full_frame() {
+        // 4_294_967_200 bodies pad to 2^32 at block 128: the budget must
+        // see the whole padded count, not a wrapped zero.
+        let plan = plan_frame(LEVEL, 4_294_967_200, Some(12 * 1024));
+        assert_ne!(plan.mode, ExecMode::Full);
+        assert!(plan.full_budget > 12 * 1024);
+        assert!(plan.buffers.iter().all(|(_, bytes)| *bytes > 0));
+        assert_eq!(
+            plan.mode,
+            ExecMode::Chunked {
+                chunk: chunk_floor(LEVEL)
+            }
+        );
     }
 
     #[test]

@@ -15,6 +15,12 @@ use crate::plan::{BufferKind, Field, Layout};
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind};
 use gpu_sim::mem::{DevicePtr, GlobalMemory};
 
+/// `n` rounded up to a multiple of `pad_to` (which must be positive). The
+/// count is a u64 because padding a u32 count can pass `u32::MAX`.
+pub fn padded_count(n: u32, pad_to: u32) -> u64 {
+    u64::from(n).div_ceil(u64::from(pad_to)) * u64::from(pad_to)
+}
+
 /// A particle set resident in simulated device memory under some layout.
 #[derive(Debug, Clone)]
 pub struct DeviceImage {
@@ -57,7 +63,11 @@ impl DeviceImage {
                 bytes: 0,
             });
         }
-        let padded_n = n.div_ceil(pad_to) * pad_to;
+        let padded_n = u32::try_from(padded_count(n, pad_to)).map_err(|_| {
+            DeviceError::new(FaultKind::BadConfig {
+                reason: format!("{n} particles padded to a multiple of {pad_to} overflow u32"),
+            })
+        })?;
         let kinds = layout.buffers();
         let mut buffers = Vec::with_capacity(kinds.len());
         let mut bytes = 0u64;
@@ -89,11 +99,11 @@ impl DeviceImage {
         if n == 0 || pad_to == 0 {
             return Vec::new();
         }
-        let padded_n = n.div_ceil(pad_to) * pad_to;
+        let padded_n = padded_count(n, pad_to);
         layout
             .buffers()
             .iter()
-            .map(|k| k.stride() * padded_n as u64)
+            .map(|k| k.stride() * padded_n)
             .collect()
     }
 
@@ -266,6 +276,22 @@ mod tests {
                 mass: 1.0 + i as f32,
             })
             .collect()
+    }
+
+    #[test]
+    fn padded_counts_do_not_wrap() {
+        assert_eq!(padded_count(0, 128), 0);
+        assert_eq!(padded_count(200, 128), 256);
+        assert_eq!(padded_count(u32::MAX, 128), 1 << 32);
+        let strides: Vec<u64> = Layout::SoA
+            .buffers()
+            .iter()
+            .map(|k| k.stride() << 32)
+            .collect();
+        assert_eq!(
+            DeviceImage::alloc_sizes(Layout::SoA, u32::MAX, 128),
+            strides
+        );
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod host;
 pub mod plan;
 pub mod streams;
 
-pub use device::DeviceImage;
+pub use device::{padded_count, DeviceImage};
 pub use host::Particle;
 pub use plan::{BufferKind, FieldRead, Layout, ReadPlan};
