@@ -91,3 +91,25 @@ fn the_counterexample_renders_both_symbolic_values() {
         "counterexample shows the store address: {detail}"
     );
 }
+
+#[test]
+fn the_reversed_hoist_counterexample_is_pinned() {
+    let k = two_invariant_kernel();
+    let cfg = VerifyConfig::new(2, 32, vec![0x20_0000, 1.5f32.to_bits()]);
+    let VerifyResult::Mismatch { site, detail } = verify_equiv(&k, &buggy_licm(&k), &cfg) else {
+        panic!("the reversed multi-hoist must be refuted");
+    };
+    assert_eq!(
+        (
+            site.kernel.as_deref(),
+            site.block,
+            site.thread,
+            site.instruction
+        ),
+        (Some("licm_two_invariants"), Some(0), Some(0), Some(13))
+    );
+    assert_eq!(
+        detail,
+        "event 0: word 0 stored to Global@0x200000 differs: 0x41700000 vs 0x40c00000"
+    );
+}
