@@ -10,8 +10,8 @@
 //! computation), so whenever every input of an address is exact the derived
 //! per-lane addresses are *exactly* the addresses the dynamic engines see —
 //! which is what lets the static transaction prediction feed the very same
-//! [`crate::coalesce::coalesce_half_warp`] oracle the timed executor uses and
-//! come out equal.
+//! [`crate::coalesce::coalesce_half_warp`] oracle the timed executor uses
+//! (through the same per-shape [`CoalesceCache`]) and come out equal.
 //!
 //! Non-affine control flow is over-approximated rather than abandoned:
 //!
@@ -28,13 +28,23 @@
 //! `predicted_transactions`, reported via an `unanalyzable` info diagnostic)
 //! but now carry interval address ranges for the bounds certifier and
 //! `[tx_lo, tx_hi]` transaction bounds for the cost model.
+//!
+//! The cross-thread race check keeps no event log. Each exact shared access
+//! updates one fixed-size [`RaceCell`] per `(barrier phase, word)`: the
+//! cell's first access, its first access by another thread than the first
+//! one's, and its first write. That is all the check reports — the first
+//! write and the first access by a thread other than the writer's — so the
+//! block's cells, sorted by `(phase, word)`, yield the same findings in the
+//! same order as a scan over every access would.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
+
+use simcore::hash::{FastMap, FastSet};
 
 use super::domain::{self, AbsVal};
 use super::{AnalysisConfig, Diagnostic, LintKind, Severity};
 use crate::banks::conflict_degree;
-use crate::coalesce::{coalesce_half_warp, AccessWidth};
+use crate::coalesce::{AccessWidth, CoalesceCache};
 use crate::fault::FaultSite;
 /// The exact scalar semantics the `Exact` domain and [`super::verify`]'s
 /// constant folder evaluate — the executors' own, defined once in
@@ -254,14 +264,80 @@ impl SiteAcc {
     }
 }
 
-/// One shared-memory word touched by one thread, stamped with the barrier
-/// phase it happened in — the input to the cross-thread race check.
-struct SharedEv {
-    phase: u64,
-    word: u64,
+/// One thread's access to one shared-memory word.
+#[derive(Clone, Copy)]
+struct SharedAccess {
     thread: u32,
     is_write: bool,
     instr: u64,
+}
+
+/// What the race check keeps of one `(barrier phase, shared word)` cell,
+/// over its accesses in the order the interpreter visits them (warp by
+/// warp, then program order, then lane order).
+#[derive(Clone, Copy)]
+struct RaceCell {
+    first: SharedAccess,
+    /// The first access by a thread other than `first`'s.
+    second: Option<SharedAccess>,
+    /// The first write.
+    write: Option<SharedAccess>,
+}
+
+impl RaceCell {
+    fn new(a: SharedAccess) -> RaceCell {
+        RaceCell {
+            first: a,
+            second: None,
+            write: a.is_write.then_some(a),
+        }
+    }
+
+    fn record(&mut self, a: SharedAccess) {
+        if self.second.is_none() && a.thread != self.first.thread {
+            self.second = Some(a);
+        }
+        if self.write.is_none() && a.is_write {
+            self.write = Some(a);
+        }
+    }
+
+    /// The first write, and the first access by another thread than the
+    /// writer's: `first` when the writer's thread differs from it, else
+    /// `second` (every access before `second` is by `first`'s thread).
+    fn race(&self) -> Option<(SharedAccess, SharedAccess)> {
+        let writer = self.write?;
+        let other = if writer.thread != self.first.thread {
+            self.first
+        } else {
+            self.second?
+        };
+        Some((writer, other))
+    }
+}
+
+/// The race cells of one block, keyed by `(barrier phase, word)`.
+type RaceCells = FastMap<(u64, u64), RaceCell>;
+
+/// What a diagnostic is deduplicated on: one finding per kind and site.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Finding {
+    BarrierDeadlock,
+    /// The two racing instructions, lower index first.
+    SharedRace(u64, u64),
+    /// A data-dependent `While`, by backedge index.
+    While(u64),
+    /// A loop over the interpretation budget, by backedge index.
+    Budget(u64),
+    /// A divergent loop backedge, by backedge index.
+    DivergentLoop(u64),
+    /// A barrier under divergence: proven (error) or possible (warning).
+    DivergentSync {
+        proven: bool,
+    },
+    TextureWrite(u64),
+    Misaligned(u64),
+    SharedOob(u64),
 }
 
 /// Where the interpreter deposits everything it learns.
@@ -270,7 +346,7 @@ pub(crate) struct Sink {
     pub diags: Vec<Diagnostic>,
     /// The global-transaction prediction covers every dynamic transaction.
     pub exact: bool,
-    dedup: HashSet<String>,
+    dedup: FastSet<Finding>,
 }
 
 impl Sink {
@@ -279,13 +355,15 @@ impl Sink {
             sites: BTreeMap::new(),
             diags: Vec::new(),
             exact: true,
-            dedup: HashSet::new(),
+            dedup: FastSet::default(),
         }
     }
 
-    fn push_once(&mut self, key: String, d: Diagnostic) {
+    /// Record the first finding of each kind and site; later ones are
+    /// dropped before their diagnostic is built.
+    fn push_once(&mut self, key: Finding, d: impl FnOnce() -> Diagnostic) {
         if self.dedup.insert(key) {
-            self.diags.push(d);
+            self.diags.push(d());
         }
     }
 }
@@ -308,13 +386,14 @@ pub(crate) fn interpret(
     sink: &mut Sink,
 ) {
     let warps = cfg.block.div_ceil(WARP as u32);
+    let mut coalesce = CoalesceCache::new(cfg.driver);
+    let mut races = RaceCells::default();
     for block_id in 0..cfg.grid {
-        let mut events: Vec<SharedEv> = Vec::new();
         let mut sync_counts: Vec<u64> = Vec::new();
         let mut any_uncertain = false;
         let mut any_aborted = false;
         for w in 0..warps {
-            let mut wi = WarpInterp::new(kernel, cfg, block_id, w, sink, &mut events);
+            let mut wi = WarpInterp::new(kernel, cfg, block_id, w, sink, &mut races, &mut coalesce);
             let live = wi.live;
             let aborted = wi.walk(tree, live, true).is_err();
             sync_counts.push(wi.sync_count);
@@ -324,7 +403,7 @@ pub(crate) fn interpret(
         if !any_aborted && !any_uncertain {
             check_deadlock(kernel, block_id, &sync_counts, sink);
         }
-        check_races(kernel, block_id, &events, sink);
+        check_races(kernel, block_id, &mut races, sink);
     }
 }
 
@@ -334,66 +413,54 @@ fn check_deadlock(kernel: &Kernel, block_id: u32, sync_counts: &[u64], sink: &mu
     let min = sync_counts.iter().min().copied().unwrap_or(0);
     let max = sync_counts.iter().max().copied().unwrap_or(0);
     if min != max {
-        sink.push_once(
-            "barrier-deadlock".to_string(),
-            Diagnostic {
-                severity: Severity::Error,
-                kind: LintKind::BarrierDeadlock,
-                site: site_at(&kernel.name, block_id, None, None),
-                message: format!(
-                    "warps of the same block retire different numbers of barriers ({min} vs \
+        sink.push_once(Finding::BarrierDeadlock, || Diagnostic {
+            severity: Severity::Error,
+            kind: LintKind::BarrierDeadlock,
+            site: site_at(&kernel.name, block_id, None, None),
+            message: format!(
+                "warps of the same block retire different numbers of barriers ({min} vs \
                      {max}); the block hangs at bar.sync"
-                ),
-                fixit: Some(
-                    "make every warp execute the same barriers: move the Sync out of divergent \
+            ),
+            fixit: Some(
+                "make every warp execute the same barriers: move the Sync out of divergent \
                      control flow"
-                        .to_string(),
-                ),
-            },
-        );
+                    .to_string(),
+            ),
+        });
     }
 }
 
 /// Same shared word, same barrier interval, more than one thread, at least
-/// one writer: the inter-thread ordering is undefined.
-fn check_races(kernel: &Kernel, block_id: u32, events: &[SharedEv], sink: &mut Sink) {
-    let mut cells: BTreeMap<(u64, u64), Vec<&SharedEv>> = BTreeMap::new();
-    for e in events {
-        cells.entry((e.phase, e.word)).or_default().push(e);
-    }
-    for ((phase, word), evs) in cells {
-        let Some(writer) = evs.iter().find(|e| e.is_write) else {
-            continue;
-        };
-        let Some(other) = evs.iter().find(|e| e.thread != writer.thread) else {
-            continue;
-        };
+/// one writer: the inter-thread ordering is undefined. Drains the block's
+/// cells, reporting them in `(phase, word)` order.
+fn check_races(kernel: &Kernel, block_id: u32, cells: &mut RaceCells, sink: &mut Sink) {
+    let mut races: Vec<((u64, u64), (SharedAccess, SharedAccess))> = cells
+        .drain()
+        .filter_map(|(key, cell)| Some((key, cell.race()?)))
+        .collect();
+    races.sort_unstable_by_key(|&(key, _)| key);
+    for ((phase, word), (writer, other)) in races {
         let lo = writer.instr.min(other.instr);
         let hi = writer.instr.max(other.instr);
-        sink.push_once(
-            format!("shared-race:{lo}:{hi}"),
-            Diagnostic {
-                severity: Severity::Error,
-                kind: LintKind::SharedRace,
-                site: site_at(&kernel.name, block_id, Some(other.thread), Some(hi)),
-                message: format!(
-                    "shared word {word} is written by thread {} (instruction {}) and {} by \
+        sink.push_once(Finding::SharedRace(lo, hi), || Diagnostic {
+            severity: Severity::Error,
+            kind: LintKind::SharedRace,
+            site: site_at(&kernel.name, block_id, Some(other.thread), Some(hi)),
+            message: format!(
+                "shared word {word} is written by thread {} (instruction {}) and {} by \
                      thread {} (instruction {}) in the same barrier interval ({phase})",
-                    writer.thread,
-                    writer.instr,
-                    if other.is_write {
-                        "also written"
-                    } else {
-                        "read"
-                    },
-                    other.thread,
-                    other.instr
-                ),
-                fixit: Some(
-                    "insert a Sync between the write and the cross-thread access".to_string(),
-                ),
-            },
-        );
+                writer.thread,
+                writer.instr,
+                if other.is_write {
+                    "also written"
+                } else {
+                    "read"
+                },
+                other.thread,
+                other.instr
+            ),
+            fixit: Some("insert a Sync between the write and the cross-thread access".to_string()),
+        });
     }
 }
 
@@ -426,7 +493,24 @@ struct WarpInterp<'a, 'k> {
     /// transaction bounds.
     mult: (u64, u64),
     sink: &'a mut Sink,
-    events: &'a mut Vec<SharedEv>,
+    /// The block's race cells, shared by its warps.
+    races: &'a mut RaceCells,
+    /// Transaction sizes per half-warp access shape, shared by every warp
+    /// of the launch.
+    coalesce: &'a mut CoalesceCache,
+}
+
+/// The lanes set in `mask`, lowest first.
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let l = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        Some(l)
+    })
 }
 
 impl<'a, 'k> WarpInterp<'a, 'k> {
@@ -436,7 +520,8 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         block_id: u32,
         warp: u32,
         sink: &'a mut Sink,
-        events: &'a mut Vec<SharedEv>,
+        races: &'a mut RaceCells,
+        coalesce: &'a mut CoalesceCache,
     ) -> Self {
         let first = warp * WARP as u32;
         let live = if cfg.block >= first + WARP as u32 {
@@ -466,12 +551,9 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             record: true,
             mult: (1, 1),
             sink,
-            events,
+            races,
+            coalesce,
         }
-    }
-
-    fn lanes(&self, mask: u32) -> Vec<usize> {
-        (0..WARP).filter(|l| mask & (1 << l) != 0).collect()
     }
 
     fn operand(&self, lane: usize, op: &Operand) -> AbsVal {
@@ -526,7 +608,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 } => {
                     let mut known = true;
                     let mut then_mask = 0u32;
-                    for l in self.lanes(mask) {
+                    for l in lanes(mask) {
                         match self.preds[l][pred.0 as usize] {
                             Some(v) => {
                                 if v != *negate {
@@ -580,25 +662,19 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                     // [1, trip_budget].
                     let budget = self.cfg.trip_budget.max(1);
                     if self.record {
+                        let (kernel, block) = (self.kernel, self.block_id);
                         self.sink.exact = false;
-                        self.sink.push_once(
-                            format!("while:{backedge}"),
-                            Diagnostic {
+                        self.sink
+                            .push_once(Finding::While(*backedge), || Diagnostic {
                                 severity: Severity::Info,
                                 kind: LintKind::Unanalyzable,
-                                site: site_at(
-                                    &self.kernel.name,
-                                    self.block_id,
-                                    None,
-                                    Some(*backedge),
-                                ),
+                                site: site_at(&kernel.name, block, None, Some(*backedge)),
                                 message: format!(
-                                    "do/while trip count is data-dependent; the body is \
-                                     analyzed under the trip-count interval [1, {budget}]"
+                                    "do/while trip count is data-dependent; the body is analyzed \
+                                 under the trip-count interval [1, {budget}]"
                                 ),
                                 fixit: None,
-                            },
-                        );
+                            });
                     }
                     self.fix_body(body, mask)?;
                     let saved_mult = self.mult;
@@ -623,7 +699,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         loop {
             round += 1;
             if round > FIX_ROUNDS {
-                for l in self.lanes(mask) {
+                for l in lanes(mask) {
                     for r in self.regs[l].iter_mut() {
                         *r = AbsVal::Top;
                     }
@@ -680,16 +756,13 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         mask: u32,
         exact: bool,
     ) -> Result<(), ()> {
-        let lanes = self.lanes(mask);
         if exact {
-            for &l in &lanes {
+            for l in lanes(mask) {
                 self.regs[l][var.0 as usize] = self.operand(l, start);
             }
         }
-        let starts_exact = exact
-            && lanes
-                .iter()
-                .all(|&l| self.regs[l][var.0 as usize].as_exact().is_some());
+        let starts_exact =
+            exact && lanes(mask).all(|l| self.regs[l][var.0 as usize].as_exact().is_some());
         if !starts_exact {
             return self.run_for_abstract(var, start, end, step, body, mask);
         }
@@ -699,27 +772,23 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             iters += 1;
             if iters > self.cfg.max_steps {
                 self.sink.exact = false;
-                let kernel = self.kernel.name.clone();
-                let block = self.block_id;
-                self.sink.push_once(
-                    format!("budget:{}", latch.2),
-                    Diagnostic {
+                let (kernel, block, max_steps) = (self.kernel, self.block_id, self.cfg.max_steps);
+                self.sink
+                    .push_once(Finding::Budget(latch.2), || Diagnostic {
                         severity: Severity::Info,
                         kind: LintKind::Unanalyzable,
-                        site: site_at(&kernel, block, None, Some(latch.2)),
+                        site: site_at(&kernel.name, block, None, Some(latch.2)),
                         message: format!(
-                            "loop exceeded the static interpretation budget of {} iterations; \
-                             state after it is treated as unknown",
-                            self.cfg.max_steps
+                            "loop exceeded the static interpretation budget of {max_steps} \
+                         iterations; state after it is treated as unknown"
                         ),
                         fixit: None,
-                    },
-                );
+                    });
                 return self.run_for_abstract(var, start, end, step, body, mask);
             }
             self.walk(body, mask, true)?;
             // Latch: add var, var, step; setp var < end; bra.
-            for &l in &lanes {
+            for l in lanes(mask) {
                 let r = &mut self.regs[l][var.0 as usize];
                 if let Some(v) = r.as_exact() {
                     *r = AbsVal::Exact(v.wrapping_add(step));
@@ -729,7 +798,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             }
             let mut cont = 0u32;
             let mut known = true;
-            for &l in &lanes {
+            for l in lanes(mask) {
                 match (
                     self.regs[l][var.0 as usize].as_exact(),
                     self.operand(l, end).as_exact(),
@@ -754,26 +823,23 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 // The executor refuses non-uniform loop backedges.
                 let lane = (cont ^ mask).trailing_zeros();
                 self.sink.exact = false;
-                let kernel = self.kernel.name.clone();
-                let block = self.block_id;
+                let (kernel, block) = (self.kernel, self.block_id);
                 let thread = self.warp * WARP as u32 + lane;
-                self.sink.push_once(
-                    format!("divloop:{}", latch.2),
-                    Diagnostic {
+                self.sink
+                    .push_once(Finding::DivergentLoop(latch.2), || Diagnostic {
                         severity: Severity::Error,
                         kind: LintKind::DivergentLoopBranch,
-                        site: site_at(&kernel, block, Some(thread), Some(latch.2)),
+                        site: site_at(&kernel.name, block, Some(thread), Some(latch.2)),
                         message: format!(
                             "loop backedge diverges within a warp (taken mask {cont:#010x} of \
-                             active {mask:#010x}); the executor faults with DivergentBranch here"
+                         active {mask:#010x}); the executor faults with DivergentBranch here"
                         ),
                         fixit: Some(
                             "make the trip count uniform across the warp (pad the bound to a \
-                             multiple of the block size)"
+                         multiple of the block size)"
                                 .to_string(),
                         ),
-                    },
-                );
+                    });
                 return Err(());
             }
         }
@@ -793,13 +859,11 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         body: &[IStmt<'k>],
         mask: u32,
     ) -> Result<(), ()> {
-        let lanes = self.lanes(mask);
         let budget = self.cfg.trip_budget.max(1);
         // Hull of the per-lane start/end bounds across the warp.
         let hull = |wi: &Self, op: &Operand| {
-            lanes
-                .iter()
-                .map(|&l| wi.operand(l, op))
+            lanes(mask)
+                .map(|l| wi.operand(l, op))
                 .fold(None, |acc: Option<AbsVal>, v| {
                     Some(match acc {
                         None => v,
@@ -833,7 +897,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             }
             _ => ((1, budget), AbsVal::Top),
         };
-        for &l in &lanes {
+        for l in lanes(mask) {
             self.regs[l][var.0 as usize] = var_val;
         }
         self.fix_body(body, mask)?;
@@ -845,7 +909,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         let r = self.walk(body, mask, false);
         self.mult = saved_mult;
         r?;
-        for &l in &lanes {
+        for l in lanes(mask) {
             self.regs[l][var.0 as usize] = AbsVal::Top;
         }
         Ok(())
@@ -860,51 +924,44 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             return;
         }
         self.sync_uncertain = true;
-        let kernel = self.kernel.name.clone();
-        let block = self.block_id;
+        let (kernel, block, live) = (self.kernel, self.block_id, self.live);
         if exact {
             // Statically proven: part of the warp skips this barrier.
-            self.sink.push_once(
-                "divergent-sync:error".to_string(),
-                Diagnostic {
+            self.sink
+                .push_once(Finding::DivergentSync { proven: true }, || Diagnostic {
                     severity: Severity::Error,
                     kind: LintKind::DivergentSync,
-                    site: site_at(&kernel, block, None, None),
+                    site: site_at(&kernel.name, block, None, None),
                     message: format!(
                         "bar.sync reached by a strict subset of the warp's lanes (mask \
-                         {mask:#010x} of {:#010x}): threads that skip the barrier leave the \
-                         block deadlocked",
-                        self.live
+                         {mask:#010x} of {live:#010x}): threads that skip the barrier leave the \
+                         block deadlocked"
                     ),
                     fixit: Some("hoist the Sync out of the conditional".to_string()),
-                },
-            );
+                });
         } else {
-            self.sink.push_once(
-                "divergent-sync:warning".to_string(),
-                Diagnostic {
+            self.sink
+                .push_once(Finding::DivergentSync { proven: false }, || Diagnostic {
                     severity: Severity::Warning,
                     kind: LintKind::DivergentSync,
-                    site: site_at(&kernel, block, None, None),
+                    site: site_at(&kernel.name, block, None, None),
                     message: "bar.sync under data-dependent control flow: the analysis cannot \
                               prove every thread reaches it"
                         .to_string(),
                     fixit: None,
-                },
-            );
+                });
         }
     }
 
     fn exec(&mut self, idx: u64, i: &Instr, mask: u32, exact: bool) {
-        let lanes = self.lanes(mask);
         match i {
             Instr::Mov { dst, src } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     self.regs[l][dst.0 as usize] = self.operand(l, src);
                 }
             }
             Instr::Special { dst, sr } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     self.regs[l][dst.0 as usize] = AbsVal::Exact(match sr {
                         SpecialReg::TidX => self.warp * WARP as u32 + l as u32,
                         SpecialReg::CtaidX => self.block_id,
@@ -914,7 +971,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 }
             }
             Instr::Alu { op, dst, a, b } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     let v = domain::alu_abs(*op, self.operand(l, a), self.operand(l, b));
                     self.regs[l][dst.0 as usize] = v;
                 }
@@ -926,7 +983,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 b,
                 c,
             } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     let v = domain::mad_abs(
                         *float,
                         self.operand(l, a),
@@ -937,12 +994,12 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 }
             }
             Instr::Unary { op, dst, a } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     self.regs[l][dst.0 as usize] = domain::unary_abs(*op, self.operand(l, a));
                 }
             }
             Instr::Setp { dst, cmp, a, b } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     let v = domain::compare_abs(*cmp, self.operand(l, a), self.operand(l, b));
                     self.preds[l][dst.0 as usize] = v;
                 }
@@ -954,7 +1011,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 offset,
             } => {
                 self.memory(idx, *space, true, *base, *offset, dsts.len(), mask, exact);
-                for &l in &lanes {
+                for l in lanes(mask) {
                     for d in dsts {
                         self.regs[l][d.0 as usize] = AbsVal::Top;
                     }
@@ -969,7 +1026,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 self.memory(idx, *space, false, *base, *offset, srcs.len(), mask, exact);
             }
             Instr::Clock { dst } => {
-                for &l in &lanes {
+                for l in lanes(mask) {
                     self.regs[l][dst.0 as usize] = AbsVal::Top;
                 }
             }
@@ -992,7 +1049,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             return;
         }
         let width_bytes = 4 * words as u64;
-        let kernel_name = self.kernel.name.clone();
+        let kernel = self.kernel;
         let block = self.block_id;
         self.sink
             .sites
@@ -1008,18 +1065,16 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         };
 
         if space == MemSpace::Texture && !is_load {
-            self.sink.push_once(
-                format!("tex-write:{idx}"),
-                Diagnostic {
+            self.sink
+                .push_once(Finding::TextureWrite(idx), || Diagnostic {
                     severity: Severity::Error,
                     kind: LintKind::MisalignedAccess,
-                    site: site_at(&kernel_name, block, None, Some(idx)),
+                    site: site_at(&kernel.name, block, None, Some(idx)),
                     message: "store to read-only texture space (the executor faults with \
-                              ReadOnlyWrite)"
+                          ReadOnlyWrite)"
                         .to_string(),
                     fixit: None,
-                },
-            );
+                });
             mark_inexact(self.sink);
             return;
         }
@@ -1028,11 +1083,10 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         // exactly as the machine does (u32 wrapping add, then widen);
         // interval bases carry `[lo, hi]` byte ranges unless the offset
         // could wrap, which loses the bound.
-        let lanes = self.lanes(mask);
-        let mut addrs: Vec<Option<u64>> = vec![None; WARP];
-        let mut ranges: Vec<Option<(u64, u64)>> = vec![None; WARP];
+        let mut addrs: [Option<u64>; WARP] = [None; WARP];
+        let mut ranges: [Option<(u64, u64)>; WARP] = [None; WARP];
         let mut any_unbounded = false;
-        for &l in &lanes {
+        for l in lanes(mask) {
             match self.regs[l][base.0 as usize] {
                 AbsVal::Exact(b) => {
                     let a = b.wrapping_add(offset) as u64;
@@ -1065,7 +1119,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         // address this execution can touch (ties go to the lowest index).
         // An execution that cannot be bounded, or that disagrees with a
         // previous attribution, poisons the site to "mixed".
-        if space == MemSpace::Global && !lanes.is_empty() {
+        if space == MemSpace::Global && mask != 0 {
             let attribution = if any_unbounded {
                 None
             } else {
@@ -1092,69 +1146,59 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             }
         }
 
-        let all_exact = lanes.iter().all(|&l| addrs[l].is_some());
+        let all_exact = lanes(mask).all(|l| addrs[l].is_some());
         if exact && all_exact {
             // ---- the affine fragment: bit-identical to the PR 2 path ----
 
             // Alignment / bounds, mirroring `exec::machine`'s fault checks.
             let mut faulted = false;
-            for l in self.lanes(mask) {
+            let access = if is_load { "load" } else { "store" };
+            for l in lanes(mask) {
                 let Some(addr) = addrs[l] else { continue };
                 let thread = self.warp * WARP as u32 + l as u32;
                 match space {
                     MemSpace::Global | MemSpace::Texture => {
                         if !addr.is_multiple_of(width_bytes) {
                             faulted = true;
-                            self.sink.push_once(
-                                format!("misaligned:{idx}"),
-                                Diagnostic {
+                            self.sink
+                                .push_once(Finding::Misaligned(idx), || Diagnostic {
                                     severity: Severity::Error,
                                     kind: LintKind::MisalignedAccess,
-                                    site: site_at(&kernel_name, block, Some(thread), Some(idx)),
+                                    site: site_at(&kernel.name, block, Some(thread), Some(idx)),
                                     message: format!(
-                                        "{}-byte {} at address {addr:#x} is not naturally \
-                                         aligned; the executor faults with Misaligned",
-                                        width_bytes,
-                                        if is_load { "load" } else { "store" }
+                                        "{width_bytes}-byte {access} at address {addr:#x} is not \
+                                     naturally aligned; the executor faults with Misaligned"
                                     ),
                                     fixit: None,
-                                },
-                            );
+                                });
                         }
                     }
                     MemSpace::Shared => {
                         if !addr.is_multiple_of(4) {
                             faulted = true;
-                            self.sink.push_once(
-                                format!("misaligned:{idx}"),
-                                Diagnostic {
+                            self.sink
+                                .push_once(Finding::Misaligned(idx), || Diagnostic {
                                     severity: Severity::Error,
                                     kind: LintKind::MisalignedAccess,
-                                    site: site_at(&kernel_name, block, Some(thread), Some(idx)),
+                                    site: site_at(&kernel.name, block, Some(thread), Some(idx)),
                                     message: format!(
-                                        "shared {} at address {addr:#x} is not word-aligned",
-                                        if is_load { "load" } else { "store" }
+                                        "shared {access} at address {addr:#x} is not word-aligned"
                                     ),
                                     fixit: None,
-                                },
-                            );
-                        } else if addr + width_bytes > self.kernel.smem_bytes as u64 {
+                                });
+                        } else if addr + width_bytes > kernel.smem_bytes as u64 {
                             faulted = true;
-                            self.sink.push_once(
-                                format!("smem-oob:{idx}"),
-                                Diagnostic {
-                                    severity: Severity::Error,
-                                    kind: LintKind::OutOfBoundsShared,
-                                    site: site_at(&kernel_name, block, Some(thread), Some(idx)),
-                                    message: format!(
-                                        "shared {} of {width_bytes} bytes at address {addr:#x} \
-                                         overruns the {}-byte static allocation",
-                                        if is_load { "load" } else { "store" },
-                                        self.kernel.smem_bytes
-                                    ),
-                                    fixit: None,
-                                },
-                            );
+                            self.sink.push_once(Finding::SharedOob(idx), || Diagnostic {
+                                severity: Severity::Error,
+                                kind: LintKind::OutOfBoundsShared,
+                                site: site_at(&kernel.name, block, Some(thread), Some(idx)),
+                                message: format!(
+                                    "shared {access} of {width_bytes} bytes at address \
+                                     {addr:#x} overruns the {}-byte static allocation",
+                                    kernel.smem_bytes
+                                ),
+                                fixit: None,
+                            });
                         }
                     }
                 }
@@ -1188,19 +1232,17 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                         }
                     }
                     let half = self.cfg.device.half_warp as usize;
-                    let driver = self.cfg.driver;
                     if let Some(site) = self.sink.sites.get_mut(&idx) {
                         for chunk in addrs.chunks(half) {
                             if chunk.iter().all(Option::is_none) {
                                 continue;
                             }
-                            let res = coalesce_half_warp(driver, chunk, width);
-                            let tx = res.transactions.len() as u64;
+                            let sizes = self.coalesce.transaction_sizes(chunk, width);
+                            let tx = sizes.len() as u64;
                             site.transactions += tx;
                             site.tx_lo += tx;
                             site.tx_hi += tx;
-                            site.bus_bytes +=
-                                res.transactions.iter().map(|t| t.bytes as u64).sum::<u64>();
+                            site.bus_bytes += sizes.iter().map(|&b| b as u64).sum::<u64>();
                             site.ideal += if width == AccessWidth::W16 { 2 } else { 1 };
                             site.half_warps += 1;
                             site.half_warps_hi += 1;
@@ -1235,27 +1277,26 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                             continue;
                         }
                         issues += 1;
-                        for phase in 0..words as u64 {
-                            let phase_addrs: Vec<Option<u64>> =
-                                chunk.iter().map(|a| a.map(|a| a + 4 * phase)).collect();
-                            degree = degree.max(conflict_degree(&phase_addrs, banks));
-                        }
+                        degree = degree.max(vector_conflict_degree(chunk, words, banks));
                     }
                     if let Some(site) = self.sink.sites.get_mut(&idx) {
                         site.bank_degree = site.bank_degree.max(degree);
                         site.half_warps += issues;
                         site.half_warps_hi += issues;
                     }
-                    for l in self.lanes(mask) {
+                    let phase = self.sync_count;
+                    for l in lanes(mask) {
                         let Some(addr) = addrs[l] else { continue };
+                        let a = SharedAccess {
+                            thread: self.warp * WARP as u32 + l as u32,
+                            is_write: !is_load,
+                            instr: idx,
+                        };
                         for w in 0..words as u64 {
-                            self.events.push(SharedEv {
-                                phase: self.sync_count,
-                                word: addr / 4 + w,
-                                thread: self.warp * WARP as u32 + l as u32,
-                                is_write: !is_load,
-                                instr: idx,
-                            });
+                            self.races
+                                .entry((phase, addr / 4 + w))
+                                .and_modify(|c| c.record(a))
+                                .or_insert_with(|| RaceCell::new(a));
                         }
                     }
                 }
@@ -1279,32 +1320,28 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                     }
                     return;
                 };
-                let driver = self.cfg.driver;
                 let ideal: u64 = if width == AccessWidth::W16 { 2 } else { 1 };
                 let mut lo_sum = 0u64;
                 let mut hi_sum = 0u64;
                 let mut issues = 0u64;
-                for c in 0..WARP.div_ceil(half) {
-                    let chunk_lanes: Vec<usize> =
-                        lanes.iter().copied().filter(|&l| l / half == c).collect();
-                    if chunk_lanes.is_empty() {
+                for (c, chunk) in addrs.chunks(half).enumerate() {
+                    let chunk_mask = mask & chunk_lanes(c, half);
+                    if chunk_mask == 0 {
                         continue;
                     }
                     issues += 1;
                     lo_sum += 1;
-                    let chunk = &addrs[c * half..(c * half + half).min(WARP)];
-                    let aligned_exact = chunk_lanes
-                        .iter()
-                        .all(|&l| addrs[l].is_some_and(|a| a.is_multiple_of(width_bytes)));
+                    let aligned_exact = lanes(chunk_mask)
+                        .all(|l| addrs[l].is_some_and(|a| a.is_multiple_of(width_bytes)));
                     hi_sum += if aligned_exact {
                         // Every lane address is known and in-spec: the
                         // oracle's count is itself the worst case (shrinking
                         // the active set never adds transactions).
-                        coalesce_half_warp(driver, chunk, width).transactions.len() as u64
+                        self.coalesce.transaction_sizes(chunk, width).len() as u64
                     } else {
                         // Fully decayed: one transaction per active lane
                         // (but never below the coalesced-issue cost).
-                        (chunk_lanes.len() as u64).max(ideal)
+                        u64::from(chunk_mask.count_ones()).max(ideal)
                     };
                 }
                 if let Some(site) = self.sink.sites.get_mut(&idx) {
@@ -1324,20 +1361,14 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 let banks = self.cfg.device.smem_banks;
                 let mut degree = 1u32;
                 let mut issues = 0u64;
-                for c in 0..WARP.div_ceil(half) {
-                    let chunk_lanes: Vec<usize> =
-                        lanes.iter().copied().filter(|&l| l / half == c).collect();
-                    if chunk_lanes.is_empty() {
+                for (c, chunk) in addrs.chunks(half).enumerate() {
+                    let chunk_mask = mask & chunk_lanes(c, half);
+                    if chunk_mask == 0 {
                         continue;
                     }
                     issues += 1;
-                    if chunk_lanes.iter().all(|&l| addrs[l].is_some()) {
-                        let chunk = &addrs[c * half..(c * half + half).min(WARP)];
-                        for phase in 0..words as u64 {
-                            let phase_addrs: Vec<Option<u64>> =
-                                chunk.iter().map(|a| a.map(|a| a + 4 * phase)).collect();
-                            degree = degree.max(conflict_degree(&phase_addrs, banks));
-                        }
+                    if lanes(chunk_mask).all(|l| addrs[l].is_some()) {
+                        degree = degree.max(vector_conflict_degree(chunk, words, banks));
                     }
                 }
                 if let Some(site) = self.sink.sites.get_mut(&idx) {
@@ -1349,4 +1380,26 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             }
         }
     }
+}
+
+/// The lanes of half-warp chunk `c` (chunks of `half` lanes) as a mask.
+fn chunk_lanes(c: usize, half: usize) -> u32 {
+    let lo = c * half;
+    let len = half.min(WARP - lo);
+    (((1u64 << len) - 1) << lo) as u32
+}
+
+/// Worst bank-conflict degree of one half-warp issue of a `words`-word
+/// shared access: each word of a vector access is its own bank phase.
+fn vector_conflict_degree(chunk: &[Option<u64>], words: usize, banks: u32) -> u32 {
+    let mut shifted: [Option<u64>; WARP] = [None; WARP];
+    let shifted = &mut shifted[..chunk.len()];
+    (0..words as u64)
+        .map(|w| {
+            for (s, a) in shifted.iter_mut().zip(chunk) {
+                *s = a.map(|a| a + 4 * w);
+            }
+            conflict_degree(shifted, banks)
+        })
+        .fold(1, u32::max)
 }

@@ -17,9 +17,11 @@
 //!    are mapped) as [`LayoutRewrite`] specs, crossed with pass schedules
 //!    (`licm`, `unroll`, and both compositions at every legal factor).
 //! 3. **Price** — every candidate kernel is materialized through
-//!    [`rewrite_layout`] + [`PassId::apply`] and priced with
-//!    [`cost::estimate`] under one launch shape; candidates are ranked by
-//!    predicted cycles (ties to fewer registers — the paper's 17→16 point).
+//!    [`rewrite_layout`] + [`PassId::apply`] and priced from one
+//!    [`analyze_kernel`] call ([`cost::estimate_from_report`] and the
+//!    report's register demand) under one launch shape; candidates are
+//!    ranked by predicted cycles (ties to fewer registers — the paper's
+//!    17→16 point).
 //! 4. **Prove** — top candidates are checked with
 //!    [`verify_equiv`] under an element-indexed [`InputMap`] (the
 //!    layout step) and [`verify_pass`](super::verify::verify_pass) (the schedule step). **A
@@ -637,10 +639,19 @@ fn shaped_params(cfg: &SynthConfig, params: &[u32], n: u32) -> Vec<u32> {
     p
 }
 
+/// Predicted cycles and registers per thread, from one analysis.
+fn price_report(
+    kernel: &Kernel,
+    acfg: &AnalysisConfig,
+    report: &AnalysisReport,
+) -> Result<(f64, u16), CostError> {
+    let c = cost::estimate_from_report(kernel, acfg, report)?;
+    Ok((c.total_cycles(), report.regs_per_thread))
+}
+
 fn price(kernel: &Kernel, cfg: &SynthConfig, params: Vec<u32>) -> Result<(f64, u16), CostError> {
     let acfg = AnalysisConfig::new(cfg.grid, cfg.block, params).with_driver(cfg.driver);
-    let c = cost::estimate(kernel, &acfg)?;
-    Ok((c.total_cycles(), cost::regs_per_thread(kernel)))
+    price_report(kernel, &acfg, &analyze_kernel(kernel, &acfg))
 }
 
 /// Build the element-indexed input maps proving `orig ≡ rewritten`: every
@@ -689,7 +700,7 @@ pub fn synthesize(kernel: &Kernel, cfg: &SynthConfig) -> Result<SynthReport, Syn
     let acfg =
         AnalysisConfig::new(cfg.grid, cfg.block, base_params.clone()).with_driver(cfg.driver);
     let report = analyze_kernel(kernel, &acfg);
-    let (baseline_cycles, baseline_regs) = price(kernel, cfg, base_params.clone())
+    let (baseline_cycles, baseline_regs) = price_report(kernel, &acfg, &report)
         .map_err(|e| SynthError::Unpriceable(format!("{e:?}")))?;
 
     let summaries = buffer_summaries(&report, &base_params);

@@ -12,7 +12,9 @@
 //! so the symbolic run never disagrees with a dynamic one.
 //!
 //! Terms live in a single hash-consed [`TermArena`] shared by both kernels:
-//! structural equality is pointer equality, and no float identities are
+//! structural equality is pointer equality (the arena and the per-block
+//! memory maps hash with [`simcore::hash::FxHasher`]: lookups only, so no
+//! result depends on iteration order), and no float identities are
 //! assumed (not even `x + 0.0`, which is wrong for `-0.0`) — which is exactly
 //! why the passes this checker validates (`unroll_innermost`, `licm`,
 //! `fold_addressing`) are provable: they reorder and de-duplicate
@@ -32,8 +34,10 @@
 //! (the Barnes–Hut `While` traversal, an `If` on a loaded predicate) are
 //! reported as [`VerifyResult::Unsupported`], never "proved".
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+
+use simcore::hash::FastMap;
 
 use crate::fault::FaultSite;
 use crate::ir::passes::{fold_addressing, licm, unroll_innermost};
@@ -44,7 +48,7 @@ use super::interp;
 /// A term in the normal-form expression algebra. Terms are hash-consed in a
 /// [`TermArena`]; two [`TermId`]s are equal iff the terms are structurally
 /// identical.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Node {
     /// A known 32-bit value.
     Const(u32),
@@ -85,25 +89,31 @@ struct TermId(u32);
 /// identical computations — however they were reached — get identical ids.
 struct TermArena {
     nodes: Vec<Node>,
-    dedup: HashMap<Node, TermId>,
+    dedup: FastMap<Node, TermId>,
 }
 
 impl TermArena {
     fn new() -> TermArena {
         TermArena {
             nodes: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: FastMap::default(),
         }
     }
 
     fn intern(&mut self, n: Node) -> TermId {
-        if let Some(&id) = self.dedup.get(&n) {
-            return id;
+        match self.dedup.entry(n) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = TermId(self.nodes.len() as u32);
+                self.nodes.push(n);
+                *e.insert(id)
+            }
         }
-        let id = TermId(self.nodes.len() as u32);
-        self.nodes.push(n.clone());
-        self.dedup.insert(n, id);
-        id
+    }
+
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.dedup.clear();
     }
 
     fn konst(&mut self, v: u32) -> TermId {
@@ -206,7 +216,7 @@ impl TermArena {
 #[derive(Debug, Clone, Default)]
 pub struct InputMap {
     /// byte address of a 32-bit word → canonical key.
-    pub global: HashMap<u64, u64>,
+    pub global: FastMap<u64, u64>,
 }
 
 impl InputMap {
@@ -527,6 +537,9 @@ fn verify_under(
                 .count() as u64;
             syncs += ta.iter().filter(|e| matches!(e, Event::Sync)).count() as u64;
         }
+        // No term outlives its block's comparison: start the next block on
+        // an empty arena (keeping its capacity).
+        arena.clear();
     }
     VerifyResult::Proved {
         threads,
@@ -711,10 +724,10 @@ struct BlockRun<'k, 'a> {
     /// Per-thread clock-sample counter.
     clocks: Vec<u32>,
     /// Shared memory words this block wrote: word address → term.
-    shared: HashMap<u64, TermId>,
+    shared: FastMap<u64, TermId>,
     /// Global words *this kernel* wrote: address → term (reads of unwritten
     /// words become canonical input terms).
-    global: HashMap<u64, TermId>,
+    global: FastMap<u64, TermId>,
     traces: Vec<Vec<Event>>,
 }
 
@@ -748,8 +761,8 @@ fn run_block(
         regs,
         preds: vec![vec![None; kernel.n_preds.max(1) as usize]; n_threads],
         clocks: vec![0; n_threads],
-        shared: HashMap::new(),
-        global: HashMap::new(),
+        shared: FastMap::default(),
+        global: FastMap::default(),
         traces: vec![Vec::new(); n_threads],
     };
     let mut ix = InstrIndexer::new();
@@ -841,28 +854,28 @@ impl BlockRun<'_, '_> {
                     // must be known, and iteration proceeds per-thread value
                     // (a grid-strided start is fine — the latch compare is
                     // evaluated per thread each round, in lockstep).
-                    let mut iv: HashMap<usize, u32> = HashMap::new();
-                    let mut ends: HashMap<usize, u32> = HashMap::new();
+                    // Indexed by thread; only the active threads' slots are read.
+                    let mut iv = vec![0u32; self.block as usize];
+                    let mut ends = vec![0u32; self.block as usize];
                     for &t in active {
-                        iv.insert(t, self.concrete(t, start, Some(*init))?);
-                        ends.insert(t, self.concrete(t, end, Some(*init))?);
+                        iv[t] = self.concrete(t, start, Some(*init))?;
+                        ends[t] = self.concrete(t, end, Some(*init))?;
                     }
                     let mut rounds = 0u64;
                     let mut live: Vec<usize> = active.to_vec();
                     // Bottom-tested: every thread runs the body at least once.
                     loop {
                         for &t in &live {
-                            let v = self.arena.konst(iv[&t]);
+                            let v = self.arena.konst(iv[t]);
                             self.regs[t][var.0 as usize] = v;
                         }
                         self.walk(body, &live)?;
-                        for t in live.iter().copied() {
-                            let next = iv[&t].wrapping_add(*step);
-                            iv.insert(t, next);
-                            let v = self.arena.konst(next);
+                        for &t in &live {
+                            iv[t] = iv[t].wrapping_add(*step);
+                            let v = self.arena.konst(iv[t]);
                             self.regs[t][var.0 as usize] = v;
                         }
-                        live.retain(|t| iv[t] < ends[t]);
+                        live.retain(|&t| iv[t] < ends[t]);
                         rounds += 1;
                         if live.is_empty() {
                             break;

@@ -5,6 +5,8 @@
 //! * [`vec3`] — a small `f32` 3-vector, the currency of the N-body code.
 //! * [`crc`] — CRC-32 (IEEE) for integrity-protecting on-disk artifacts
 //!   (checkpoints, recordings) against truncation and bit rot.
+//! * [`hash`] — a fast, deterministic hasher (`FastMap`/`FastSet`) for
+//!   maps keyed by the program's own integers and terms.
 //! * [`par`] — the one parallel primitive: an index-ordered map over scoped
 //!   worker threads.
 //! * [`rng`] — deterministic pseudo-random number generation (SplitMix64 and
@@ -23,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod crc;
+pub mod hash;
 pub mod par;
 pub mod rng;
 pub mod stats;
