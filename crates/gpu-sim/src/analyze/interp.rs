@@ -29,13 +29,14 @@
 //! but now carry interval address ranges for the bounds certifier and
 //! `[tx_lo, tx_hi]` transaction bounds for the cost model.
 //!
-//! The cross-thread race check keeps no event log. Each exact shared access
-//! updates one fixed-size [`RaceCell`] per `(barrier phase, word)`: the
-//! cell's first access, its first access by another thread than the first
-//! one's, and its first write. That is all the check reports — the first
-//! write and the first access by a thread other than the writer's — so the
-//! block's cells, sorted by `(phase, word)`, yield the same findings in the
-//! same order as a scan over every access would.
+//! The cross-thread race check summarizes a block's exact shared accesses
+//! in one fixed-size [`RaceCell`] per `(barrier phase, word)`: the cell's
+//! first access, its first access by another thread than the first one's,
+//! and its first write. The check reports the first write and the first
+//! access by a thread other than the writer's, which the summary determines
+//! (see [`RaceCell::race`]), so the block's cells, sorted by
+//! `(phase, word)`, yield the same findings in the same order as a scan
+//! over every access would.
 
 use std::collections::BTreeMap;
 
@@ -335,6 +336,7 @@ enum Finding {
     DivergentSync {
         proven: bool,
     },
+    // Memory-access findings, by instruction index.
     TextureWrite(u64),
     Misaligned(u64),
     SharedOob(u64),
@@ -419,11 +421,11 @@ fn check_deadlock(kernel: &Kernel, block_id: u32, sync_counts: &[u64], sink: &mu
             site: site_at(&kernel.name, block_id, None, None),
             message: format!(
                 "warps of the same block retire different numbers of barriers ({min} vs \
-                     {max}); the block hangs at bar.sync"
+                 {max}); the block hangs at bar.sync"
             ),
             fixit: Some(
                 "make every warp execute the same barriers: move the Sync out of divergent \
-                     control flow"
+                 control flow"
                     .to_string(),
             ),
         });
@@ -448,7 +450,7 @@ fn check_races(kernel: &Kernel, block_id: u32, cells: &mut RaceCells, sink: &mut
             site: site_at(&kernel.name, block_id, Some(other.thread), Some(hi)),
             message: format!(
                 "shared word {word} is written by thread {} (instruction {}) and {} by \
-                     thread {} (instruction {}) in the same barrier interval ({phase})",
+                 thread {} (instruction {}) in the same barrier interval ({phase})",
                 writer.thread,
                 writer.instr,
                 if other.is_write {
@@ -670,8 +672,8 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                                 kind: LintKind::Unanalyzable,
                                 site: site_at(&kernel.name, block, None, Some(*backedge)),
                                 message: format!(
-                                    "do/while trip count is data-dependent; the body is analyzed \
-                                 under the trip-count interval [1, {budget}]"
+                                    "do/while trip count is data-dependent; the body is \
+                                     analyzed under the trip-count interval [1, {budget}]"
                                 ),
                                 fixit: None,
                             });
@@ -780,7 +782,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                         site: site_at(&kernel.name, block, None, Some(latch.2)),
                         message: format!(
                             "loop exceeded the static interpretation budget of {max_steps} \
-                         iterations; state after it is treated as unknown"
+                             iterations; state after it is treated as unknown"
                         ),
                         fixit: None,
                     });
@@ -832,11 +834,11 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                         site: site_at(&kernel.name, block, Some(thread), Some(latch.2)),
                         message: format!(
                             "loop backedge diverges within a warp (taken mask {cont:#010x} of \
-                         active {mask:#010x}); the executor faults with DivergentBranch here"
+                             active {mask:#010x}); the executor faults with DivergentBranch here"
                         ),
                         fixit: Some(
                             "make the trip count uniform across the warp (pad the bound to a \
-                         multiple of the block size)"
+                             multiple of the block size)"
                                 .to_string(),
                         ),
                     });
@@ -1071,7 +1073,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                     kind: LintKind::MisalignedAccess,
                     site: site_at(&kernel.name, block, None, Some(idx)),
                     message: "store to read-only texture space (the executor faults with \
-                          ReadOnlyWrite)"
+                              ReadOnlyWrite)"
                         .to_string(),
                     fixit: None,
                 });
@@ -1167,7 +1169,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                                     site: site_at(&kernel.name, block, Some(thread), Some(idx)),
                                     message: format!(
                                         "{width_bytes}-byte {access} at address {addr:#x} is not \
-                                     naturally aligned; the executor faults with Misaligned"
+                                         naturally aligned; the executor faults with Misaligned"
                                     ),
                                     fixit: None,
                                 });
