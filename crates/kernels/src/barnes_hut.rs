@@ -21,7 +21,8 @@
 
 use gpu_sim::ir::{AluOp, CmpOp, Kernel, KernelBuilder, MemSpace, Operand, SpecialReg};
 use nbody::barnes_hut::{LINEAR_FANOUT, LINEAR_LEAF_CAP};
-use nbody::model::MIN_DIST_SQ;
+
+use crate::force::{add_pull, offset_sq, store_acc, zero_acc};
 
 /// Configuration of the traversal kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,15 +88,13 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
     let i = b.mad_u(ctaid.into(), ntid.into(), tid.into());
     let paddr = b.mad_u(i.into(), Operand::ImmU(16), pos.into());
     let own = b.ld(MemSpace::Global, paddr, 0, 4);
-    let (px, py, pz) = (own[0], own[1], own[2]);
+    let pos = [own[0], own[1], own[2]];
     let oaddr = b.mad_u(i.into(), Operand::ImmU(16), out.into());
     let slot = b.imul(tid.into(), Operand::ImmU(4));
     let theta_sq = b.mov(theta_sq_p.into());
     let eps = b.mov(eps_p.into());
     let eps2 = b.fmul(eps.into(), eps.into());
-    let ax = b.mov(Operand::ImmF(0.0));
-    let ay = b.mov(Operand::ImmF(0.0));
-    let az = b.mov(Operand::ImmF(0.0));
+    let acc = zero_acc(&mut b);
 
     // Push the root: stack[0] = 0, sp = 1.
     let zero_node = b.mov(Operand::ImmU(0));
@@ -115,27 +114,14 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
         let m = b.ld(MemSpace::Global, maddr, 0, 4);
         let (side2, first, nchild, nbody) = (m[0], m[1], m[2], m[3]);
         // d² to the COM (no softening in the opening test).
-        let dx = b.fsub(c[0].into(), px.into());
-        let dy = b.fsub(c[1].into(), py.into());
-        let dz = b.fsub(c[2].into(), pz.into());
-        let t = b.fmul(dx.into(), dx.into());
-        b.fmad_into(t, dy.into(), dy.into(), t.into());
-        b.fmad_into(t, dz.into(), dz.into(), t.into());
-        let thr = b.fmul(theta_sq.into(), t.into());
+        let (d, d2) = offset_sq(b, [c[0], c[1], c[2]], pos);
+        let thr = b.fmul(theta_sq.into(), d2.into());
         let far = b.setp(CmpOp::FLt, side2.into(), thr.into());
         b.if_else(
             far,
             |b| {
                 // Point-mass contribution of the whole cell.
-                let r2 = b.fadd(t.into(), eps2.into());
-                b.alu_into(r2, AluOp::FMax, r2.into(), Operand::ImmF(MIN_DIST_SQ));
-                let rinv = b.frsqrt(r2.into());
-                let rc = b.fmul(rinv.into(), rinv.into());
-                b.alu_into(rc, AluOp::FMul, rc.into(), rinv.into());
-                let s = b.fmul(c[3].into(), rc.into());
-                b.fmad_into(ax, dx.into(), s.into(), ax.into());
-                b.fmad_into(ay, dy.into(), s.into(), ay.into());
-                b.fmad_into(az, dz.into(), s.into(), az.into());
+                add_pull(b, d, d2, eps2, c[3], acc);
             },
             |b| {
                 let is_internal = b.setp(CmpOp::UNe, nchild.into(), Operand::ImmU(0));
@@ -170,26 +156,8 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
                                     let bi = b.iadd(first.into(), j.into());
                                     let ba = b.mad_u(bi.into(), Operand::ImmU(16), bodies.into());
                                     let body = b.ld(MemSpace::Global, ba, 0, 4);
-                                    let bdx = b.fsub(body[0].into(), px.into());
-                                    let bdy = b.fsub(body[1].into(), py.into());
-                                    let bdz = b.fsub(body[2].into(), pz.into());
-                                    let bt = b.fmul(bdx.into(), bdx.into());
-                                    b.fmad_into(bt, bdy.into(), bdy.into(), bt.into());
-                                    b.fmad_into(bt, bdz.into(), bdz.into(), bt.into());
-                                    let r2 = b.fadd(bt.into(), eps2.into());
-                                    b.alu_into(
-                                        r2,
-                                        AluOp::FMax,
-                                        r2.into(),
-                                        Operand::ImmF(MIN_DIST_SQ),
-                                    );
-                                    let rinv = b.frsqrt(r2.into());
-                                    let rc = b.fmul(rinv.into(), rinv.into());
-                                    b.alu_into(rc, AluOp::FMul, rc.into(), rinv.into());
-                                    let s = b.fmul(body[3].into(), rc.into());
-                                    b.fmad_into(ax, bdx.into(), s.into(), ax.into());
-                                    b.fmad_into(ay, bdy.into(), s.into(), ay.into());
-                                    b.fmad_into(az, bdz.into(), s.into(), az.into());
+                                    let (bd, bd2) = offset_sq(b, [body[0], body[1], body[2]], pos);
+                                    add_pull(b, bd, bd2, eps2, body[3], acc);
                                 });
                             },
                         );
@@ -201,12 +169,7 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
         b.setp(CmpOp::UNe, sp.into(), Operand::ImmU(0))
     });
 
-    b.st(
-        MemSpace::Global,
-        oaddr,
-        0,
-        vec![ax.into(), ay.into(), az.into(), Operand::ImmF(0.0)],
-    );
+    store_acc(&mut b, oaddr, acc);
     b.finish()
 }
 

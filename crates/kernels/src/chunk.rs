@@ -22,15 +22,17 @@
 //!    (zero-mass padding sentinels contribute exact no-ops, as in the
 //!    unconstrained kernel's own padding).
 //!
-//! The same optimization ladder applies: `icm` runs LICM, `unroll` unrolls
-//! the innermost loop — physics stay bit-identical throughout.
+//! Everything else — phase `S` on the target buffers, the `B`+`P` tile loop
+//! over the source buffers, the epilogue store and the optimization ladder
+//! (`icm` runs LICM, `unroll` unrolls the innermost loop) — is the standard
+//! kernel's own emitters, so the innermost loop `P` is the standard
+//! kernel's instruction for instruction and physics stay bit-identical
+//! throughout.
 
-use gpu_sim::ir::passes::{licm, unroll_innermost};
-use gpu_sim::ir::{AluOp, Kernel, KernelBuilder, MemSpace, Operand, Reg, SpecialReg};
-use nbody::model::MIN_DIST_SQ;
+use gpu_sim::ir::{Kernel, KernelBuilder, MemSpace, Reg};
 use particle_layouts::DeviceImage;
 
-use crate::force::ForceKernelConfig;
+use crate::force::{kernel_name, ladder, store_acc, thread_setup, tile_loop, ForceKernelConfig};
 
 /// Build the chunk force kernel for a configuration.
 ///
@@ -39,131 +41,24 @@ use crate::force::ForceKernelConfig;
 /// read *and* written — the carried accumulator), `n_src` (padded source
 /// count, a multiple of `block`), `eps` (ε as raw f32 bits) and `smem0`.
 pub fn build_chunk_force_kernel(cfg: ForceKernelConfig) -> Kernel {
-    assert!(
-        cfg.block > 0 && cfg.block.is_multiple_of(32),
-        "block must be a warp multiple"
-    );
-    assert!(
-        cfg.unroll >= 1 && cfg.block.is_multiple_of(cfg.unroll),
-        "unroll must divide the block size"
-    );
-    let mut k = build_chunk_baseline(cfg);
-    if cfg.icm {
-        k = licm(&k);
-    }
-    if cfg.unroll > 1 {
-        k = unroll_innermost(&k, cfg.unroll);
-    }
-    k
-}
-
-fn build_chunk_baseline(cfg: ForceKernelConfig) -> Kernel {
-    let plan = cfg.layout.read_plan_posmass();
-    let lanes = cfg.layout.posmass_lanes();
     let n_buffers = cfg.layout.buffers().len();
-    let name = format!(
-        "force_chunk_{}_b{}_u{}{}",
-        cfg.layout.label(),
-        cfg.block,
-        cfg.unroll,
-        if cfg.icm { "_icm" } else { "" }
-    );
-    let mut b = KernelBuilder::new(name);
+    let mut b = KernelBuilder::new(kernel_name("force_chunk", cfg));
     b.shared_mem(cfg.smem_bytes());
     let tgt_bufs: Vec<Reg> = (0..n_buffers).map(|_| b.param()).collect();
     let src_bufs: Vec<Reg> = (0..n_buffers).map(|_| b.param()).collect();
     let out = b.param();
     let n_src = b.param();
-    let eps_param = b.param();
+    let eps = b.param();
     let smem0 = b.param();
 
-    // --- S: per-thread setup (as the standard kernel, target buffers) ----
-    let tid = b.special(SpecialReg::TidX);
-    let ctaid = b.special(SpecialReg::CtaidX);
-    let ntid = b.special(SpecialReg::NtidX);
-    let i = b.mad_u(ctaid.into(), ntid.into(), tid.into());
-    let own = load_posmass(&mut b, &plan, &tgt_bufs, i);
-    let (px, py, pz, _own_mass) = extract(&own, lanes);
-    let oaddr = b.mad_u(i.into(), Operand::ImmU(16), out.into());
-    let myslot = b.imul(tid.into(), Operand::ImmU(16));
-    let eps = b.mov(eps_param.into());
+    let th = thread_setup(&mut b, cfg.layout, &tgt_bufs, out, eps);
     // Seed the accumulator from the carried partial sum (the w lane rides
     // along for the float4 access and is dead).
-    let carried = b.ld(MemSpace::Global, oaddr, 0, 4);
-    let (ax, ay, az) = (carried[0], carried[1], carried[2]);
-
-    // --- B: tile loop over the *source* chunk ---------------------------
-    b.for_loop(tid.into(), n_src.into(), cfg.block, |b, jj| {
-        let tile = load_posmass(b, &plan, &src_bufs, jj);
-        let (tpx, tpy, tpz, tm) = extract(&tile, lanes);
-        b.st(
-            MemSpace::Shared,
-            myslot,
-            0,
-            vec![tpx.into(), tpy.into(), tpz.into(), tm.into()],
-        );
-        b.sync();
-
-        // --- P: the innermost loop (identical to the standard kernel) ---
-        b.for_loop(Operand::ImmU(0), Operand::ImmU(cfg.block), 1, |b, j| {
-            let jaddr = b.mad_u(j.into(), Operand::ImmU(16), smem0.into());
-            let v = b.ld(MemSpace::Shared, jaddr, 0, 4);
-            let (bx, by, bz, bm) = (v[0], v[1], v[2], v[3]);
-            let eps2 = b.fmul(eps.into(), eps.into());
-            let dx = b.fsub(bx.into(), px.into());
-            let dy = b.fsub(by.into(), py.into());
-            let dz = b.fsub(bz.into(), pz.into());
-            let t = b.fmul(dx.into(), dx.into());
-            b.fmad_into(t, dy.into(), dy.into(), t.into());
-            b.fmad_into(t, dz.into(), dz.into(), t.into());
-            let r2 = b.fadd(t.into(), eps2.into());
-            b.alu_into(r2, AluOp::FMax, r2.into(), Operand::ImmF(MIN_DIST_SQ));
-            let rinv = b.frsqrt(r2.into());
-            let rc = b.fmul(rinv.into(), rinv.into());
-            b.alu_into(rc, AluOp::FMul, rc.into(), rinv.into());
-            let s = b.fmul(bm.into(), rc.into());
-            b.fmad_into(ax, dx.into(), s.into(), ax.into());
-            b.fmad_into(ay, dy.into(), s.into(), ay.into());
-            b.fmad_into(az, dz.into(), s.into(), az.into());
-        });
-        b.sync();
-    });
-
-    // --- epilogue: write the carried accumulator back -------------------
-    b.st(
-        MemSpace::Global,
-        oaddr,
-        0,
-        vec![ax.into(), ay.into(), az.into(), Operand::ImmF(0.0)],
-    );
-    b.finish()
-}
-
-fn load_posmass(
-    b: &mut KernelBuilder,
-    plan: &particle_layouts::ReadPlan,
-    bufs: &[Reg],
-    idx: Reg,
-) -> Vec<Vec<Reg>> {
-    plan.reads
-        .iter()
-        .map(|r| {
-            let addr = b.mad_u(idx.into(), Operand::ImmU(r.stride), bufs[r.buffer].into());
-            b.ld(MemSpace::Global, addr, r.offset, r.words as usize)
-        })
-        .collect()
-}
-
-fn extract(
-    reads: &[Vec<Reg>],
-    lanes: particle_layouts::plan::PosMassLanes,
-) -> (Reg, Reg, Reg, Reg) {
-    (
-        reads[lanes.px.0][lanes.px.1],
-        reads[lanes.py.0][lanes.py.1],
-        reads[lanes.pz.0][lanes.pz.1],
-        reads[lanes.mass.0][lanes.mass.1],
-    )
+    let carried = b.ld(MemSpace::Global, th.oaddr, 0, 4);
+    let acc = [carried[0], carried[1], carried[2]];
+    tile_loop(&mut b, cfg, &src_bufs, n_src, smem0, &th, acc);
+    store_acc(&mut b, th.oaddr, acc);
+    ladder(cfg, b.finish())
 }
 
 /// Assemble the launch parameter values for a chunk force kernel: target

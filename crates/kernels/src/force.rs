@@ -24,6 +24,16 @@
 //! memory) and the upload footprint — phase `P` reads shared memory and is
 //! layout-independent, which is why the paper finds layout effects small and
 //! unrolling effects large in the full application (Sec. IV-A).
+//!
+//! Every force-style kernel in the crate is built from one set of emitters
+//! here: `thread_setup` (phase `S`), `tile_loop` (`B` + `P` over a given
+//! set of source buffers), `store_acc` (the epilogue) and the pairwise
+//! interaction, split as `offset_sq` (`d`, `|d|²`) and `add_pull` (the
+//! softened pull into the accumulator) because the Barnes–Hut opening test
+//! reads `|d|²` before it decides. [`build_force_kernel`] and
+//! [`crate::chunk::build_chunk_force_kernel`] differ only in their
+//! parameter lists and accumulator seeds and share `ladder`; the prefetch
+//! and Barnes–Hut kernels emit their interactions through the same pair.
 
 use gpu_sim::ir::passes::{licm, unroll_innermost};
 use gpu_sim::ir::{AluOp, Kernel, KernelBuilder, MemSpace, Operand, Reg, SpecialReg};
@@ -151,6 +161,35 @@ impl core::fmt::Display for OptLevel {
 /// (ε as raw f32 bits) and `smem0` (the shared-memory tile base, always 0 —
 /// a param so address folding can express "base + hard-coded offset").
 pub fn build_force_kernel(cfg: ForceKernelConfig) -> Kernel {
+    let mut b = KernelBuilder::new(kernel_name("force", cfg));
+    b.shared_mem(cfg.smem_bytes());
+    let bufs: Vec<Reg> = (0..cfg.layout.buffers().len()).map(|_| b.param()).collect();
+    let out = b.param();
+    let n = b.param();
+    let eps = b.param();
+    let smem0 = b.param();
+
+    let th = thread_setup(&mut b, cfg.layout, &bufs, out, eps);
+    let acc = zero_acc(&mut b);
+    tile_loop(&mut b, cfg, &bufs, n, smem0, &th, acc);
+    store_acc(&mut b, th.oaddr, acc);
+    ladder(cfg, b.finish())
+}
+
+/// `"{prefix}_{layout}_b{block}_u{unroll}"`, plus `_icm` when LICM runs.
+pub(crate) fn kernel_name(prefix: &str, cfg: ForceKernelConfig) -> String {
+    format!(
+        "{prefix}_{}_b{}_u{}{}",
+        cfg.layout.label(),
+        cfg.block,
+        cfg.unroll,
+        if cfg.icm { "_icm" } else { "" }
+    )
+}
+
+/// The optimization ladder over a baseline-shaped kernel: `licm` when
+/// `cfg.icm`, then `unroll_innermost` by `cfg.unroll`.
+pub(crate) fn ladder(cfg: ForceKernelConfig, mut k: Kernel) -> Kernel {
     assert!(
         cfg.block > 0 && cfg.block.is_multiple_of(32),
         "block must be a warp multiple"
@@ -159,7 +198,6 @@ pub fn build_force_kernel(cfg: ForceKernelConfig) -> Kernel {
         cfg.unroll >= 1 && cfg.block.is_multiple_of(cfg.unroll),
         "unroll must divide the block size"
     );
-    let mut k = build_baseline(cfg);
     if cfg.icm {
         k = licm(&k);
     }
@@ -169,33 +207,35 @@ pub fn build_force_kernel(cfg: ForceKernelConfig) -> Kernel {
     k
 }
 
-fn build_baseline(cfg: ForceKernelConfig) -> Kernel {
-    let plan = cfg.layout.read_plan_posmass();
-    let lanes = cfg.layout.posmass_lanes();
-    let n_buffers = cfg.layout.buffers().len();
-    let name = format!(
-        "force_{}_b{}_u{}{}",
-        cfg.layout.label(),
-        cfg.block,
-        cfg.unroll,
-        if cfg.icm { "_icm" } else { "" }
-    );
-    let mut b = KernelBuilder::new(name);
-    b.shared_mem(cfg.smem_bytes());
-    let bufs: Vec<Reg> = (0..n_buffers).map(|_| b.param()).collect();
-    let out = b.param();
-    let n = b.param();
-    let eps_param = b.param();
-    let smem0 = b.param();
+/// The registers phase `S` leaves live for the loops and the epilogue.
+pub(crate) struct Thread {
+    /// `threadIdx.x`: the first source this thread stages.
+    pub tid: Reg,
+    /// The thread's own position.
+    pub pos: [Reg; 3],
+    /// Address of the thread's `out` float4.
+    pub oaddr: Reg,
+    /// Byte offset of the thread's shared-memory tile slot.
+    pub myslot: Reg,
+    /// ε, copied out of param space.
+    pub eps: Reg,
+}
 
-    // --- S: per-thread setup -------------------------------------------
+/// Phase `S`: `i = blockIdx·blockDim + threadIdx`, the own position read
+/// from `bufs` (the mass word of the plan is loaded but unused for self),
+/// the output address and tile slot, and ε.
+pub(crate) fn thread_setup(
+    b: &mut KernelBuilder,
+    layout: Layout,
+    bufs: &[Reg],
+    out: Reg,
+    eps_param: Reg,
+) -> Thread {
     let tid = b.special(SpecialReg::TidX);
     let ctaid = b.special(SpecialReg::CtaidX);
     let ntid = b.special(SpecialReg::NtidX);
     let i = b.mad_u(ctaid.into(), ntid.into(), tid.into());
-    // Own position (the mass word of the plan is loaded but unused for self).
-    let own = load_posmass(&mut b, &plan, &bufs, i);
-    let (px, py, pz, _own_mass) = extract(&own, lanes);
+    let (px, py, pz, _own_mass) = load_posmass(b, layout, bufs, i);
     // Output address, computed in setup so `i`/`out` die here (nvcc-style
     // rematerialization keeps them out of the loop-carried set).
     let oaddr = b.mad_u(i.into(), Operand::ImmU(16), out.into());
@@ -203,18 +243,37 @@ fn build_baseline(cfg: ForceKernelConfig) -> Kernel {
     // ε lives in a register across the loops (params are re-read from param
     // space; a loop-hot value gets a copy — see gpu-sim regalloc docs).
     let eps = b.mov(eps_param.into());
-    let ax = b.mov(Operand::ImmF(0.0));
-    let ay = b.mov(Operand::ImmF(0.0));
-    let az = b.mov(Operand::ImmF(0.0));
+    Thread {
+        tid,
+        pos: [px, py, pz],
+        oaddr,
+        myslot,
+        eps,
+    }
+}
 
-    // --- B: tile loop ----------------------------------------------------
-    // jj walks this thread's staging source: tid, tid+K, tid+2K, ...
-    b.for_loop(tid.into(), n.into(), cfg.block, |b, jj| {
-        let tile = load_posmass(b, &plan, &bufs, jj);
-        let (tpx, tpy, tpz, tm) = extract(&tile, lanes);
+/// An accumulator `(ax, ay, az)` starting at zero.
+pub(crate) fn zero_acc(b: &mut KernelBuilder) -> [Reg; 3] {
+    [(); 3].map(|()| b.mov(Operand::ImmF(0.0)))
+}
+
+/// Phases `B` and `P` over the sources in `src_bufs` (`n` of them, a
+/// multiple of the block), accumulating into `acc`.
+pub(crate) fn tile_loop(
+    b: &mut KernelBuilder,
+    cfg: ForceKernelConfig,
+    src_bufs: &[Reg],
+    n: Reg,
+    smem0: Reg,
+    th: &Thread,
+    acc: [Reg; 3],
+) {
+    // --- B: jj walks this thread's staging source: tid, tid+K, tid+2K, ...
+    b.for_loop(th.tid.into(), n.into(), cfg.block, |b, jj| {
+        let (tpx, tpy, tpz, tm) = load_posmass(b, cfg.layout, src_bufs, jj);
         b.st(
             MemSpace::Shared,
-            myslot,
+            th.myslot,
             0,
             vec![tpx.into(), tpy.into(), tpz.into(), tm.into()],
         );
@@ -224,59 +283,80 @@ fn build_baseline(cfg: ForceKernelConfig) -> Kernel {
         b.for_loop(Operand::ImmU(0), Operand::ImmU(cfg.block), 1, |b, j| {
             let jaddr = b.mad_u(j.into(), Operand::ImmU(16), smem0.into());
             let v = b.ld(MemSpace::Shared, jaddr, 0, 4);
-            let (bx, by, bz, bm) = (v[0], v[1], v[2], v[3]);
             // The baseline recomputes ε² here; `licm` hoists it.
-            let eps2 = b.fmul(eps.into(), eps.into());
-            let dx = b.fsub(bx.into(), px.into());
-            let dy = b.fsub(by.into(), py.into());
-            let dz = b.fsub(bz.into(), pz.into());
-            let t = b.fmul(dx.into(), dx.into());
-            b.fmad_into(t, dy.into(), dy.into(), t.into());
-            b.fmad_into(t, dz.into(), dz.into(), t.into());
-            let r2 = b.fadd(t.into(), eps2.into());
-            b.alu_into(r2, AluOp::FMax, r2.into(), Operand::ImmF(MIN_DIST_SQ));
-            let rinv = b.frsqrt(r2.into());
-            let rc = b.fmul(rinv.into(), rinv.into());
-            b.alu_into(rc, AluOp::FMul, rc.into(), rinv.into());
-            let s = b.fmul(bm.into(), rc.into());
-            b.fmad_into(ax, dx.into(), s.into(), ax.into());
-            b.fmad_into(ay, dy.into(), s.into(), ay.into());
-            b.fmad_into(az, dz.into(), s.into(), az.into());
+            let eps2 = b.fmul(th.eps.into(), th.eps.into());
+            let (d, d2) = offset_sq(b, [v[0], v[1], v[2]], th.pos);
+            add_pull(b, d, d2, eps2, v[3], acc);
         });
         b.sync();
     });
+}
 
-    // --- epilogue: write the accumulated acceleration as a float4 -------
+/// The first half of the pairwise interaction: `d = src - pos` and `|d|²`.
+pub(crate) fn offset_sq(b: &mut KernelBuilder, src: [Reg; 3], pos: [Reg; 3]) -> ([Reg; 3], Reg) {
+    let dx = b.fsub(src[0].into(), pos[0].into());
+    let dy = b.fsub(src[1].into(), pos[1].into());
+    let dz = b.fsub(src[2].into(), pos[2].into());
+    let t = b.fmul(dx.into(), dx.into());
+    b.fmad_into(t, dy.into(), dy.into(), t.into());
+    b.fmad_into(t, dz.into(), dz.into(), t.into());
+    ([dx, dy, dz], t)
+}
+
+/// The second half: `acc += d · mass / max(|d|² + ε², MIN_DIST_SQ)^{3/2}`,
+/// in the operation order of `nbody::model::accel_one_exact`.
+pub(crate) fn add_pull(
+    b: &mut KernelBuilder,
+    d: [Reg; 3],
+    d2: Reg,
+    eps2: Reg,
+    mass: Reg,
+    acc: [Reg; 3],
+) {
+    let r2 = b.fadd(d2.into(), eps2.into());
+    b.alu_into(r2, AluOp::FMax, r2.into(), Operand::ImmF(MIN_DIST_SQ));
+    let rinv = b.frsqrt(r2.into());
+    let rc = b.fmul(rinv.into(), rinv.into());
+    b.alu_into(rc, AluOp::FMul, rc.into(), rinv.into());
+    let s = b.fmul(mass.into(), rc.into());
+    for (a, dk) in acc.into_iter().zip(d) {
+        b.fmad_into(a, dk.into(), s.into(), a.into());
+    }
+}
+
+/// The epilogue: write the accumulated acceleration to `oaddr` as a float4.
+pub(crate) fn store_acc(b: &mut KernelBuilder, oaddr: Reg, acc: [Reg; 3]) {
     b.st(
         MemSpace::Global,
         oaddr,
         0,
-        vec![ax.into(), ay.into(), az.into(), Operand::ImmF(0.0)],
+        vec![
+            acc[0].into(),
+            acc[1].into(),
+            acc[2].into(),
+            Operand::ImmF(0.0),
+        ],
     );
-    b.finish()
 }
 
-/// Emit the posmass reads of `plan` for element index `idx`; returns the
-/// loaded registers grouped per read.
+/// Emit the layout's posmass reads for element `idx` from `bufs`; returns
+/// `(x, y, z, mass)`.
 fn load_posmass(
     b: &mut KernelBuilder,
-    plan: &particle_layouts::ReadPlan,
+    layout: Layout,
     bufs: &[Reg],
     idx: Reg,
-) -> Vec<Vec<Reg>> {
-    plan.reads
+) -> (Reg, Reg, Reg, Reg) {
+    let reads: Vec<Vec<Reg>> = layout
+        .read_plan_posmass()
+        .reads
         .iter()
         .map(|r| {
             let addr = b.mad_u(idx.into(), Operand::ImmU(r.stride), bufs[r.buffer].into());
             b.ld(MemSpace::Global, addr, r.offset, r.words as usize)
         })
-        .collect()
-}
-
-fn extract(
-    reads: &[Vec<Reg>],
-    lanes: particle_layouts::plan::PosMassLanes,
-) -> (Reg, Reg, Reg, Reg) {
+        .collect();
+    let lanes = layout.posmass_lanes();
     (
         reads[lanes.px.0][lanes.px.1],
         reads[lanes.py.0][lanes.py.1],
@@ -502,27 +582,18 @@ pub fn build_force_kernel_prefetch(cfg: ForceKernelConfig) -> Kernel {
     assert!(cfg.block.is_multiple_of(32) && cfg.block.is_multiple_of(cfg.unroll));
     let mut b = KernelBuilder::new(format!("force_prefetch_b{}_u{}", cfg.block, cfg.unroll));
     b.shared_mem(cfg.smem_bytes());
-    let posmass = b.param();
-    let _vel = b.param(); // SoAoaS buffer list parity with the standard kernel
+    // SoAoaS buffer list (posmass, vel): parity with the standard kernel.
+    let bufs = [b.param(), b.param()];
+    let posmass = bufs[0];
     let out = b.param();
     let n = b.param();
-    let eps_param = b.param();
+    let eps = b.param();
     let smem0 = b.param();
 
-    let tid = b.special(SpecialReg::TidX);
-    let ctaid = b.special(SpecialReg::CtaidX);
-    let ntid = b.special(SpecialReg::NtidX);
-    let i = b.mad_u(ctaid.into(), ntid.into(), tid.into());
-    let own_addr = b.mad_u(i.into(), Operand::ImmU(16), posmass.into());
-    let own = b.ld(MemSpace::Global, own_addr, 0, 4);
-    let (px, py, pz) = (own[0], own[1], own[2]);
-    let oaddr = b.mad_u(i.into(), Operand::ImmU(16), out.into());
-    let myslot = b.imul(tid.into(), Operand::ImmU(16));
-    let eps = b.mov(eps_param.into());
-    let eps2 = b.fmul(eps.into(), eps.into());
-    let ax = b.mov(Operand::ImmF(0.0));
-    let ay = b.mov(Operand::ImmF(0.0));
-    let az = b.mov(Operand::ImmF(0.0));
+    let th = thread_setup(&mut b, cfg.layout, &bufs, out, eps);
+    let tid = th.tid;
+    let eps2 = b.fmul(th.eps.into(), th.eps.into());
+    let acc = zero_acc(&mut b);
     // Clamp bound for the prefetch index: the base of the last tile. The
     // clamp must act on the *tile base*, not the per-lane element — clamping
     // every lane to `n - 1` would collapse the half-warp onto one address on
@@ -531,7 +602,7 @@ pub fn build_force_kernel_prefetch(cfg: ForceKernelConfig) -> Kernel {
     let nmb = b.alu(AluOp::ISub, n.into(), Operand::ImmU(cfg.block));
 
     // Prefetch tile 0 into the persistent buffer registers.
-    let cur: Vec<gpu_sim::ir::Reg> = {
+    let cur: Vec<Reg> = {
         let a0 = b.mad_u(tid.into(), Operand::ImmU(16), posmass.into());
         b.ld(MemSpace::Global, a0, 0, 4)
     };
@@ -540,7 +611,7 @@ pub fn build_force_kernel_prefetch(cfg: ForceKernelConfig) -> Kernel {
         // Publish the prefetched tile element.
         b.st(
             MemSpace::Shared,
-            myslot,
+            th.myslot,
             0,
             vec![cur[0].into(), cur[1].into(), cur[2].into(), cur[3].into()],
         );
@@ -555,36 +626,18 @@ pub fn build_force_kernel_prefetch(cfg: ForceKernelConfig) -> Kernel {
         let elem = b.iadd(capped.into(), tid.into());
         let naddr = b.mad_u(elem.into(), Operand::ImmU(16), posmass.into());
         b.ld_into(MemSpace::Global, naddr, 0, cur.clone());
-        // Inner loop over the published tile (identical to the standard
-        // kernel, ε² hoisted).
+        // Inner loop over the published tile (the standard kernel's, with
+        // ε² hoisted).
         b.for_loop(Operand::ImmU(0), Operand::ImmU(cfg.block), 1, |b, j| {
             let jaddr = b.mad_u(j.into(), Operand::ImmU(16), smem0.into());
             let v = b.ld(MemSpace::Shared, jaddr, 0, 4);
-            let dx = b.fsub(v[0].into(), px.into());
-            let dy = b.fsub(v[1].into(), py.into());
-            let dz = b.fsub(v[2].into(), pz.into());
-            let t = b.fmul(dx.into(), dx.into());
-            b.fmad_into(t, dy.into(), dy.into(), t.into());
-            b.fmad_into(t, dz.into(), dz.into(), t.into());
-            let r2 = b.fadd(t.into(), eps2.into());
-            b.alu_into(r2, AluOp::FMax, r2.into(), Operand::ImmF(MIN_DIST_SQ));
-            let rinv = b.frsqrt(r2.into());
-            let rc = b.fmul(rinv.into(), rinv.into());
-            b.alu_into(rc, AluOp::FMul, rc.into(), rinv.into());
-            let s = b.fmul(v[3].into(), rc.into());
-            b.fmad_into(ax, dx.into(), s.into(), ax.into());
-            b.fmad_into(ay, dy.into(), s.into(), ay.into());
-            b.fmad_into(az, dz.into(), s.into(), az.into());
+            let (d, d2) = offset_sq(b, [v[0], v[1], v[2]], th.pos);
+            add_pull(b, d, d2, eps2, v[3], acc);
         });
         b.sync();
     });
 
-    b.st(
-        MemSpace::Global,
-        oaddr,
-        0,
-        vec![ax.into(), ay.into(), az.into(), Operand::ImmF(0.0)],
-    );
+    store_acc(&mut b, th.oaddr, acc);
     let mut k = b.finish();
     if cfg.unroll > 1 {
         k = unroll_innermost(&k, cfg.unroll);
