@@ -200,12 +200,15 @@ fn main() {
         };
 
         // Invariant 1: bit-identical convergence.
+        let state_identical = sim.bodies == reference.bodies && sim.accels == reference.accels;
+        let clock_identical =
+            sim.time.to_bits() == reference.time.to_bits() && sim.steps == reference.steps;
         violations.check(
-            sim.bodies == reference.bodies && sim.accels == reference.accels,
+            state_identical,
             &format!("campaign {c} ({label}): final state diverged from fault-free reference"),
         );
         violations.check(
-            sim.time.to_bits() == reference.time.to_bits() && sim.steps == reference.steps,
+            clock_identical,
             &format!("campaign {c} ({label}): clock/step divergence"),
         );
         // Invariant 2: retry counts within budget.
@@ -254,11 +257,16 @@ fn main() {
         total_faults += attributed;
         println!(
             "campaign {c:2} [{label:11}] rates(flip={:.2} launch={:.2} hang={:.2}): \
-             {} reports, {attributed} faulty launches attributed, state bit-identical",
+             {} reports, {attributed} faulty launches attributed, {}",
             rates.bit_flip,
             rates.launch_failure,
             rates.hang,
             reports.len(),
+            if state_identical && clock_identical {
+                "state bit-identical"
+            } else {
+                "STATE DIVERGED"
+            },
         );
     }
 

@@ -21,7 +21,12 @@
 //!   host readback ([`GlobalMemory::download`]) and whole-memory scans
 //!   ([`GlobalMemory::verify_all`]) surface the corruption as a typed
 //!   [`FaultKind::EccMismatch`] at the exact word instead of silently wrong
-//!   physics.
+//!   physics. Loads check the checksum too: a word read while stale stays
+//!   reported by verification even after a later store refreshed it, so a
+//!   kernel that reads a struck word and writes the result back (a carried
+//!   accumulator, an in-place update) cannot launder the strike.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::fault::{DeviceError, DeviceResult, FaultKind};
 use crate::ir::MemSpace;
@@ -93,6 +98,52 @@ pub struct GlobalMemory {
     /// Highest value `next` ever reached — the high-water mark of the
     /// allocator across the memory's lifetime, `free`/`reset` included.
     high_water: u64,
+    /// The lowest-addressed word a load found with a stale checksum.
+    bad_read: BadRead,
+}
+
+/// The lowest-addressed word a load found with a mismatching ECC checksum,
+/// packed as `addr << 16 | expected << 8 | actual` (`u64::MAX` = none).
+///
+/// Loads take `&self` — the parallel executor's [`BlockShard`]s share one
+/// base memory — so the record is an atomic minimum: whichever order the
+/// blocks run in, the same word is recorded as on the sequential path.
+#[derive(Debug)]
+struct BadRead(AtomicU64);
+
+impl BadRead {
+    const NONE: u64 = u64::MAX;
+
+    fn note(&self, addr: u64, expected: u8, actual: u8) {
+        let packed = addr << 16 | u64::from(expected) << 8 | u64::from(actual);
+        self.0.fetch_min(packed, Ordering::Relaxed);
+    }
+
+    /// `(addr, expected, actual)` of the recorded word, if any.
+    fn get(&self) -> Option<(u64, u8, u8)> {
+        let v = self.0.load(Ordering::Relaxed);
+        (v != Self::NONE).then_some((v >> 16, (v >> 8) as u8, v as u8))
+    }
+
+    /// Forget a recorded word at or above `addr` (it was deallocated).
+    fn clear_from(&mut self, addr: u64) {
+        let v = self.0.get_mut();
+        if *v >> 16 >= addr {
+            *v = Self::NONE;
+        }
+    }
+}
+
+impl Clone for BadRead {
+    fn clone(&self) -> Self {
+        BadRead(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl PartialEq for BadRead {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.load(Ordering::Relaxed) == other.0.load(Ordering::Relaxed)
+    }
 }
 
 impl GlobalMemory {
@@ -108,6 +159,7 @@ impl GlobalMemory {
             next: 0,
             allocs: Vec::new(),
             high_water: 0,
+            bad_read: BadRead(AtomicU64::new(BadRead::NONE)),
         }
     }
 
@@ -209,6 +261,7 @@ impl GlobalMemory {
                 // by verification, and a later alloc refreshes them).
                 self.shadow[rec.prev_next as usize..self.next as usize].fill(SH_UNALLOC);
                 self.next = rec.prev_next;
+                self.bad_read.clear_from(self.next);
                 Ok(())
             }
             top => Err(DeviceError::new(FaultKind::InvalidFree {
@@ -226,6 +279,7 @@ impl GlobalMemory {
         self.shadow[..self.next as usize].fill(SH_UNALLOC);
         self.allocs.clear();
         self.next = 0;
+        self.bad_read.clear_from(0);
     }
 
     /// As [`GlobalMemory::alloc`], but zero-filled and marked initialized —
@@ -324,12 +378,17 @@ impl GlobalMemory {
         Ok(())
     }
 
-    /// Load a 32-bit word as raw bits.
+    /// Load a 32-bit word as raw bits. A word whose checksum does not match
+    /// is returned as stored, but recorded for [`Self::verify_range`].
     #[inline]
     pub fn load_u32(&self, addr: u64) -> DeviceResult<u32> {
         self.check(addr, 4, true)?;
         let a = addr as usize;
         let d = &self.data[a..a + 4];
+        let (expected, actual) = (self.ecc[a / 4], ecc_of(d));
+        if actual != expected {
+            self.bad_read.note(addr, expected, actual);
+        }
         Ok(u32::from_le_bytes([d[0], d[1], d[2], d[3]]))
     }
 
@@ -374,7 +433,9 @@ impl GlobalMemory {
     /// Verify the ECC checksums of every *allocated* word overlapping
     /// `[addr, addr + len)`; the first mismatch is returned as
     /// [`FaultKind::EccMismatch`]. Redzone and never-allocated words are
-    /// skipped (nothing legitimate ever reads them).
+    /// skipped (nothing legitimate ever reads them). A word a load found
+    /// stale counts as a mismatch with the checksums seen at that load, even
+    /// if a store has since refreshed it.
     pub fn verify_range(&self, addr: u64, len: u64) -> DeviceResult<()> {
         if len == 0 {
             return Ok(());
@@ -384,6 +445,7 @@ impl GlobalMemory {
             return Ok(());
         }
         let cap = self.data.len();
+        let bad_read = self.bad_read.get();
         for w in (addr as usize / 4)..=((end as usize - 1) / 4) {
             let s = w * 4;
             let e = (s + 4).min(cap);
@@ -393,8 +455,10 @@ impl GlobalMemory {
             {
                 continue;
             }
-            let actual = ecc_of(&self.data[s..e]);
-            let expected = self.ecc[w];
+            let (expected, actual) = match bad_read {
+                Some((a, expected, actual)) if a == s as u64 => (expected, actual),
+                _ => (self.ecc[w], ecc_of(&self.data[s..e])),
+            };
             if actual != expected {
                 return Err(DeviceError::new(FaultKind::EccMismatch {
                     addr: s as u64,
@@ -988,6 +1052,33 @@ mod tests {
         // Re-writing the word through a legitimate path re-syncs the ECC —
         // the re-upload-and-retry recovery model.
         m.store_u32(p.0, 0).unwrap();
+        assert!(m.verify_all().is_ok());
+    }
+
+    #[test]
+    fn a_flip_read_then_stored_back_stays_reported() {
+        let mut m = GlobalMemory::new(1024);
+        let p = m.alloc_zeroed(16).unwrap();
+        m.store_u32(p.0 + 4, 7).unwrap();
+        m.corrupt_bit(p.0 + 5, 1);
+        // A carried accumulator: read the struck word, write it back.
+        let v = m.load_u32(p.0 + 4).unwrap();
+        m.store_u32(p.0 + 4, v).unwrap();
+        let e = m.verify_all().unwrap_err();
+        let FaultKind::EccMismatch {
+            addr,
+            expected,
+            actual,
+        } = e.kind
+        else {
+            panic!("wrong kind {:?}", e.kind);
+        };
+        assert_eq!(addr, p.0 + 4, "the word read while stale");
+        assert_ne!(expected, actual);
+        assert!(m.verify_range(p.0, 4).is_ok(), "other words verify clean");
+        // Freeing the allocation forgets the record.
+        m.free(p).unwrap();
+        assert_eq!(m.alloc_zeroed(16).unwrap(), p);
         assert!(m.verify_all().is_ok());
     }
 

@@ -248,6 +248,54 @@ fn pressure_and_transient_chaos_compose() {
     assert!(sim.fault_reports.iter().any(|r| !r.ladder.is_empty()));
 }
 
+/// A bit flip in the chunk kernel's carried accumulator must not escape.
+/// The kernel reads its `out` slot and writes the running total back, which
+/// refreshes the word's checksum; only the load-time ECC record lets the
+/// post-launch scrub see the strike. This is campaign 0 of
+/// `chaos --campaigns 1 --steps 6 --n 256 --device-mem 11712`, which ended
+/// "final state diverged" before loads were tracked.
+#[test]
+fn bit_flips_in_the_carried_accumulator_are_caught() {
+    let config = |device_capacity| SimConfig {
+        n: 256,
+        spawn: SpawnKind::UniformBall { radius: 4.0 },
+        seed: 42,
+        dt: 0.01,
+        backend: gpu(OptLevel::Full),
+        fault_policy: FaultPolicy::FallbackToCpu,
+        recovery: RecoveryPolicy {
+            max_retries: 3,
+            watchdog_instructions: Some(1 << 22),
+            device_capacity,
+            ..RecoveryPolicy::default()
+        },
+        ..SimConfig::default()
+    };
+    let mut free = Simulation::new(config(None)).unwrap();
+    free.run(6).unwrap();
+
+    let mut sim = Simulation::new(config(Some(11712))).unwrap();
+    sim.set_transient_faults(TransientFaultPlan::new(
+        simcore::SplitMix64::mix(42),
+        FaultRates {
+            bit_flip: 0.5,
+            launch_failure: 0.0,
+            hang: 0.0,
+        },
+    ));
+    sim.run(6).unwrap();
+    assert!(
+        sim.fault_reports
+            .iter()
+            .all(|r| r.ladder.first().is_some_and(|e| e.to == "chunked(c=128)")),
+        "the run must stream through the chunk kernel"
+    );
+    assert!(
+        free.bodies == sim.bodies && free.accels == sim.accels,
+        "a bit flip escaped the ECC scrub"
+    );
+}
+
 /// Resuming a checkpoint on a *smaller* device replans through
 /// [`plan_frame`] before any upload: under fallback it degrades down the
 /// PR 5 ladder (bit-identically), and a capacity below even the CPU-rung
