@@ -44,6 +44,28 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of flag `name` parsed as `T`, or `default` when the flag is
+/// absent. A value that does not parse or that `accepted` refuses exits 2
+/// naming `expected`.
+fn checked_flag<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+    accepted: impl Fn(&T) -> bool,
+    expected: &str,
+) -> T {
+    let Some(v) = flag(args, name) else {
+        return default;
+    };
+    match v.parse::<T>() {
+        Ok(x) if accepted(&x) => x,
+        _ => {
+            eprintln!("invalid {name} {v:?} (expected {expected})");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Parse a byte count with an optional K/M/G suffix (binary multiples).
 fn parse_bytes(v: &str) -> Option<u64> {
     let v = v.trim();
@@ -347,9 +369,7 @@ fn cmd_fleet(args: &[String]) {
     use gpu_sim::{DevicePool, DeviceSpec};
     use gravit_app::fleet::{drive, Fleet, FleetConfig, FleetEvent, JobSpec};
 
-    let devices: usize = flag(args, "--devices")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
+    let devices: usize = checked_flag(args, "--devices", 2, |&d| d >= 1, "a device count >= 1");
     let jobs: u64 = flag(args, "--jobs")
         .and_then(|v| v.parse().ok())
         .unwrap_or(12);
@@ -397,19 +417,32 @@ fn cmd_fleet(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let mut cfg = FleetConfig {
+    let defaults = FleetConfig::default();
+    let cfg = FleetConfig {
         seed,
-        ..FleetConfig::default()
+        slice_steps: checked_flag(
+            args,
+            "--slice",
+            defaults.slice_steps,
+            |_| true,
+            "a step count",
+        ),
+        queue_capacity: checked_flag(
+            args,
+            "--queue-cap",
+            defaults.queue_capacity,
+            |&q| q >= 1,
+            "a queue length >= 1",
+        ),
+        preempt_rate: checked_flag(
+            args,
+            "--preempt-rate",
+            defaults.preempt_rate,
+            |p| (0.0..=1.0).contains(p),
+            "a probability in [0, 1]",
+        ),
+        ..defaults
     };
-    if let Some(s) = flag(args, "--slice").and_then(|v| v.parse().ok()) {
-        cfg.slice_steps = s;
-    }
-    if let Some(q) = flag(args, "--queue-cap").and_then(|v| v.parse().ok()) {
-        cfg.queue_capacity = q;
-    }
-    if let Some(p) = flag(args, "--preempt-rate").and_then(|v| v.parse().ok()) {
-        cfg.preempt_rate = p;
-    }
     let specs: Vec<JobSpec> = (0..jobs)
         .map(|id| JobSpec {
             id,

@@ -320,12 +320,19 @@ fn run_physics(extra: &[&str]) -> String {
 
 #[test]
 fn unknown_backend_or_spawn_exits_2_naming_the_accepted_values() {
-    for (flag, value, accepted) in [
-        ("--backend", "gpuu", "cpu|par|bh|gpu"),
-        ("--spawn", "nope", "ball|disk|collision|plummer"),
+    for (cmd, flag, value, accepted) in [
+        ("run", "--backend", "gpuu", "cpu|par|bh|gpu"),
+        ("run", "--spawn", "nope", "ball|disk|collision|plummer"),
+        ("fleet", "--devices", "0", "device count >= 1"),
+        ("fleet", "--slice", "four", "a step count"),
+        ("fleet", "--queue-cap", "0", "queue length >= 1"),
+        ("fleet", "--queue-cap", "eight", "queue length >= 1"),
+        ("fleet", "--preempt-rate", "5", "probability in [0, 1]"),
+        ("fleet", "--preempt-rate", "nan", "probability in [0, 1]"),
+        ("fleet", "--preempt-rate", "often", "probability in [0, 1]"),
     ] {
         let out = gravit()
-            .args(["run", "--n", "16", "--steps", "1", flag, value])
+            .args([cmd, "--n", "16", "--steps", "1", flag, value])
             .output()
             .expect("run");
         assert_eq!(out.status.code(), Some(2), "{flag} {value}");
