@@ -108,6 +108,8 @@ pub struct GlobalMemory {
 /// Loads take `&self` — the parallel executor's [`BlockShard`]s share one
 /// base memory — so the record is an atomic minimum: whichever order the
 /// blocks run in, the same word is recorded as on the sequential path.
+/// `Relaxed` suffices: the packed word publishes no other data, and the
+/// executor joins its workers before anything reads the record.
 #[derive(Debug)]
 struct BadRead(AtomicU64);
 
@@ -384,12 +386,22 @@ impl GlobalMemory {
     pub fn load_u32(&self, addr: u64) -> DeviceResult<u32> {
         self.check(addr, 4, true)?;
         let a = addr as usize;
+        self.note_if_stale(a);
         let d = &self.data[a..a + 4];
-        let (expected, actual) = (self.ecc[a / 4], ecc_of(d));
-        if actual != expected {
-            self.bad_read.note(addr, expected, actual);
-        }
         Ok(u32::from_le_bytes([d[0], d[1], d[2], d[3]]))
+    }
+
+    /// Record the word at `a` for [`Self::verify_range`] if its checksum
+    /// does not match. Kept out of line so the inlined `load_u32` stays
+    /// small: inlining the check moved gpu-sim's codegen-unit partition,
+    /// which slowed the verifier's `TermArena::intern` by about a third and
+    /// the benchmark's `suggest_force` by ~15 %.
+    #[inline(never)]
+    fn note_if_stale(&self, a: usize) {
+        let (expected, actual) = (self.ecc[a / 4], ecc_of(&self.data[a..a + 4]));
+        if actual != expected {
+            self.bad_read.note(a as u64, expected, actual);
+        }
     }
 
     /// Store a 32-bit word as raw bits.

@@ -88,7 +88,7 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
     let i = b.mad_u(ctaid.into(), ntid.into(), tid.into());
     let paddr = b.mad_u(i.into(), Operand::ImmU(16), pos.into());
     let own = b.ld(MemSpace::Global, paddr, 0, 4);
-    let pos = [own[0], own[1], own[2]];
+    let own_pos = [own[0], own[1], own[2]];
     let oaddr = b.mad_u(i.into(), Operand::ImmU(16), out.into());
     let slot = b.imul(tid.into(), Operand::ImmU(4));
     let theta_sq = b.mov(theta_sq_p.into());
@@ -114,7 +114,7 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
         let m = b.ld(MemSpace::Global, maddr, 0, 4);
         let (side2, first, nchild, nbody) = (m[0], m[1], m[2], m[3]);
         // d² to the COM (no softening in the opening test).
-        let (d, d2) = offset_sq(b, [c[0], c[1], c[2]], pos);
+        let (d, d2) = offset_sq(b, [c[0], c[1], c[2]], own_pos);
         let thr = b.fmul(theta_sq.into(), d2.into());
         let far = b.setp(CmpOp::FLt, side2.into(), thr.into());
         b.if_else(
@@ -156,7 +156,8 @@ pub fn build_bh_kernel(cfg: BhKernelConfig) -> Kernel {
                                     let bi = b.iadd(first.into(), j.into());
                                     let ba = b.mad_u(bi.into(), Operand::ImmU(16), bodies.into());
                                     let body = b.ld(MemSpace::Global, ba, 0, 4);
-                                    let (bd, bd2) = offset_sq(b, [body[0], body[1], body[2]], pos);
+                                    let (bd, bd2) =
+                                        offset_sq(b, [body[0], body[1], body[2]], own_pos);
                                     add_pull(b, bd, bd2, eps2, body[3], acc);
                                 });
                             },
