@@ -15,7 +15,7 @@
 use gpu_kernels::force::{build_force_kernel, force_params, OptLevel};
 use gpu_kernels::membench::{build_membench_kernel, build_membench_texture_kernel, MembenchConfig};
 use gpu_sim::exec::functional::{run_lowered_full, FunctionalRun};
-use gpu_sim::exec::timed::{time_grid_lowered_full, time_resident, TimedRun};
+use gpu_sim::exec::timed::{time_grid_lowered_full, time_resident, time_sm_queue, TimedRun};
 use gpu_sim::ir::lower::lower;
 use gpu_sim::ir::{AluOp, CmpOp, Kernel, KernelBuilder, MemSpace, Operand, SpecialReg, UnaryOp};
 use gpu_sim::mem::{DevicePtr, GlobalMemory};
@@ -550,4 +550,124 @@ fn full_scale_launches_match_their_pins() {
             );
         }
     }
+}
+
+/// Collatz steps per thread (a divergent `While`), exchanged through shared
+/// memory across two barriers: a reversed read, a stride-two read (2-way
+/// bank conflict), a broadcast four-word read and a two-word read. The
+/// result joins a global load of the thread's input word.
+fn queue_mix_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("queue_mix");
+    b.shared_mem(64 * 4 * 2);
+    let inp = b.param();
+    let out = b.param();
+    let tid = b.special(SpecialReg::TidX);
+    let ntid = b.special(SpecialReg::NtidX);
+    let ctaid = b.special(SpecialReg::CtaidX);
+    let gi = b.global_thread_index();
+    let seed = b.iadd(tid.into(), ctaid.into());
+    let n = b.iadd(seed.into(), Operand::ImmU(1));
+    let steps = b.mov(Operand::ImmU(0));
+    b.do_while(|b| {
+        let not_one = b.setp(CmpOp::UNe, n.into(), Operand::ImmU(1));
+        b.if_then(not_one, |b| {
+            let bit = b.alu(AluOp::IAnd, n.into(), Operand::ImmU(1));
+            let podd = b.setp(CmpOp::UEq, bit.into(), Operand::ImmU(1));
+            b.if_else(
+                podd,
+                |b| {
+                    let t = b.mad_u(n.into(), Operand::ImmU(3), Operand::ImmU(1));
+                    b.emit(gpu_sim::ir::Instr::Mov {
+                        dst: n,
+                        src: t.into(),
+                    });
+                },
+                |b| {
+                    let f = b.reg();
+                    b.emit(gpu_sim::ir::Instr::Unary {
+                        op: UnaryOp::U2F,
+                        dst: f,
+                        a: n.into(),
+                    });
+                    let h = b.fmul(f.into(), Operand::ImmF(0.5));
+                    b.emit(gpu_sim::ir::Instr::Unary {
+                        op: UnaryOp::F2U,
+                        dst: n,
+                        a: h.into(),
+                    });
+                },
+            );
+            b.alu_into(steps, AluOp::IAdd, steps.into(), Operand::ImmU(1));
+        });
+        b.setp(CmpOp::UNe, n.into(), Operand::ImmU(1))
+    });
+    let own = b.imul(tid.into(), Operand::ImmU(4));
+    b.st(MemSpace::Shared, own, 0, vec![steps.into()]);
+    b.sync();
+    let last = b.alu(AluOp::ISub, ntid.into(), Operand::ImmU(1));
+    let rev = b.alu(AluOp::ISub, last.into(), tid.into());
+    let rev_addr = b.imul(rev.into(), Operand::ImmU(4));
+    let mirrored = b.ld(MemSpace::Shared, rev_addr, 0, 1)[0];
+    let stride2 = b.imul(tid.into(), Operand::ImmU(8));
+    let pair = b.ld(MemSpace::Shared, stride2, 0, 2);
+    let zero = b.mov(Operand::ImmU(0));
+    let quad = b.ld(MemSpace::Shared, zero, 0, 4);
+    b.sync();
+    let in_addr = b.mad_u(gi.into(), Operand::ImmU(4), inp.into());
+    let x = b.ld(MemSpace::Global, in_addr, 0, 1)[0];
+    let mut acc = b.iadd(mirrored.into(), x.into());
+    for r in pair.into_iter().chain(quad) {
+        acc = b.iadd(acc.into(), r.into());
+    }
+    let out_addr = b.mad_u(gi.into(), Operand::ImmU(4), out.into());
+    b.st(MemSpace::Global, out_addr, 0, vec![acc.into()]);
+    b.finish()
+}
+
+/// One SM's queue on the timed engine: three resident blocks of 64 threads,
+/// four more admitted from the pending queue as resident blocks retire.
+#[test]
+fn queued_blocks_with_barriers_match_their_pin() {
+    let (grid, block) = (7u32, 64u32);
+    let threads = u64::from(grid * block);
+    let mut gmem = GlobalMemory::new(1 << 16);
+    let words: Vec<u8> = (0..threads as u32)
+        .flat_map(|i| (i * 7 + 3).to_le_bytes())
+        .collect();
+    let inp = gmem.alloc(threads * 4).unwrap();
+    gmem.upload(inp, &words).unwrap();
+    let out = gmem.alloc(threads * 4).unwrap();
+    let driver = DriverModel::Cuda10;
+    let run = time_sm_queue(
+        &lower(&queue_mix_kernel()),
+        &[0, 1, 2],
+        &[3, 4, 5, 6],
+        block,
+        grid,
+        &[inp.0 as u32, out.0 as u32],
+        &mut gmem,
+        &DeviceConfig::g8800gtx(),
+        driver,
+        &TimingParams::for_driver(driver),
+    )
+    .unwrap();
+    let digest = fnv1a(&gmem.download(out, threads * 4).unwrap());
+    assert_eq!(
+        (
+            run.cycles,
+            run.warp_instructions,
+            run.transactions,
+            run.bus_bytes,
+            run.idle_cycles,
+            format!("{digest:016x}"),
+        ),
+        (
+            96_038,
+            19_724,
+            56,
+            3_584,
+            16_738,
+            "db0f8eb84264180c".to_string()
+        )
+    );
 }
