@@ -50,6 +50,26 @@ fn conflict_degree_in(addrs: &[Option<u64>], banks: u32, distinct: &mut [u64]) -
     words.iter().map(|&w| per_bank(w)).max().unwrap_or(1)
 }
 
+/// [`conflict_degree`] of a half-warp given as lane addresses and an active
+/// mask (bit `l` selects `addrs[l]`, at most 32 lanes), with the common
+/// broadcast case — every active lane on one 32-bit word — answered without
+/// building the lane list.
+pub fn half_warp_degree(addrs: &[u64], mask: u32, banks: u32) -> u32 {
+    let lanes = addrs.len();
+    assert!(lanes <= 32);
+    let active = || (0..lanes).filter(move |l| mask >> l & 1 != 0);
+    let mut words = active().map(|l| addrs[l] / 4);
+    let first = words.next();
+    if words.all(|w| Some(w) == first) {
+        return 1;
+    }
+    let mut opts = [None; 32];
+    for l in active() {
+        opts[l] = Some(addrs[l]);
+    }
+    conflict_degree(&opts[..lanes], banks)
+}
+
 /// `true` if the access is conflict-free (degree 1).
 pub fn is_conflict_free(addrs: &[Option<u64>], banks: u32) -> bool {
     conflict_degree(addrs, banks) == 1
@@ -153,5 +173,55 @@ mod tests {
         // only rescues one word, the other seven still serialize.
         let b = lanes(|k| 64 * (k / 2));
         assert_eq!(conflict_degree(&b, 16), 8);
+    }
+
+    /// The timed engine prices a shared access with [`half_warp_degree`] on
+    /// the first 32-bit phase only: over generated half-warp shapes (partial
+    /// masks, broadcasts, broadcast plus a conflicting word, strides, random
+    /// words) it must equal [`conflict_degree`] of every phase of a 1-, 2-
+    /// and 4-word access.
+    #[test]
+    fn half_warp_degree_matches_conflict_degree_on_every_phase() {
+        use simcore::rng::{Rng64, SplitMix64};
+        let mut rng = SplitMix64::new(0x5eed);
+        let (mut fast, mut conflicted) = (0, 0);
+        for case in 0..6000u64 {
+            let lanes = if case % 2 == 0 { 16 } else { 32 };
+            let base = 4 * rng.below(64);
+            let stride = 4 * rng.below(33);
+            let stray = rng.below(lanes as u64) as usize;
+            let mut addrs = vec![0u64; lanes];
+            for (l, a) in addrs.iter_mut().enumerate() {
+                *a = match case % 5 {
+                    // Every lane in one word, at any byte of it.
+                    0 => base + l as u64 % 4,
+                    1 if l == stray => 4 * rng.below(64),
+                    1 => base,
+                    2 => base + stride * l as u64,
+                    3 => 4 * rng.below(8),
+                    _ => 4 * rng.below(256),
+                };
+            }
+            let full = u32::MAX >> (32 - lanes);
+            let mask = match case % 7 {
+                0..=2 => full,
+                3 => 0,
+                4 => 1 << stray,
+                _ => rng.next_u64() as u32 & full,
+            };
+            let got = half_warp_degree(&addrs, mask, 16);
+            for words in [1u64, 2, 4] {
+                for phase in 0..words {
+                    let opts: Vec<Option<u64>> = (0..lanes)
+                        .map(|l| (mask >> l & 1 != 0).then(|| addrs[l] + 4 * phase))
+                        .collect();
+                    let want = conflict_degree(&opts, 16);
+                    assert_eq!(got, want, "case {case}, phase {phase}: {opts:?}");
+                }
+            }
+            fast += (got == 1) as u32;
+            conflicted += (got > 1) as u32;
+        }
+        assert!(fast > 1000 && conflicted > 1000, "{fast} / {conflicted}");
     }
 }

@@ -423,7 +423,7 @@ impl<'t> Block<'t> {
     /// access is performed (test harness only — production paths pass
     /// `None`).
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     pub fn exec<M: DeviceMem>(
         &mut self,
         w: usize,

@@ -24,7 +24,7 @@
 use super::functional::{configured_threads, validate_launch};
 use super::machine::{Block, LaneAddrs, LaunchEnv, WARP};
 use super::tape::{Inst, Op, Tape};
-use crate::banks::conflict_degree;
+use crate::banks::half_warp_degree;
 use crate::coalesce::CoalesceCache;
 use crate::device::DeviceConfig;
 use crate::driver::DriverModel;
@@ -222,6 +222,14 @@ pub fn time_sm_queue<M: DeviceMem>(
     let mut mem_free: u64 = 0;
     let mut last_issued: usize = 0;
     let mut busy_until: u64 = 0;
+    // Each warp's `own_bound`: its next-issue cycle is exactly
+    // `max(issue_free, own[w])`. Only the issuing warp's state moves, except
+    // on barrier release and block admission, which refresh their block.
+    let mut own: Vec<u64> = warps
+        .iter()
+        .map(|w| own_bound(w, &blocks, tape, tp))
+        .collect();
+    let mut at = LaneAddrs::default();
 
     loop {
         // Step-budget watchdog: a runaway kernel (e.g. a data-dependent loop
@@ -236,21 +244,23 @@ pub fn time_sm_queue<M: DeviceMem>(
                 .with_kernel(&prog.name));
             }
         }
-        // Find the warp that can issue earliest (round-robin tie-break).
-        let mut best: Option<(u64, usize)> = None;
-        for off in 0..warps.len() {
-            let wi = (last_issued + 1 + off) % warps.len();
-            let Some(t) = earliest_issue(&warps[wi], &blocks, tape, issue_free, tp) else {
-                continue;
-            };
-            match best {
-                Some((bt, _)) if bt <= t => {}
-                _ => best = Some((t, wi)),
+        // Find the warp that can issue earliest (round-robin tie-break: the
+        // first strict minimum from `last_issued + 1`). A warp's bound is
+        // `max(issue_free, own[w])`, so one at or below `issue_free` ties the
+        // best possible bound and ends the scan.
+        let (mut best, mut wi) = (u64::MAX, 0);
+        for k in (last_issued + 1..own.len()).chain(0..=last_issued) {
+            if own[k] < best {
+                (best, wi) = (own[k], k);
+                if best <= issue_free {
+                    break;
+                }
             }
         }
-        let Some((now, wi)) = best else {
+        if best == u64::MAX {
             break; // everyone is done (or parked at a barrier — checked below)
-        };
+        }
+        let now = best.max(issue_free);
         if now > busy_until {
             stats.idle_cycles += now - busy_until;
         }
@@ -261,7 +271,6 @@ pub fn time_sm_queue<M: DeviceMem>(
         let w = &mut warps[wi];
         let issue_cost = match *blk.op(wib) {
             Op::Inst(ref i) => {
-                let mut at = LaneAddrs::default();
                 blk.exec(wib, i, &env, gmem, now, None, Some(&mut at))
                     .map_err(|e| e.with_kernel(&prog.name))?;
                 stats.warp_instructions += 1;
@@ -344,12 +353,15 @@ pub fn time_sm_queue<M: DeviceMem>(
                         ..
                     } => {
                         let words = width.words();
-                        // Worst conflict degree across half-warps and phases.
+                        // Worst conflict degree across half-warps. Every
+                        // 32-bit phase shifts all lanes by the same word, which
+                        // keeps both word identity and bank sharing, so the
+                        // first phase's degree is every phase's.
                         let mut degree = 1u64;
-                        for phase in 0..words as u64 {
-                            for h in at.lanes(4 * phase).chunks(half) {
-                                degree = degree.max(conflict_degree(h, dev.smem_banks) as u64);
-                            }
+                        for (h, addrs) in at.addrs.chunks(half).enumerate() {
+                            let mask = (at.mask >> (h * half)) & (u32::MAX >> (32 - half));
+                            degree =
+                                degree.max(half_warp_degree(addrs, mask, dev.smem_banks) as u64);
                         }
                         let cost = tp.issue_smem * words as u64 * degree;
                         if let Inst::Ld { dsts, .. } = i {
@@ -433,62 +445,59 @@ pub fn time_sm_queue<M: DeviceMem>(
                 w.phase = WarpPhase::AtBarrier;
                 tp.issue_sync
             }
-            // `earliest_issue` never offers a warp at the end of the tape.
-            Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => continue,
+            // `own_bound` never offers a warp at the end of the tape.
+            Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => unreachable!("warp offered past its end"),
         };
         issue_free = now + issue_cost;
         busy_until = busy_until.max(issue_free);
         w.resume_at = issue_free;
         w.finish = w.finish.max(issue_free);
+        let span = bi * warps_per_block..(bi + 1) * warps_per_block;
+        let mut refresh = wi..wi + 1;
         if w.phase == WarpPhase::AtBarrier {
             // Release the barrier if everyone arrived.
-            let block = w.block;
-            let all_arrived = warps
+            let group = &mut warps[span.clone()];
+            if group
                 .iter()
-                .filter(|x| x.block == block)
-                .all(|x| matches!(x.phase, WarpPhase::AtBarrier | WarpPhase::Done));
-            if all_arrived {
-                let release = warps
+                .all(|x| matches!(x.phase, WarpPhase::AtBarrier | WarpPhase::Done))
+            {
+                let release = group
                     .iter()
-                    .filter(|x| x.block == block && x.phase == WarpPhase::AtBarrier)
+                    .filter(|x| x.phase == WarpPhase::AtBarrier)
                     .map(|x| x.resume_at)
                     .max()
                     .unwrap_or(now);
-                for x in warps.iter_mut().filter(|x| x.block == block) {
+                for x in group.iter_mut() {
                     if x.phase == WarpPhase::AtBarrier {
                         x.phase = WarpPhase::Ready;
                         x.resume_at = x.resume_at.max(release);
-                        blocks[block].advance(x.warp_in_block);
-                        if blocks[block].done(x.warp_in_block) {
+                        blocks[bi].advance(x.warp_in_block);
+                        if blocks[bi].done(x.warp_in_block) {
                             x.phase = WarpPhase::Done;
                         }
                     }
                 }
+                refresh = span.clone();
             }
         } else if blk.done(wib) {
             w.phase = WarpPhase::Done;
         }
 
         // Block retirement → admit the next pending block into the slot.
-        let slot = warps[wi].block;
         if let Some((&next_id, rest)) = queue.split_first() {
-            if warps
-                .iter()
-                .filter(|x| x.block == slot)
-                .all(|x| x.phase == WarpPhase::Done)
-            {
+            let group = &mut warps[span.clone()];
+            if group.iter().all(|x| x.phase == WarpPhase::Done) {
                 queue = rest;
-                let retire = warps
-                    .iter()
-                    .filter(|x| x.block == slot)
-                    .map(|x| x.finish)
-                    .max()
-                    .unwrap_or(0);
-                blocks[slot] = new_block(next_id)?;
-                for x in warps.iter_mut().filter(|x| x.block == slot) {
+                let retire = group.iter().map(|x| x.finish).max().unwrap_or(0);
+                blocks[bi] = new_block(next_id)?;
+                for x in group.iter_mut() {
                     x.admit(retire);
                 }
+                refresh = span;
             }
+        }
+        for k in refresh {
+            own[k] = own_bound(&warps[k], &blocks, tape, tp);
         }
     }
 
@@ -636,20 +645,22 @@ pub fn time_grid_lowered_full(
     Ok(total)
 }
 
-/// Earliest cycle at which this warp could issue its next op, or `None` if
-/// it cannot issue at all right now (done, or parked at a barrier).
-fn earliest_issue(
-    w: &WarpSim,
-    blocks: &[Block],
-    tape: &Tape,
-    issue_free: u64,
-    tp: &TimingParams,
-) -> Option<u64> {
+/// Earliest cycle at which this warp could issue its next op were the issue
+/// port free at cycle 0, or `u64::MAX` if it cannot issue at all right now
+/// (done, or parked at a barrier).
+///
+/// With the port free at `issue_free` instead, the bound is exactly
+/// `max(issue_free, own_bound(..))`. The resume and operand terms are maxed
+/// with `issue_free` either way. A global load over the in-flight limit
+/// waits for the `max_outstanding_loads`-th latest completion `L`, and it is
+/// over the limit at cycle `t` exactly when `L > t`; so the wait is
+/// `max(t, L)` for any `t`, `issue_free` included.
+fn own_bound(w: &WarpSim, blocks: &[Block], tape: &Tape, tp: &TimingParams) -> u64 {
     if w.phase != WarpPhase::Ready {
-        return None;
+        return u64::MAX;
     }
     let blk = &blocks[w.block];
-    let mut t = issue_free.max(w.resume_at);
+    let mut t = w.resume_at;
     match blk.op(w.warp_in_block) {
         Op::Inst(i) => {
             for &u in tape.uses[blk.pc(w.warp_in_block)].regs() {
@@ -661,11 +672,10 @@ fn earliest_issue(
             } = i
             {
                 // At most `max_outstanding_loads` loads in flight: wait for
-                // enough of those still pending at `t` to complete.
+                // the one that leaves fewer than that pending.
                 let limit = (tp.max_outstanding_loads as usize).max(1);
-                let in_flight = &w.outstanding[w.outstanding.partition_point(|&d| d <= t)..];
-                if in_flight.len() >= limit {
-                    t = t.max(in_flight[in_flight.len() - limit]);
+                if let Some(at) = w.outstanding.len().checked_sub(limit) {
+                    t = t.max(w.outstanding[at]);
                 }
             }
         }
@@ -673,9 +683,9 @@ fn earliest_issue(
             t = t.max(w.pred_ready[*pred as usize]);
         }
         Op::While | Op::Sync => {}
-        Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => return None,
+        Op::Exit | Op::ThenEnd { .. } | Op::IfEnd => return u64::MAX,
     }
-    Some(t)
+    t
 }
 
 #[cfg(test)]
