@@ -34,10 +34,10 @@
 //! (the Barnes–Hut `While` traversal, an `If` on a loaded predicate) are
 //! reported as [`VerifyResult::Unsupported`], never "proved".
 
-use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-use simcore::hash::FastMap;
+use simcore::hash::{FastMap, FxHasher};
 
 use crate::fault::FaultSite;
 use crate::ir::passes::{fold_addressing, licm, unroll_innermost};
@@ -87,33 +87,76 @@ struct TermId(u32);
 
 /// Hash-consed term store shared by both kernels of a verification, so that
 /// identical computations — however they were reached — get identical ids.
+///
+/// Ids are indices into `nodes`, handed out in insertion order. The dedup
+/// index is an open-addressed table of those ids (linear probing, doubled at
+/// half load) rather than a `HashMap`, so the interner's hot path is a few
+/// lines of this crate's own code and does not hinge on how the standard
+/// map's entry API happens to inline.
 struct TermArena {
     nodes: Vec<Node>,
-    dedup: FastMap<Node, TermId>,
+    /// `EMPTY` or an id into `nodes`; a power-of-two length, at most half
+    /// full.
+    slots: Vec<u32>,
+}
+
+/// A free slot of [`TermArena::slots`].
+const EMPTY: u32 = u32::MAX;
+
+/// The home slot of `n` in a table of `mask + 1` slots.
+#[inline]
+fn home_slot(n: &Node, mask: usize) -> usize {
+    let mut h = FxHasher::default();
+    n.hash(&mut h);
+    h.finish() as usize & mask
 }
 
 impl TermArena {
     fn new() -> TermArena {
         TermArena {
             nodes: Vec::new(),
-            dedup: FastMap::default(),
+            slots: vec![EMPTY; 64],
         }
     }
 
     fn intern(&mut self, n: Node) -> TermId {
-        match self.dedup.entry(n) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = TermId(self.nodes.len() as u32);
-                self.nodes.push(n);
-                *e.insert(id)
+        let mask = self.slots.len() - 1;
+        let mut i = home_slot(&n, mask);
+        loop {
+            match self.slots[i] {
+                EMPTY => break,
+                id if self.nodes[id as usize] == n => return TermId(id),
+                _ => i = (i + 1) & mask,
             }
+        }
+        let id = self.nodes.len() as u32;
+        self.nodes.push(n);
+        self.slots[i] = id;
+        if 2 * self.nodes.len() > self.slots.len() {
+            self.grow();
+        }
+        TermId(id)
+    }
+
+    /// Double the table and re-insert every id.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(len, EMPTY);
+        for (id, n) in self.nodes.iter().enumerate() {
+            let mut i = home_slot(n, len - 1);
+            while self.slots[i] != EMPTY {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = id as u32;
         }
     }
 
     fn clear(&mut self) {
         self.nodes.clear();
-        self.dedup.clear();
+        self.slots.fill(EMPTY);
     }
 
     fn konst(&mut self, v: u32) -> TermId {
@@ -1246,6 +1289,26 @@ mod tests {
             txt.contains("Global[0x1000]"),
             "store value should reference the input: {txt}"
         );
+    }
+
+    #[test]
+    fn interned_ids_are_dense_and_stable_across_growth_and_clear() {
+        let mut arena = TermArena::new();
+        for round in 0..2 {
+            // Enough terms to double the table several times.
+            let ids: Vec<TermId> = (0..1000).map(|v| arena.konst(v * 4)).collect();
+            for (k, id) in ids.iter().enumerate() {
+                assert_eq!(id.0 as usize, k, "round {round}: insertion order");
+            }
+            let sum = arena.intern(Node::Alu(AluOp::IAdd, ids[3], ids[7]));
+            assert_eq!(sum.0, 1000);
+            for (v, id) in (0..1000).zip(&ids) {
+                assert_eq!(arena.konst(v * 4), *id, "re-interning finds the term");
+            }
+            assert_eq!(arena.intern(Node::Alu(AluOp::IAdd, ids[3], ids[7])), sum);
+            assert_eq!(arena.nodes.len(), 1001);
+            arena.clear();
+        }
     }
 
     /// A uniform data-dependent walk: every thread loads the same scalar,
