@@ -129,7 +129,7 @@ pub struct KernelTime {
 /// `block` threads on the G80 under `driver`.
 ///
 /// One SM's resident wave is simulated at each of the `FIT_TILES` tile
-/// counts; `upload` writes that fit's particles into a fresh scratch device
+/// counts; `upload` writes that fit's particles into an empty scratch device
 /// memory and returns the kernel's launch parameters. Per-wave cycles are
 /// extrapolated linearly to the padded `n` and scaled by the wave count
 /// ([`grid_seconds`]). Residency is clamped to the smallest fitted grid: a
@@ -149,9 +149,14 @@ pub fn model_kernel(
     let padded = padded_count(n, block);
     let resident: Vec<u32> = (0..occ.active_blocks.min(FIT_TILES[0])).collect();
     let mut measured = Vec::new();
+    // One scratch memory for every fit: `reset` rewinds the allocator and
+    // the shadow map, so each fit uploads to the same addresses under the
+    // same sanitizer checks as on a fresh memory, without paying for
+    // another 64 MiB.
+    let mut gmem = GlobalMemory::new(64 << 20);
     for tiles in FIT_TILES {
         let small_n = tiles * block;
-        let mut gmem = GlobalMemory::new(64 << 20);
+        gmem.reset();
         let params = upload(&mut gmem, &fit_particles(small_n))?;
         let run = time_resident(
             kernel,
