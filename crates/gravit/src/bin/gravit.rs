@@ -79,18 +79,11 @@ fn parse_bytes(v: &str) -> Option<u64> {
 }
 
 fn cmd_run(args: &[String]) {
-    let n: usize = flag(args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2048);
-    let steps: u64 = flag(args, "--steps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(50);
-    let dt: f32 = flag(args, "--dt")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.005);
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
+    let n: usize = checked_flag(args, "--n", 2048, |_| true, "a body count");
+    let steps: u64 = checked_flag(args, "--steps", 50, |_| true, "a step count");
+    // The time step's range is the configuration's to check (exit 2 too).
+    let dt: f32 = checked_flag(args, "--dt", 0.005, |_| true, "a number");
+    let seed: u64 = checked_flag(args, "--seed", 42, |_| true, "an unsigned integer");
     let backend = match flag(args, "--backend").as_deref() {
         Some("cpu") => Backend::CpuSerial,
         Some("par") | None => Backend::CpuParallel,
@@ -134,9 +127,13 @@ fn cmd_run(args: &[String]) {
         fault_policy,
         ..SimConfig::default()
     };
-    if let Some(r) = flag(args, "--max-retries").and_then(|v| v.parse().ok()) {
-        cfg.recovery.max_retries = r;
-    }
+    cfg.recovery.max_retries = checked_flag(
+        args,
+        "--max-retries",
+        cfg.recovery.max_retries,
+        |_| true,
+        "a retry count",
+    );
     if let Some(v) = flag(args, "--device-mem") {
         match parse_bytes(&v) {
             Some(bytes) => cfg.recovery.device_capacity = Some(bytes),
@@ -160,9 +157,7 @@ fn cmd_run(args: &[String]) {
         }
         return;
     }
-    let ckpt_every: u64 = flag(args, "--checkpoint-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let ckpt_every: u64 = checked_flag(args, "--checkpoint-every", 0, |_| true, "a step count");
     cfg.recovery.checkpoint_every = ckpt_every;
     let ckpt_path =
         flag(args, "--checkpoint").or_else(|| (ckpt_every > 0).then(|| "gravit.ckpt".to_string()));
@@ -287,9 +282,7 @@ fn cmd_ladder() {
 }
 
 fn cmd_model(args: &[String]) {
-    let n: u32 = flag(args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let n: u32 = checked_flag(args, "--n", 100_000, |&n| n >= 1, "a body count >= 1");
     println!("Modeled 8800 GTX frame times at N = {n} (CUDA 1.0):\n");
     let base = gravit_app::model::model_frame(OptLevel::Baseline, n, DriverModel::Cuda10).total_s();
     for level in OptLevel::ALL {
@@ -329,9 +322,7 @@ fn cmd_render(args: &[String]) {
         std::process::exit(2);
     };
     let out = flag(args, "--out").unwrap_or_else(|| "frames".into());
-    let size: usize = flag(args, "--size")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
+    let size: usize = checked_flag(args, "--size", 256, |&s| s >= 1, "a pixel size >= 1");
     let rec = Recording::load(&input).unwrap_or_else(|e| {
         eprintln!("gravit: cannot load recording {input}: {e}");
         std::process::exit(2);
@@ -370,21 +361,11 @@ fn cmd_fleet(args: &[String]) {
     use gravit_app::fleet::{drive, Fleet, FleetConfig, FleetEvent, JobSpec};
 
     let devices: usize = checked_flag(args, "--devices", 2, |&d| d >= 1, "a device count >= 1");
-    let jobs: u64 = flag(args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(12);
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    let n: usize = flag(args, "--n")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256);
-    let steps: u64 = flag(args, "--steps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    let ticks: u64 = flag(args, "--ticks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+    let jobs: u64 = checked_flag(args, "--jobs", 12, |_| true, "a job count");
+    let seed: u64 = checked_flag(args, "--seed", 42, |_| true, "an unsigned integer");
+    let n: usize = checked_flag(args, "--n", 256, |_| true, "a body count");
+    let steps: u64 = checked_flag(args, "--steps", 16, |_| true, "a step count");
+    let ticks: u64 = checked_flag(args, "--ticks", 100_000, |_| true, "a tick count");
     let rates = match flag(args, "--fault-rates") {
         Some(v) => match parse_fault_rates(&v) {
             Some(r) => r,

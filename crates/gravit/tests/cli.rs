@@ -345,6 +345,44 @@ fn unknown_backend_or_spawn_exits_2_naming_the_accepted_values() {
     }
 }
 
+/// A number that does not parse, or that its flag's range refuses, exits 2
+/// naming the accepted values instead of running with the default.
+#[test]
+fn bad_numbers_exit_2_naming_the_accepted_values() {
+    let cases: &[(&[&str], &str, &str)] = &[
+        (&["run", "--n", "many"], "many", "a body count"),
+        (&["run", "--steps", "abc"], "abc", "a step count"),
+        (&["run", "--dt", "fast"], "fast", "a number"),
+        (&["run", "--seed", "-1"], "-1", "an unsigned integer"),
+        (&["run", "--max-retries", "lots"], "lots", "a retry count"),
+        (&["run", "--checkpoint-every", "2.5"], "2.5", "a step count"),
+        (&["model", "--n", "0"], "0", "a body count >= 1"),
+        (&["model", "--n", "1e5"], "1e5", "a body count >= 1"),
+        (
+            &["render", "--input", "none.json", "--size", "0"],
+            "0",
+            "a pixel size >= 1",
+        ),
+        (
+            &["render", "--input", "none.json", "--size", "big"],
+            "big",
+            "a pixel size >= 1",
+        ),
+        (&["fleet", "--jobs", "x"], "x", "a job count"),
+        (&["fleet", "--ticks", "-3"], "-3", "a tick count"),
+    ];
+    for (args, value, accepted) in cases {
+        let out = gravit().args(*args).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{value:?}")) && err.contains(accepted),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+    }
+}
+
 #[test]
 fn par_and_disk_are_the_defaults_and_selectable_by_name() {
     let out = gravit()
