@@ -54,7 +54,7 @@ fn conflict_degree_in(addrs: &[Option<u64>], banks: u32, distinct: &mut [u64]) -
 /// mask (bit `l` selects `addrs[l]`, at most 32 lanes), with the common
 /// broadcast case — every active lane on one 32-bit word — answered without
 /// building the lane list.
-pub fn half_warp_degree(addrs: &[u64], mask: u32, banks: u32) -> u32 {
+pub(crate) fn half_warp_degree(addrs: &[u64], mask: u32, banks: u32) -> u32 {
     let lanes = addrs.len();
     assert!(lanes <= 32);
     let active = || (0..lanes).filter(move |l| mask >> l & 1 != 0);
