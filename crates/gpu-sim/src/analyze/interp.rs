@@ -1272,6 +1272,9 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 MemSpace::Shared => {
                     let half = self.cfg.device.half_warp as usize;
                     let banks = self.cfg.device.smem_banks;
+                    // Each word of a vector access is a bank phase of its
+                    // own, but every phase shifts all lanes by one word, so
+                    // the first phase's degree is every phase's.
                     let mut degree = 1u32;
                     let mut issues = 0u64;
                     for chunk in addrs.chunks(half) {
@@ -1279,7 +1282,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                             continue;
                         }
                         issues += 1;
-                        degree = degree.max(vector_conflict_degree(chunk, words, banks));
+                        degree = degree.max(conflict_degree(chunk, banks));
                     }
                     if let Some(site) = self.sink.sites.get_mut(&idx) {
                         site.bank_degree = site.bank_degree.max(degree);
@@ -1361,6 +1364,8 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             MemSpace::Texture => {}
             MemSpace::Shared => {
                 let banks = self.cfg.device.smem_banks;
+                // One phase stands for every word of a vector access, as
+                // on the exact path above.
                 let mut degree = 1u32;
                 let mut issues = 0u64;
                 for (c, chunk) in addrs.chunks(half).enumerate() {
@@ -1370,7 +1375,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                     }
                     issues += 1;
                     if lanes(chunk_mask).all(|l| addrs[l].is_some()) {
-                        degree = degree.max(vector_conflict_degree(chunk, words, banks));
+                        degree = degree.max(conflict_degree(chunk, banks));
                     }
                 }
                 if let Some(site) = self.sink.sites.get_mut(&idx) {
@@ -1389,19 +1394,4 @@ fn chunk_lanes(c: usize, half: usize) -> u32 {
     let lo = c * half;
     let len = half.min(WARP - lo);
     (((1u64 << len) - 1) << lo) as u32
-}
-
-/// Worst bank-conflict degree of one half-warp issue of a `words`-word
-/// shared access: each word of a vector access is its own bank phase.
-fn vector_conflict_degree(chunk: &[Option<u64>], words: usize, banks: u32) -> u32 {
-    let mut shifted: [Option<u64>; WARP] = [None; WARP];
-    let shifted = &mut shifted[..chunk.len()];
-    (0..words as u64)
-        .map(|w| {
-            for (s, a) in shifted.iter_mut().zip(chunk) {
-                *s = a.map(|a| a + 4 * w);
-            }
-            conflict_degree(shifted, banks)
-        })
-        .fold(1, u32::max)
 }
