@@ -1273,8 +1273,8 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                     let half = self.cfg.device.half_warp as usize;
                     let banks = self.cfg.device.smem_banks;
                     // Each word of a vector access is a bank phase of its
-                    // own, but every phase shifts all lanes by one word, so
-                    // the first phase's degree is every phase's.
+                    // own with the first phase's degree (see
+                    // `banks::conflict_degree`).
                     let mut degree = 1u32;
                     let mut issues = 0u64;
                     for chunk in addrs.chunks(half) {

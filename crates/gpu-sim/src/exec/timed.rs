@@ -24,7 +24,7 @@
 use super::functional::{configured_threads, validate_launch};
 use super::machine::{Block, LaneAddrs, LaunchEnv, WARP};
 use super::tape::{Inst, Op, Tape};
-use crate::banks::half_warp_degree;
+use crate::banks::conflict_degree;
 use crate::coalesce::CoalesceCache;
 use crate::device::DeviceConfig;
 use crate::driver::DriverModel;
@@ -353,15 +353,12 @@ pub fn time_sm_queue<M: DeviceMem>(
                         ..
                     } => {
                         let words = width.words();
-                        // Worst conflict degree across half-warps. Every
-                        // 32-bit phase shifts all lanes by the same word, which
-                        // keeps both word identity and bank sharing, so the
-                        // first phase's degree is every phase's.
+                        // Worst conflict degree across half-warps, on the
+                        // first 32-bit phase: every phase has its degree (see
+                        // `banks::conflict_degree`).
                         let mut degree = 1u64;
-                        for (h, addrs) in at.addrs.chunks(half).enumerate() {
-                            let mask = (at.mask >> (h * half)) & (u32::MAX >> (32 - half));
-                            degree =
-                                degree.max(half_warp_degree(addrs, mask, dev.smem_banks) as u64);
+                        for h in at.lanes(0).chunks(half) {
+                            degree = degree.max(conflict_degree(h, dev.smem_banks) as u64);
                         }
                         let cost = tp.issue_smem * words as u64 * degree;
                         if let Inst::Ld { dsts, .. } = i {
