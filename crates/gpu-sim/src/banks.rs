@@ -28,6 +28,13 @@
 /// a bank. The timing engine and the analyzer price the first phase only.
 pub fn conflict_degree(addrs: &[Option<u64>], banks: u32) -> u32 {
     assert!(banks.is_power_of_two() && banks > 0);
+    // The tiled force kernels' shared reads are broadcasts: one word needs
+    // no distinct-word list.
+    let mut words = addrs.iter().flatten().map(|&a| a / 4);
+    let first = words.next();
+    if words.all(|w| Some(w) == first) {
+        return 1;
+    }
     // A broadcast word is serviced in a phase that still occupies a slot of
     // its bank, so every bank serializes exactly its distinct words.
     if addrs.len() <= 32 {
@@ -161,7 +168,8 @@ mod tests {
     /// its first 32-bit phase: over generated half-warp shapes (partial
     /// masks, broadcasts, broadcast plus a conflicting word, strides, random
     /// words) every phase of a 1-, 2- and 4-word access must have the first
-    /// phase's [`conflict_degree`].
+    /// phase's [`conflict_degree`], and the broadcast early exit must agree
+    /// with counting distinct words.
     #[test]
     fn every_phase_has_the_first_phases_degree() {
         use simcore::rng::{Rng64, SplitMix64};
@@ -197,6 +205,7 @@ mod tests {
                     .collect()
             };
             let first = conflict_degree(&phase_lanes(0), 16);
+            assert_eq!(first, conflict_degree_in(&phase_lanes(0), 16, &mut [0; 32]));
             for words in [1u64, 2, 4] {
                 for phase in 1..words {
                     let opts = phase_lanes(phase);
