@@ -139,6 +139,69 @@ fn quiet_batch_schedule_matches_its_pins() {
     }
 }
 
+/// The pinned chaotic batch: the quiet batch's 24 jobs on devices that flip
+/// bits, fail launches and hang (watchdog `1 << 22`), with a seeded
+/// preemption rate of 0.2. Each pool size pins its tick count and an FNV-1a
+/// digest of the event log (as JSON), then every device's fault history (as
+/// JSON), then every final state, so a change to the order in which retries,
+/// preemptions, quarantines and migrations merge moves it.
+#[test]
+fn chaotic_batch_schedule_matches_its_pins() {
+    let spec = |id: u64| JobSpec {
+        id,
+        tenant: format!("tenant-{}", id % 4),
+        config: SimConfig {
+            n: 96,
+            spawn: SpawnKind::UniformBall { radius: 4.0 },
+            seed: 42 ^ id,
+            dt: 0.01,
+            backend: gpu_backend(),
+            fault_policy: FaultPolicy::FallbackToCpu,
+            ..SimConfig::default()
+        },
+        steps: 6,
+    };
+    let device = DeviceSpec {
+        capacity: None,
+        fault_rates: FaultRates {
+            bit_flip: 0.2,
+            launch_failure: 0.2,
+            hang: 0.1,
+        },
+        watchdog_instructions: Some(1 << 22),
+    };
+    for (devices, ticks, digest) in [
+        (1, 156, 0xdf86_f669_aa9e_9b9b_u64),
+        (2, 52, 0x3aeb_bac0_012b_841e),
+        (3, 34, 0x89e8_08db_d561_5014),
+    ] {
+        let pool = DevicePool::uniform(42, devices, device.clone()).unwrap();
+        let cfg = FleetConfig {
+            preempt_rate: 0.2,
+            seed: 42,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::new(cfg, pool);
+        let outcome = drive(&mut fleet, (0..24).map(spec).collect(), 100_000).unwrap();
+        assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
+        assert_eq!(fleet.completed().len(), 24);
+        let events = serde_json::to_string(fleet.events()).unwrap();
+        let mut h = fnv1a(events.as_bytes(), 0xcbf2_9ce4_8422_2325);
+        for d in 0..devices {
+            let history = serde_json::to_string(fleet.fault_history(d)).unwrap();
+            h = fnv1a(history.as_bytes(), h);
+        }
+        for done in fleet.completed() {
+            h = fnv1a(&done.final_state.to_bytes(), h);
+        }
+        assert_eq!(
+            (outcome.ticks, format!("{h:016x}")),
+            (ticks, format!("{digest:016x}")),
+            "{devices} devices"
+        );
+    }
+}
+
 #[test]
 fn chaotic_pool_loses_no_job_and_stays_bitwise_identical() {
     let spec = DeviceSpec {
