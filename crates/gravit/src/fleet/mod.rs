@@ -27,7 +27,8 @@
 //!
 //! The no-job-lost invariant is structural: admitted jobs run under
 //! [`FaultPolicy::FallbackToCpu`] (a step cannot error), worker panics are
-//! contained by restoring the pre-slice checkpoint, and preempted or
+//! contained by re-parking the job from the checkpoint it had before the
+//! slice (kept as a plain struct, encoded only on a panic), and preempted or
 //! drained jobs always land in the parked list that assignment empties
 //! first. A job whose frozen checkpoint no longer verifies (or that cannot
 //! be constructed or resumed) ends as a typed [`FailedJob`] instead of
@@ -228,6 +229,9 @@ struct RunningJob {
     devices: Vec<usize>,
     migrations: u32,
     reports_seen: usize,
+    /// Test hook set by [`Fleet::tick`] from `Fleet::panic_slice`.
+    #[cfg(test)]
+    panic_after_first_step: bool,
 }
 
 /// What one device slice produced.
@@ -235,10 +239,12 @@ enum SliceRun {
     /// The slice completed (panic-free); the job may have finished.
     /// Boxed: a `RunningJob` carries a whole `Simulation`.
     Done(Box<RunningJob>),
-    /// The worker panicked; the job was restored from its pre-slice
-    /// checkpoint and the device takes a strike.
+    /// The slice panicked; the job is frozen from the checkpoint it had
+    /// before the slice (`at_step` steps), the partly stepped simulation is
+    /// dropped, and the device takes a strike.
     Broken {
         pending: Box<PendingJob>,
+        at_step: u64,
         plan: TransientFaultPlan,
         what: String,
     },
@@ -264,6 +270,10 @@ pub struct Fleet {
     events: Vec<FleetEvent>,
     completed: Vec<CompletedJob>,
     failed: Vec<FailedJob>,
+    /// Test hook: the slice of job `.0` that starts at step `.1` panics
+    /// after its first step. Disarmed once it fires.
+    #[cfg(test)]
+    panic_slice: Option<(u64, u64)>,
 }
 
 impl Fleet {
@@ -290,6 +300,8 @@ impl Fleet {
             events: Vec::new(),
             completed: Vec::new(),
             failed: Vec::new(),
+            #[cfg(test)]
+            panic_slice: None,
         }
     }
 
@@ -359,8 +371,9 @@ impl Fleet {
     }
 
     /// One scheduling round: release elapsed quarantines, assign work,
-    /// run every busy device's slice in parallel, then merge outcomes in
-    /// ascending device order (the determinism barrier).
+    /// run every busy device's slice in parallel (the last one on the
+    /// calling thread), then merge outcomes in ascending device order (the
+    /// determinism barrier).
     pub fn tick(&mut self) {
         let now = self.tick;
         // 1. Quarantine release.
@@ -387,9 +400,11 @@ impl Fleet {
             };
             self.start_pending(d, pending, now);
         }
-        // 3. Parallel slices: one worker per busy device. Each sim is
-        // independent, so thread interleaving cannot affect results; the
-        // merge below is ordered by device id.
+        // 3. Parallel slices: one scoped worker per busy device but the
+        // last, whose slice this thread runs itself (a tick with one busy
+        // device spawns nothing). Each sim is independent, so thread
+        // interleaving cannot affect results; the merge below is ordered by
+        // device id.
         let slice = self.cfg.slice_steps.max(1);
         let mut slots: Vec<(usize, RunningJob, TransientFaultPlan)> = Vec::new();
         for d in 0..self.devices.len() {
@@ -400,15 +415,22 @@ impl Fleet {
                     .map(|dev| dev.plan.clone())
                     .unwrap_or_else(TransientFaultPlan::quiet);
                 rj.sim.set_transient_faults(plan.clone());
+                #[cfg(test)]
+                if self.panic_slice == Some((rj.spec.id, rj.sim.steps)) {
+                    self.panic_slice = None;
+                    rj.panic_after_first_step = true;
+                }
                 slots.push((d, rj, plan));
             }
         }
+        let own = slots.pop();
         let outcomes: Vec<(usize, SliceRun)> = std::thread::scope(|scope| {
             let handles: Vec<_> = slots
                 .into_iter()
                 .map(|(d, rj, plan)| scope.spawn(move || (d, run_slice(rj, plan, slice))))
                 .collect();
-            handles
+            let own = own.map(|(d, rj, plan)| (d, run_slice(rj, plan, slice)));
+            let mut outcomes: Vec<(usize, SliceRun)> = handles
                 .into_iter()
                 .map(|h| match h.join() {
                     Ok(v) => v,
@@ -417,9 +439,12 @@ impl Fleet {
                     // cannot (it only moves plain data).
                     Err(_) => unreachable!("slice workers contain their panics"),
                 })
-                .collect()
+                .collect();
+            outcomes.extend(own);
+            outcomes
         });
-        // 4. Deterministic merge, ascending device id (spawn order).
+        // 4. Deterministic merge, ascending device id (the last busy
+        // device's slice ran here and was appended after the workers').
         for (d, outcome) in outcomes {
             self.merge_slice(d, outcome, now);
         }
@@ -498,6 +523,8 @@ impl Fleet {
             devices: pending.devices,
             migrations: pending.migrations,
             reports_seen: pending.reports_seen,
+            #[cfg(test)]
+            panic_after_first_step: false,
         });
     }
 
@@ -615,13 +642,14 @@ impl Fleet {
             }
             SliceRun::Broken {
                 pending,
+                at_step,
                 plan,
                 what,
             } => {
-                // The worker panicked: the job was rebuilt from its
-                // pre-slice checkpoint (no partial slice escapes), the
-                // device plan rewinds to its pre-slice counter, and the
-                // device takes one strike.
+                // The slice panicked: the job was frozen from its pre-slice
+                // checkpoint (no partial slice escapes), the device plan
+                // rewinds to its pre-slice counter, and the device takes
+                // one strike.
                 if let Some(dev) = self.pool.device_mut(d) {
                     dev.plan = plan;
                 }
@@ -649,12 +677,7 @@ impl Fleet {
                     tick: now,
                     job: pending.spec.id,
                     device: d,
-                    at_step: pending
-                        .frozen
-                        .as_deref()
-                        .and_then(|b| Checkpoint::from_bytes(b).ok())
-                        .map(|c| c.steps)
-                        .unwrap_or(0),
+                    at_step,
                 });
                 self.parked.push_back(*pending);
                 if !self.devices[d].health.admits() {
@@ -761,12 +784,14 @@ impl Fleet {
     }
 }
 
-/// Run one slice of `slice` steps on a worker thread, containing panics: a
-/// panicking worker returns the job rebuilt from its pre-slice checkpoint
-/// and the device's pre-slice fault plan, so nothing partial ever escapes
-/// into the pool.
+/// Run one slice of `slice` steps, on a worker thread or on the ticking
+/// thread, containing panics. The pre-slice checkpoint is kept as a struct
+/// and encoded only if the slice panics: then the job comes back frozen
+/// into CRC-framed bytes of its pre-slice state, with the device's
+/// pre-slice fault plan, so nothing partial ever escapes into the pool and
+/// the job resumes through the same verified path as a preempted one.
 fn run_slice(mut rj: RunningJob, pre_plan: TransientFaultPlan, slice: u64) -> SliceRun {
-    let pre = rj.sim.checkpoint().to_bytes();
+    let pre = rj.sim.checkpoint();
     let spec = rj.spec.clone();
     let devices = rj.devices.clone();
     let migrations = rj.migrations;
@@ -778,6 +803,10 @@ fn run_slice(mut rj: RunningJob, pre_plan: TransientFaultPlan, slice: u64) -> Sl
             // is a contract violation — contain it like a panic.
             if let Err(e) = rj.sim.step() {
                 panic!("step errored under FallbackToCpu: {e}");
+            }
+            #[cfg(test)]
+            if rj.panic_after_first_step {
+                panic!("test hook: slice panicked after its first step");
             }
         }
         rj
@@ -793,11 +822,12 @@ fn run_slice(mut rj: RunningJob, pre_plan: TransientFaultPlan, slice: u64) -> Sl
             SliceRun::Broken {
                 pending: Box::new(PendingJob {
                     spec,
-                    frozen: Some(pre),
+                    frozen: Some(pre.to_bytes()),
                     devices,
                     migrations,
                     reports_seen,
                 }),
+                at_step: pre.steps,
                 plan: pre_plan,
                 what,
             }
@@ -977,5 +1007,87 @@ mod tests {
             assert_eq!(got.accels, want.accels, "job {}", spec.id);
             assert_eq!(got.energy0_bits, want.energy0_bits);
         }
+    }
+
+    /// Two jobs on two quiet devices, one each; the slice of the job on
+    /// device `d` that starts at step 2 panics after its first step. The
+    /// partly stepped simulation must be thrown away: the job re-parks at
+    /// step 2, the device's fault plan rewinds to its pre-slice launch
+    /// counter, and the job still completes bit-identical to its serial CPU
+    /// run.
+    fn panicked_slice_is_contained(d: usize) {
+        let pool = DevicePool::uniform(9, 2, DeviceSpec::quiet()).unwrap();
+        let cfg = FleetConfig {
+            queue_capacity: 1,
+            slice_steps: 2,
+            preempt_rate: 0.0,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::new(cfg, pool);
+        let jobs: Vec<JobSpec> = (0..2).map(job).collect();
+        for spec in &jobs {
+            fleet.submit(spec.clone()).unwrap();
+        }
+        fleet.tick();
+        assert!(fleet.devices.iter().all(|s| s.running.is_some()));
+        let (victim, at_step) = {
+            let rj = fleet.devices[d].running.as_ref().unwrap();
+            (rj.spec.id, rj.sim.steps)
+        };
+        assert_eq!(at_step, 2);
+        let launches = fleet.pool.device(d).unwrap().plan.launches();
+        assert!(launches > 0, "the first slice launched on the device");
+        fleet.panic_slice = Some((victim, at_step));
+        let seen = fleet.events.len();
+        fleet.tick();
+        assert_eq!(fleet.panic_slice, None, "the hook fired");
+        assert_eq!(fleet.pool.device(d).unwrap().plan.launches(), launches);
+        assert!(fleet.events[seen..].contains(&FleetEvent::Preempted {
+            tick: 1,
+            job: victim,
+            device: d,
+            at_step,
+        }));
+        drive(&mut fleet, Vec::new(), 1000).unwrap();
+        let panics: Vec<&FleetEvent> = fleet
+            .events()
+            .iter()
+            .filter(|e| matches!(e, FleetEvent::Faulted { fault, .. } if fault == "worker-panic"))
+            .collect();
+        assert_eq!(
+            panics,
+            [&FleetEvent::Faulted {
+                tick: 1,
+                device: d,
+                job: victim,
+                fault: "worker-panic".into(),
+                strike: true,
+            }]
+        );
+        assert!(fleet.events().iter().any(|e| matches!(
+            e,
+            FleetEvent::Resumed { job, at_step: 2, .. } if *job == victim
+        )));
+        assert_eq!(fleet.completed().len(), jobs.len());
+        for spec in &jobs {
+            let done = fleet.completed().iter().find(|c| c.id == spec.id).unwrap();
+            let (got, want) = (&done.final_state, cpu_serial_run(spec));
+            assert_eq!(got.steps, want.steps);
+            assert_eq!(got.time_bits, want.time_bits);
+            assert_eq!(got.pos, want.pos, "job {}", spec.id);
+            assert_eq!(got.vel, want.vel, "job {}", spec.id);
+            assert_eq!(got.accels, want.accels, "job {}", spec.id);
+            assert_eq!(got.energy0_bits, want.energy0_bits);
+        }
+    }
+
+    #[test]
+    fn worker_panic_on_a_spawned_worker_is_contained() {
+        panicked_slice_is_contained(0);
+    }
+
+    #[test]
+    fn worker_panic_on_the_ticking_thread_is_contained() {
+        panicked_slice_is_contained(1);
     }
 }
