@@ -229,7 +229,7 @@ struct RunningJob {
     devices: Vec<usize>,
     migrations: u32,
     reports_seen: usize,
-    /// Test hook set by [`Fleet::tick`] from `Fleet::panic_slice`.
+    /// Test hook: this job's next slice panics after its first step.
     #[cfg(test)]
     panic_after_first_step: bool,
 }
@@ -270,10 +270,6 @@ pub struct Fleet {
     events: Vec<FleetEvent>,
     completed: Vec<CompletedJob>,
     failed: Vec<FailedJob>,
-    /// Test hook: the slice of job `.0` that starts at step `.1` panics
-    /// after its first step. Disarmed once it fires.
-    #[cfg(test)]
-    panic_slice: Option<(u64, u64)>,
 }
 
 impl Fleet {
@@ -300,8 +296,6 @@ impl Fleet {
             events: Vec::new(),
             completed: Vec::new(),
             failed: Vec::new(),
-            #[cfg(test)]
-            panic_slice: None,
         }
     }
 
@@ -415,11 +409,6 @@ impl Fleet {
                     .map(|dev| dev.plan.clone())
                     .unwrap_or_else(TransientFaultPlan::quiet);
                 rj.sim.set_transient_faults(plan.clone());
-                #[cfg(test)]
-                if self.panic_slice == Some((rj.spec.id, rj.sim.steps)) {
-                    self.panic_slice = None;
-                    rj.panic_after_first_step = true;
-                }
                 slots.push((d, rj, plan));
             }
         }
@@ -1030,17 +1019,14 @@ mod tests {
         }
         fleet.tick();
         assert!(fleet.devices.iter().all(|s| s.running.is_some()));
-        let (victim, at_step) = {
-            let rj = fleet.devices[d].running.as_ref().unwrap();
-            (rj.spec.id, rj.sim.steps)
-        };
+        let rj = fleet.devices[d].running.as_mut().unwrap();
+        rj.panic_after_first_step = true;
+        let (victim, at_step) = (rj.spec.id, rj.sim.steps);
         assert_eq!(at_step, 2);
         let launches = fleet.pool.device(d).unwrap().plan.launches();
         assert!(launches > 0, "the first slice launched on the device");
-        fleet.panic_slice = Some((victim, at_step));
         let seen = fleet.events.len();
         fleet.tick();
-        assert_eq!(fleet.panic_slice, None, "the hook fired");
         assert_eq!(fleet.pool.device(d).unwrap().plan.launches(), launches);
         assert!(fleet.events[seen..].contains(&FleetEvent::Preempted {
             tick: 1,
