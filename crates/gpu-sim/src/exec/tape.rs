@@ -622,6 +622,163 @@ mod tests {
         assert!(e.contains("branch target 2"), "{e}");
     }
 
+    /// The pinned kernel: a `For` in each arm of an `If`, a `For` nested in
+    /// a `For`, a barrier, a `While` and a store.
+    fn pinned_kernel() -> crate::ir::Kernel {
+        let mut b = KernelBuilder::new("pin");
+        let out = b.param();
+        let tid = b.special(SpecialReg::TidX);
+        let p = b.setp(CmpOp::ULt, tid.into(), Operand::ImmU(16));
+        b.if_else(
+            p,
+            |b| {
+                b.for_loop(Operand::ImmU(0), Operand::ImmU(4), 1, |b, i| {
+                    b.iadd(i.into(), Operand::ImmU(1));
+                });
+            },
+            |b| {
+                b.for_loop(Operand::ImmU(0), Operand::ImmU(2), 1, |b, i| {
+                    b.imul(i.into(), Operand::ImmU(3));
+                });
+                b.do_while(|b| {
+                    let x = b.iadd(tid.into(), Operand::ImmU(1));
+                    b.setp(CmpOp::ULt, x.into(), Operand::ImmU(8))
+                });
+            },
+        );
+        b.sync();
+        b.for_loop(Operand::ImmU(0), Operand::ImmU(3), 1, |b, i| {
+            b.for_loop(Operand::ImmU(1), Operand::ImmU(9), 2, |b, j| {
+                b.iadd(i.into(), j.into());
+            });
+        });
+        b.st(MemSpace::Global, out, 0, vec![tid.into()]);
+        b.finish()
+    }
+
+    /// The exact tape of [`pinned_kernel`]: loop predicates are numbered
+    /// `n_preds + k` after each loop's body, depth first, including loops
+    /// inside `If` arms, and every latch branches to the first op of its own
+    /// body.
+    #[test]
+    fn nested_loops_and_regions_compile_to_their_pinned_tape() {
+        use crate::ir::AluOp::{IAdd, IMul};
+        let prog = lower(&pinned_kernel());
+        let tape = prog.tape().unwrap();
+        let mov = |dst, src| Op::Inst(Inst::Mov { dst, src });
+        let alu = |op, dst, a, b| Op::Inst(Inst::Alu { op, dst, a, b });
+        let setp = |dst, a, b| {
+            Op::Inst(Inst::Setp {
+                cmp: CmpOp::ULt,
+                dst,
+                a,
+                b,
+            })
+        };
+        let bra = |pred, target| Op::Bra {
+            pred,
+            negate: false,
+            target,
+        };
+        assert_eq!(
+            tape.ops,
+            vec![
+                Op::Inst(Inst::Special {
+                    dst: 1,
+                    sr: SpecialReg::TidX
+                }),
+                setp(0, 1, 10),
+                Op::If {
+                    pred: 0,
+                    negate: false,
+                    else_pc: 9
+                },
+                // then: for r2 in 0..4 { r3 = r2 + 1 }
+                mov(2, 11),
+                alu(IAdd, 3, 2, 12),
+                alu(IAdd, 2, 2, 12),
+                setp(2, 2, 13),
+                bra(2, 4),
+                Op::ThenEnd { end_pc: 19 },
+                // else: for r4 in 0..2 { r5 = r4 * 3 }, then the While
+                mov(4, 11),
+                alu(IMul, 5, 4, 14),
+                alu(IAdd, 4, 4, 12),
+                setp(3, 4, 15),
+                bra(3, 10),
+                Op::While,
+                alu(IAdd, 6, 1, 12),
+                setp(1, 6, 16),
+                Op::WhileBack {
+                    pred: 1,
+                    negate: false,
+                    body: 15
+                },
+                Op::IfEnd,
+                Op::Sync,
+                // for r7 in 0..3 { for r8 in (1..9).step_by(2) { r9 = r7 + r8 } }
+                mov(7, 11),
+                mov(8, 12),
+                alu(IAdd, 9, 7, 8),
+                alu(IAdd, 8, 8, 15),
+                setp(4, 8, 17),
+                bra(4, 22),
+                alu(IAdd, 7, 7, 12),
+                setp(5, 7, 14),
+                bra(5, 21),
+                Op::Inst(Inst::St {
+                    space: MemSpace::Global,
+                    width: AccessWidth::W4,
+                    srcs: [1, 0, 0, 0],
+                    base: 0,
+                    offset: 0
+                }),
+                Op::Exit,
+            ]
+        );
+        let uses: Vec<&[Row]> = tape.uses.iter().map(Uses::regs).collect();
+        let none: &[Row] = &[];
+        assert_eq!(
+            uses,
+            [
+                none,
+                &[1],
+                none,
+                none,
+                &[2],
+                &[2],
+                &[2],
+                none,
+                none,
+                none,
+                &[4],
+                &[4],
+                &[4],
+                none,
+                none,
+                &[1],
+                &[6],
+                none,
+                none,
+                none,
+                none,
+                none,
+                &[7, 8],
+                &[8],
+                &[8],
+                none,
+                &[7],
+                &[7],
+                none,
+                &[1, 0],
+                none,
+            ]
+        );
+        assert_eq!(tape.consts, vec![16, 0, 1, 4, 3, 2, 8, 9]);
+        assert_eq!((tape.n_params, tape.n_regs, tape.n_preds), (1, 10, 6));
+        assert_eq!(tape.depth, 2);
+    }
+
     #[test]
     fn masked_regions_compile_to_flat_ops() {
         let mut b = KernelBuilder::new("flat");
