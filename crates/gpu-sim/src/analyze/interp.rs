@@ -80,7 +80,7 @@ pub(crate) enum IStmt<'k> {
         body: Vec<IStmt<'k>>,
         latch: (u64, u64, u64),
     },
-    /// Masked conditional (no indices: `IfMasked` markers do not retire).
+    /// Masked conditional (no indices: `If` markers do not retire).
     If {
         pred: Pred,
         negate: bool,

@@ -13,7 +13,8 @@
 //! * [`timed`] — simulates the resident blocks of **one SM**: a round-robin
 //!   warp scheduler with a register scoreboard, a global-memory pipeline fed
 //!   by the coalescer, shared-memory bank serialization and block barriers.
-//! * `tape` — the flat op array and its compiler.
+//! * `tape` — the flat op array and its one-pass compiler from the
+//!   structured IR.
 //! * [`machine`] — block state (a warp-major register file) and op
 //!   semantics.
 //! * [`launch`] — the steady-state extrapolation the frame model fits

@@ -1,30 +1,34 @@
-//! The warp tape: a lowered [`Program`](crate::ir::lower::Program) compiled
-//! once more into one flat array of ops that both execution engines run.
+//! The warp tape: one flat array of ops that both execution engines run,
+//! compiled from a kernel's structured body by
+//! [`lower`](crate::ir::lower::lower) and kept in its
+//! [`Program`](crate::ir::lower::Program).
 //!
-//! Compilation resolves everything the per-statement walk used to look up
-//! while executing:
+//! Compilation resolves everything a per-statement walk would look up while
+//! executing:
 //!
 //! * **operands** become register-file rows. Virtual registers keep their
 //!   index; every distinct immediate gets a row of its own after the last
 //!   register, splatted across the 32 lanes when a block starts, so an op
 //!   reads its operands as plain `[u32; 32]` rows;
-//! * **control flow** becomes ops with absolute tape targets. `Bra` jumps
-//!   within its sequence; an `If` is `If … ThenEnd … IfEnd` and a `While` is
-//!   `While … WhileBack`, both driven by a per-warp stack of lane masks whose
-//!   depth is the program's deepest nesting;
+//! * **control flow** becomes ops with absolute tape targets. A `For`'s
+//!   latch `Bra` jumps back to the first op of its body; an `If` is
+//!   `If … ThenEnd … IfEnd` and a `While` is `While … WhileBack`, both
+//!   driven by a per-warp stack of lane masks whose depth is the kernel's
+//!   deepest nesting;
 //! * **scoreboard inputs**: each op's register reads ([`Uses`]) are listed
 //!   once for the timed engine.
 //!
-//! Compilation also validates the program (access widths, register and
-//! predicate indices, branch targets). A malformed program
+//! Compilation also validates the kernel (access widths, register and
+//! predicate indices, at most `n_regs` parameters). A malformed kernel
 //! keeps its error in the [`Program`](crate::ir::lower::Program) and every
 //! launch of it fails with a typed
 //! [`FaultKind::BadLaunch`](crate::fault::FaultKind::BadLaunch) instead of
 //! reaching the engines.
 
 use crate::coalesce::AccessWidth;
-use crate::ir::lower::LinStmt;
-use crate::ir::{AluOp, CmpOp, Instr, MemSpace, Operand, Pred, Reg, SpecialReg, UnaryOp};
+use crate::ir::{
+    AluOp, CmpOp, Instr, Kernel, MemSpace, Operand, Pred, Reg, SpecialReg, Stmt, UnaryOp,
+};
 use std::collections::HashMap;
 
 /// A register-file row: a virtual register (`< n_regs`) or a splatted
@@ -197,7 +201,7 @@ impl Uses {
     }
 }
 
-/// A program compiled for the engines. Built once by
+/// A kernel compiled for the engines. Built once by
 /// [`lower`](crate::ir::lower::lower) and kept in the `Program`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tape {
@@ -226,10 +230,10 @@ impl Tape {
     }
 }
 
-struct Compiler<'a> {
-    seqs: &'a [Vec<LinStmt>],
+struct Compiler {
     n_regs: u16,
     n_preds: u16,
+    next_pred: u16,
     ops: Vec<Op>,
     uses: Vec<Uses>,
     consts: Vec<u32>,
@@ -237,41 +241,45 @@ struct Compiler<'a> {
     depth: usize,
 }
 
-/// Compile a lowered program's sequence arena into a tape, or say why the
-/// program is malformed.
-pub(crate) fn compile(
-    seqs: &[Vec<LinStmt>],
-    root: usize,
-    n_params: u16,
-    n_regs: u16,
-    n_preds: u16,
-    smem_bytes: u32,
-) -> Result<Tape, String> {
+/// Compile a kernel's structured body into a tape, or say why the kernel is
+/// malformed. Each `For` gets the predicate `kernel.n_preds + k`, allocated
+/// after its body in depth-first order.
+pub(crate) fn compile(kernel: &Kernel) -> Result<Tape, String> {
+    if kernel.n_params > kernel.n_regs {
+        return Err(format!(
+            "n_params = {} beyond n_regs = {}",
+            kernel.n_params, kernel.n_regs
+        ));
+    }
+    let mut loops = 0usize;
+    kernel.visit_stmts(&mut |s| loops += usize::from(matches!(s, Stmt::For { .. })));
+    let n_preds = u16::try_from(kernel.n_preds as usize + loops)
+        .map_err(|_| "too many predicate registers".to_string())?;
     let mut c = Compiler {
-        seqs,
-        n_regs,
+        n_regs: kernel.n_regs,
         n_preds,
+        next_pred: kernel.n_preds,
         ops: Vec::new(),
         uses: Vec::new(),
         consts: Vec::new(),
         const_rows: HashMap::new(),
         depth: 0,
     };
-    c.seq(root, 0)?;
+    c.body(&kernel.body, 0)?;
     c.push(Op::Exit, Uses::default());
     Ok(Tape {
         ops: c.ops,
         uses: c.uses,
-        n_params,
-        n_regs,
+        n_params: kernel.n_params,
+        n_regs: kernel.n_regs,
         consts: c.consts,
         n_preds,
         depth: c.depth,
-        smem_bytes,
+        smem_bytes: kernel.smem_bytes,
     })
 }
 
-impl Compiler<'_> {
+impl Compiler {
     fn pc(&self) -> u32 {
         self.ops.len() as u32
     }
@@ -281,51 +289,64 @@ impl Compiler<'_> {
         self.uses.push(uses);
     }
 
-    /// Emit sequence `s` at mask-stack depth `depth`. The caller pushes the
-    /// op that closes it (`ThenEnd`, `IfEnd`, `WhileBack` or `Exit`) right
-    /// after, which is where a branch to the sequence's end lands.
-    fn seq(&mut self, s: usize, depth: usize) -> Result<(), String> {
+    /// Emit `stmts` at mask-stack depth `depth`. The caller pushes the op
+    /// that closes them (`ThenEnd`, `IfEnd`, `WhileBack` or `Exit`).
+    fn body(&mut self, stmts: &[Stmt], depth: usize) -> Result<(), String> {
         self.depth = self.depth.max(depth);
-        let stmts = &self.seqs[s];
-        let mut at = Vec::with_capacity(stmts.len() + 1);
-        let mut branches = Vec::new();
         for stmt in stmts {
-            at.push(self.pc());
             match stmt {
-                LinStmt::I(i) => {
-                    let (inst, uses) = self.inst(i)?;
-                    self.push(Op::Inst(inst), uses);
-                }
-                LinStmt::Bra {
-                    pred,
-                    negate,
-                    target,
+                Stmt::I(i) => self.inst(i)?,
+                Stmt::Sync => self.push(Op::Sync, Uses::default()),
+                Stmt::For {
+                    var,
+                    start,
+                    end,
+                    step,
+                    body,
                 } => {
-                    branches.push((self.ops.len(), *target));
-                    let pred = self.pred(*pred)?;
+                    self.inst(&Instr::Mov {
+                        dst: *var,
+                        src: *start,
+                    })?;
+                    let top = self.pc();
+                    self.body(body, depth)?;
+                    self.inst(&Instr::Alu {
+                        op: AluOp::IAdd,
+                        dst: *var,
+                        a: Operand::R(*var),
+                        b: Operand::ImmU(*step),
+                    })?;
+                    let pred = self.next_pred;
+                    self.next_pred += 1;
+                    self.inst(&Instr::Setp {
+                        dst: Pred(pred),
+                        cmp: CmpOp::ULt,
+                        a: Operand::R(*var),
+                        b: *end,
+                    })?;
                     self.push(
                         Op::Bra {
                             pred,
-                            negate: *negate,
-                            target: 0,
+                            negate: false,
+                            target: top,
                         },
                         Uses::default(),
                     );
                 }
-                LinStmt::IfMasked {
+                Stmt::If {
                     pred,
                     negate,
-                    then_seq,
-                    else_seq,
+                    then,
+                    els,
                 } => {
                     let pred = self.pred(*pred)?;
                     let at_if = self.ops.len();
                     self.push(Op::Exit, Uses::default());
-                    self.seq(*then_seq, depth + 1)?;
+                    self.body(then, depth + 1)?;
                     let at_then_end = self.ops.len();
                     self.push(Op::Exit, Uses::default());
                     let else_pc = self.pc();
-                    self.seq(*else_seq, depth + 1)?;
+                    self.body(els, depth + 1)?;
                     self.push(Op::IfEnd, Uses::default());
                     let end_pc = self.pc();
                     self.ops[at_if] = Op::If {
@@ -335,37 +356,20 @@ impl Compiler<'_> {
                     };
                     self.ops[at_then_end] = Op::ThenEnd { end_pc };
                 }
-                LinStmt::WhileMasked {
-                    pred,
-                    negate,
-                    body_seq,
-                } => {
+                Stmt::While { pred, negate, body } => {
                     let pred = self.pred(*pred)?;
                     self.push(Op::While, Uses::default());
-                    let body = self.pc();
-                    self.seq(*body_seq, depth + 1)?;
+                    let start = self.pc();
+                    self.body(body, depth + 1)?;
                     self.push(
                         Op::WhileBack {
                             pred,
                             negate: *negate,
-                            body,
+                            body: start,
                         },
                         Uses::default(),
                     );
                 }
-                LinStmt::Sync => self.push(Op::Sync, Uses::default()),
-            }
-        }
-        at.push(self.pc());
-        for (op, target) in branches {
-            let Some(&pc) = at.get(target) else {
-                return Err(format!(
-                    "branch target {target} beyond its sequence of {} statements",
-                    stmts.len()
-                ));
-            };
-            if let Op::Bra { target, .. } = &mut self.ops[op] {
-                *target = pc;
             }
         }
         Ok(())
@@ -411,7 +415,7 @@ impl Compiler<'_> {
             .ok_or_else(|| format!("{what} of {words} words (the width must be 1, 2 or 4 words)"))
     }
 
-    fn inst(&mut self, i: &Instr) -> Result<(Inst, Uses), String> {
+    fn inst(&mut self, i: &Instr) -> Result<(), String> {
         let n = self.n_regs;
         let mut uses = Uses::default();
         let inst = match i {
@@ -524,7 +528,8 @@ impl Compiler<'_> {
                 dst: self.reg(*dst)?,
             },
         };
-        Ok((inst, uses))
+        self.push(Op::Inst(inst), uses);
+        Ok(())
     }
 }
 
@@ -540,14 +545,13 @@ mod tests {
     use crate::timing::TimingParams;
     use crate::{DeviceConfig, DriverModel};
 
-    /// Both engines' launch results for `b`'s kernel on one 32-thread block.
-    fn launch(b: KernelBuilder) -> [FaultKind; 2] {
-        let k = b.finish();
+    /// Both engines' launch results for `k` on one 32-thread block.
+    fn launch(k: &Kernel) -> [FaultKind; 2] {
         let mut gmem = GlobalMemory::new(1 << 12);
-        let functional = run_grid(&k, 1, 32, &[0], &mut gmem).unwrap_err();
+        let functional = run_grid(k, 1, 32, &[0], &mut gmem).unwrap_err();
         assert_eq!(functional.site.kernel.as_deref(), Some("bad"));
         let timed = time_resident(
-            &k,
+            k,
             &[0],
             32,
             1,
@@ -582,7 +586,7 @@ mod tests {
             base,
             offset: 0,
         });
-        assert_bad_launch(launch(b), "load of 3 words");
+        assert_bad_launch(launch(&b.finish()), "load of 3 words");
     }
 
     #[test]
@@ -595,31 +599,33 @@ mod tests {
             a: Operand::ImmU(0),
             b: Operand::ImmU(1),
         });
-        assert_bad_launch(launch(b), "predicate p9");
+        assert_bad_launch(launch(&b.finish()), "predicate p9");
+    }
+
+    /// A hand-built kernel with one parameter and `n_regs` registers whose
+    /// body writes `dst`.
+    fn hand_built(n_regs: u16, dst: u16) -> Kernel {
+        Kernel {
+            name: "bad".into(),
+            n_params: 1,
+            n_regs,
+            n_preds: 0,
+            smem_bytes: 0,
+            body: vec![Stmt::I(Instr::Mov {
+                dst: Reg(dst),
+                src: Operand::ImmU(7),
+            })],
+        }
     }
 
     #[test]
-    fn branch_targets_must_stay_in_their_sequence() {
-        let bra = |target| LinStmt::Bra {
-            pred: Pred(0),
-            negate: false,
-            target,
-        };
-        // Target 1 is the end of a one-statement sequence: legal.
-        let tape = compile(&[vec![bra(1)]], 0, 0, 0, 1, 0).unwrap();
-        assert_eq!(
-            tape.ops,
-            vec![
-                Op::Bra {
-                    pred: 0,
-                    negate: false,
-                    target: 1
-                },
-                Op::Exit
-            ]
-        );
-        let e = compile(&[vec![bra(2)]], 0, 0, 0, 1, 0).unwrap_err();
-        assert!(e.contains("branch target 2"), "{e}");
+    fn out_of_range_register_is_a_bad_launch() {
+        assert_bad_launch(launch(&hand_built(2, 2)), "register r2 beyond n_regs = 2");
+    }
+
+    #[test]
+    fn more_parameters_than_registers_is_a_bad_launch() {
+        assert_bad_launch(launch(&hand_built(0, 0)), "n_params = 1 beyond n_regs = 0");
     }
 
     /// The pinned kernel: a `For` in each arm of an `If`, a `For` nested in

@@ -15,9 +15,10 @@
 //!    coalescer to see the exact per-lane address streams.
 //!
 //! The IR is structured (straight-line instructions, counted loops, masked
-//! `If`, barrier `Sync`); loops are lowered to a linear form with explicit
-//! back-branches by [`lower`], charging the canonical per-iteration overhead
-//! the paper describes (induction add, compare, jump). The optimization
+//! `If`, barrier `Sync`); [`lower`] compiles it in one pass to the flat warp
+//! tape the engines run, each loop in bottom-tested form with an explicit
+//! back-branch that charges the canonical per-iteration overhead the paper
+//! describes (induction add, compare, jump). The optimization
 //! passes the paper applies by hand — full/partial unrolling and invariant
 //! code motion — are IR-to-IR passes in [`passes`].
 
