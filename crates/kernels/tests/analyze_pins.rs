@@ -15,7 +15,11 @@
 //!   `verifyset` pass and layout-ladder target;
 //! * the `force-soa-b64` synthesis report under every driver model:
 //!   candidate labels, predicted-cycle bits, registers, skipped reasons
-//!   and certificate summaries.
+//!   and certificate summaries;
+//! * a hand-built kernel whose registers move between one value on every
+//!   lane and a value per lane (a partly dead warp, an exact `If` on the
+//!   thread index, a joined `If`, a widened `While`, a racy shared store,
+//!   broadcast shared and global loads) under every driver model.
 
 use gpu_kernels::lintset::workspace_lint_targets;
 use gpu_kernels::synthset::synth_targets;
@@ -23,7 +27,7 @@ use gpu_kernels::verifyset::{layout_ladder_targets, workspace_pass_targets};
 use gpu_sim::analyze::synth::SynthReport;
 use gpu_sim::analyze::verify::VerifyResult;
 use gpu_sim::analyze::{analyze_kernel, AnalysisConfig, AnalysisReport, LintKind};
-use gpu_sim::ir::{CmpOp, KernelBuilder, MemSpace, Operand, SpecialReg};
+use gpu_sim::ir::{AluOp, CmpOp, KernelBuilder, MemSpace, Operand, SpecialReg};
 use gpu_sim::DriverModel;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -400,6 +404,81 @@ fn force_soa_b64_synthesis_is_pinned() {
     assert_eq!(
         actual, SYNTH_PINS,
         "synthesis digests moved: [{:#018x}, {:#018x}, {:#018x}]",
+        actual[0], actual[1], actual[2]
+    );
+}
+
+/// A kernel whose registers keep changing between one abstract value on
+/// every lane and a value per lane, launched with 48-thread blocks so the
+/// second warp has 16 dead lanes:
+///
+/// * `acc` starts the same on every lane; an exact `If` on `tid < 20`
+///   rewrites it on part of the first warp (and on all live lanes of the
+///   second);
+/// * every lane loads the same global word, and an `If` on a predicate
+///   computed from it walks both arms and joins them;
+/// * every lane stores to shared word 0 (a race), then after a barrier
+///   every lane reads it back (a broadcast);
+/// * a `While` whose bound is that loaded word runs the fixpoint with
+///   widening, loading shared and global words at data-dependent
+///   addresses inside.
+fn uniform_transitions_kernel() -> gpu_sim::ir::Kernel {
+    let mut b = KernelBuilder::new("uniform_transitions");
+    b.shared_mem(256);
+    let inp = b.param();
+    let out = b.param();
+    let tid = b.special(SpecialReg::TidX);
+    let acc = b.mov(Operand::ImmU(3));
+    let low = b.setp(CmpOp::ULt, tid.into(), Operand::ImmU(20));
+    b.if_else(
+        low,
+        |b| b.alu_into(acc, AluOp::IAdd, acc.into(), tid.into()),
+        |b| b.alu_into(acc, AluOp::IMul, acc.into(), Operand::ImmU(2)),
+    );
+    let g = b.ld(MemSpace::Global, inp, 0, 1)[0];
+    let small = b.setp(CmpOp::ULt, g.into(), Operand::ImmU(100));
+    let sel = b.mov(Operand::ImmU(8));
+    b.if_else(
+        small,
+        |b| b.alu_into(sel, AluOp::IAdd, sel.into(), Operand::ImmU(4)),
+        |b| b.alu_into(sel, AluOp::IAdd, sel.into(), Operand::ImmU(12)),
+    );
+    let zero = b.mov(Operand::ImmU(0));
+    b.st(MemSpace::Shared, zero, 0, vec![acc.into()]);
+    b.sync();
+    let s = b.ld(MemSpace::Shared, zero, 0, 1)[0];
+    let i = b.mov(Operand::ImmU(0));
+    b.do_while(|b| {
+        b.alu_into(i, AluOp::IAdd, i.into(), Operand::ImmU(1));
+        let sa = b.imul(i.into(), Operand::ImmU(4));
+        let v = b.ld(MemSpace::Shared, sa, 0, 1)[0];
+        b.alu_into(acc, AluOp::IAdd, acc.into(), v.into());
+        let ga = b.mad_u(sel.into(), Operand::ImmU(4), inp.into());
+        let w = b.ld(MemSpace::Global, ga, 0, 1)[0];
+        b.alu_into(acc, AluOp::IAdd, acc.into(), w.into());
+        b.setp(CmpOp::ULt, i.into(), s.into())
+    });
+    let oa = b.mad_u(tid.into(), Operand::ImmU(4), out.into());
+    b.st(MemSpace::Global, oa, 0, vec![acc.into()]);
+    b.st(MemSpace::Global, oa, 256, vec![sel.into()]);
+    b.st(MemSpace::Global, oa, 512, vec![i.into()]);
+    b.finish()
+}
+
+/// `uniform_transitions` digests under CUDA 1.0, 1.1 and 2.2.
+const UNIFORM_TRANSITION_PINS: [u64; 3] =
+    [0x49ff09fab59ab575, 0x9c8fce7dda5c1891, 0x0c68900656de87d5];
+
+#[test]
+fn uniform_and_per_lane_register_transitions_are_pinned() {
+    let k = uniform_transitions_kernel();
+    let actual = DriverModel::ALL.map(|d| {
+        let cfg = AnalysisConfig::new(2, 48, vec![0x1000, 0x8000]).with_driver(d);
+        report_digest(&analyze_kernel(&k, &cfg))
+    });
+    assert_eq!(
+        actual, UNIFORM_TRANSITION_PINS,
+        "uniform_transitions digests moved: [{:#018x}, {:#018x}, {:#018x}]",
         actual[0], actual[1], actual[2]
     );
 }
