@@ -1,7 +1,7 @@
 //! The per-warp abstract interpreter behind [`crate::analyze`].
 //!
 //! The interpreter walks a kernel's structured body once per (block, warp)
-//! with a 32-lane vector of abstract register values drawn from the interval
+//! with a register file of abstract values drawn from the interval
 //! lattice of [`super::domain`]: `Exact(bits)` when the value is statically
 //! known, `Interval(lo, hi)` when only bounds are known (data-dependent but
 //! bounded loops and branches), `Top` when nothing is. Exact arithmetic
@@ -12,6 +12,20 @@
 //! which is what lets the static transaction prediction feed the very same
 //! [`crate::coalesce::coalesce_half_warp`] oracle the timed executor uses
 //! (through the same per-shape [`CoalesceCache`]) and come out equal.
+//!
+//! Each register is either **uniform** — one value that every live lane
+//! holds — or a value per lane ([`WarpReg`]). Everything a kernel derives
+//! from launch constants, parameters and broadcast loads is uniform: the
+//! paper's force kernels read each staged body from shared memory on every
+//! thread, and 99.85 % of their ALU, `mad` and unary warp instructions have
+//! only uniform sources. Such an instruction runs its transfer function once
+//! and, under a mask of every live lane, stores the result once. A write
+//! under a partial mask (an exact `If` on the thread index) makes the
+//! register per-lane; the next write to every live lane makes it uniform
+//! again. Joins and the fixpoint's stability test go lane by lane over the
+//! live lanes, once for a pair of uniform registers, so the abstract state,
+//! the round counts and the widening are those of a per-lane walk. A memory
+//! access through a uniform base computes one address.
 //!
 //! Non-affine control flow is over-approximated rather than abandoned:
 //!
@@ -36,7 +50,10 @@
 //! access by a thread other than the writer's, which the summary determines
 //! (see [`RaceCell::race`]), so the block's cells, sorted by
 //! `(phase, word)`, yield the same findings in the same order as a scan
-//! over every access would.
+//! over every access would. An access at a uniform address records only
+//! the first two lanes of its mask: after them every cell it touches holds
+//! its second thread and, for a store, its first write, so the other lanes
+//! would change nothing.
 
 use std::collections::BTreeMap;
 
@@ -466,10 +483,90 @@ fn check_races(kernel: &Kernel, block_id: u32, cells: &mut RaceCells, sink: &mut
     }
 }
 
+/// One register of a warp: one value that every live lane holds, or a
+/// value per lane. Lanes outside the warp's live mask are never read, so a
+/// uniform register says nothing about them.
+#[derive(Debug, PartialEq)]
+enum WarpReg<T> {
+    Uniform(T),
+    PerLane(Box<[T; WARP]>),
+}
+
+impl<T: Copy> Clone for WarpReg<T> {
+    fn clone(&self) -> Self {
+        match self {
+            WarpReg::Uniform(v) => WarpReg::Uniform(*v),
+            WarpReg::PerLane(l) => WarpReg::PerLane(l.clone()),
+        }
+    }
+
+    /// Reuses the lane array when both sides are per-lane.
+    fn clone_from(&mut self, src: &Self) {
+        match (&mut *self, src) {
+            (WarpReg::PerLane(dst), WarpReg::PerLane(l)) => **dst = **l,
+            (dst, src) => *dst = src.clone(),
+        }
+    }
+}
+
+impl<T: Copy + PartialEq> WarpReg<T> {
+    fn get(&self, lane: usize) -> T {
+        match self {
+            WarpReg::Uniform(v) => *v,
+            WarpReg::PerLane(l) => l[lane],
+        }
+    }
+
+    fn is_uniform(&self) -> bool {
+        matches!(self, WarpReg::Uniform(_))
+    }
+
+    /// Store `v` on the lanes of `mask`, a subset of the warp's `live`
+    /// lanes: the register is uniform after a write to every live lane.
+    fn set(&mut self, mask: u32, live: u32, v: T) {
+        match self {
+            _ if mask == live => *self = WarpReg::Uniform(v),
+            WarpReg::Uniform(u) if *u == v => {}
+            _ => self.map_lanes(mask, |_, _| v),
+        }
+    }
+
+    /// Replace each lane `l` of `mask` holding `x` by `f(l, x)`; the
+    /// register holds a value per lane afterwards.
+    fn map_lanes(&mut self, mask: u32, mut f: impl FnMut(usize, T) -> T) {
+        match self {
+            WarpReg::PerLane(l) => {
+                for lane in lanes(mask) {
+                    l[lane] = f(lane, l[lane]);
+                }
+            }
+            WarpReg::Uniform(v) => {
+                let mut l = Box::new([*v; WARP]);
+                for lane in lanes(mask) {
+                    l[lane] = f(lane, l[lane]);
+                }
+                *self = WarpReg::PerLane(l);
+            }
+        }
+    }
+
+    /// Merge `other` into this register over the `live` lanes, lane by lane
+    /// as `f(mine, theirs)`; two uniform registers merge once.
+    fn merge(&mut self, other: &WarpReg<T>, live: u32, mut f: impl FnMut(T, T) -> T) {
+        match (&*self, other) {
+            (WarpReg::Uniform(a), WarpReg::Uniform(b)) => *self = WarpReg::Uniform(f(*a, *b)),
+            _ => self.map_lanes(live, |l, a| f(a, other.get(l))),
+        }
+    }
+}
+
+/// A warp's register file of one kind, indexed by register.
+type RegFile<T> = Vec<WarpReg<T>>;
+
 /// A copy of the value state, for branch joins and loop fixpoints.
 struct Snapshot {
-    regs: Vec<Vec<AbsVal>>,
-    preds: Vec<Vec<Option<bool>>>,
+    regs: RegFile<AbsVal>,
+    preds: RegFile<Option<bool>>,
 }
 
 /// Per-warp interpreter state.
@@ -480,9 +577,9 @@ struct WarpInterp<'a, 'k> {
     warp: u32,
     /// Mask of lanes that exist (thread id < block size).
     live: u32,
-    /// `[lane][reg]`, abstract per-lane values.
-    regs: Vec<Vec<AbsVal>>,
-    preds: Vec<Vec<Option<bool>>>,
+    /// Abstract register values, each uniform or per lane.
+    regs: RegFile<AbsVal>,
+    preds: RegFile<Option<bool>>,
     sync_count: u64,
     sync_uncertain: bool,
     /// `false` during fixpoint stabilization walks: value state evolves but
@@ -533,13 +630,11 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         };
         // Registers zero-init like the executors' `Block`, params bound to Reg(0..).
         let mut regs =
-            vec![vec![AbsVal::Exact(0); kernel.n_regs.max(kernel.n_params) as usize]; WARP];
-        for lane in &mut regs {
-            for (p, v) in cfg.params.iter().enumerate() {
-                lane[p] = AbsVal::Exact(*v);
-            }
+            vec![WarpReg::Uniform(AbsVal::Exact(0)); kernel.n_regs.max(kernel.n_params) as usize];
+        for (p, v) in cfg.params.iter().enumerate() {
+            regs[p] = WarpReg::Uniform(AbsVal::Exact(*v));
         }
-        let preds = vec![vec![None; kernel.n_preds as usize]; WARP];
+        let preds = vec![WarpReg::Uniform(None); kernel.n_preds as usize];
         WarpInterp {
             cfg,
             kernel,
@@ -560,10 +655,55 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
 
     fn operand(&self, lane: usize, op: &Operand) -> AbsVal {
         match op {
-            Operand::R(r) => self.regs[lane][r.0 as usize],
+            Operand::R(r) => self.regs[r.0 as usize].get(lane),
             Operand::ImmF(f) => AbsVal::Exact(f.to_bits()),
             Operand::ImmU(u) => AbsVal::Exact(*u),
         }
+    }
+
+    /// Does `op` hold the same value on every live lane?
+    fn is_uniform(&self, op: &Operand) -> bool {
+        match op {
+            Operand::R(r) => self.regs[r.0 as usize].is_uniform(),
+            Operand::ImmF(_) | Operand::ImmU(_) => true,
+        }
+    }
+
+    /// Write `f(lane)` to register `dst` of `file` on the lanes of `mask`.
+    /// When `uniform` (every input of `f` is uniform, so every lane gets the
+    /// same value) `f` runs once, for the lowest lane.
+    fn write<T: Copy + PartialEq>(
+        &mut self,
+        file: fn(&mut Self) -> &mut RegFile<T>,
+        dst: usize,
+        mask: u32,
+        uniform: bool,
+        f: impl Fn(&Self, usize) -> T,
+    ) {
+        let Some(first) = lanes(mask).next() else {
+            return;
+        };
+        let v = f(self, first);
+        let live = self.live;
+        if uniform {
+            file(self)[dst].set(mask, live, v);
+        } else {
+            let mut vals = [v; WARP];
+            for l in lanes(mask).skip(1) {
+                vals[l] = f(self, l);
+            }
+            file(self)[dst].map_lanes(mask, |l, _| vals[l]);
+        }
+    }
+
+    fn write_reg(
+        &mut self,
+        dst: Reg,
+        mask: u32,
+        uniform: bool,
+        f: impl Fn(&Self, usize) -> AbsVal,
+    ) {
+        self.write(|wi| &mut wi.regs, dst.0 as usize, mask, uniform, f);
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -582,15 +722,11 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
     /// arms of a branch): registers via the lattice join, predicates kept
     /// only when both arms agree.
     fn join_with(&mut self, s: &Snapshot) {
-        for l in 0..WARP {
-            for r in 0..self.regs[l].len() {
-                self.regs[l][r] = domain::join(self.regs[l][r], s.regs[l][r]);
-            }
-            for p in 0..self.preds[l].len() {
-                if self.preds[l][p] != s.preds[l][p] {
-                    self.preds[l][p] = None;
-                }
-            }
+        for (r, theirs) in self.regs.iter_mut().zip(&s.regs) {
+            r.merge(theirs, self.live, domain::join);
+        }
+        for (p, theirs) in self.preds.iter_mut().zip(&s.preds) {
+            p.merge(theirs, self.live, |a, b| if a == b { a } else { None });
         }
     }
 
@@ -608,19 +744,10 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                     then,
                     els,
                 } => {
-                    let mut known = true;
-                    let mut then_mask = 0u32;
-                    for l in lanes(mask) {
-                        match self.preds[l][pred.0 as usize] {
-                            Some(v) => {
-                                if v != *negate {
-                                    then_mask |= 1 << l;
-                                }
-                            }
-                            None => known = false,
-                        }
-                    }
-                    if exact && known {
+                    let p = &self.preds[pred.0 as usize];
+                    let taken =
+                        lanes_where(mask, p.is_uniform(), |l| p.get(l).map(|v| v != *negate));
+                    if let (true, Some(then_mask)) = (exact, taken) {
                         let else_mask = mask & !then_mask;
                         if then_mask != 0 {
                             self.walk(then, then_mask, true)?;
@@ -701,13 +828,11 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         loop {
             round += 1;
             if round > FIX_ROUNDS {
-                for l in lanes(mask) {
-                    for r in self.regs[l].iter_mut() {
-                        *r = AbsVal::Top;
-                    }
-                    for p in self.preds[l].iter_mut() {
-                        *p = None;
-                    }
+                for r in self.regs.iter_mut() {
+                    r.set(mask, self.live, AbsVal::Top);
+                }
+                for p in self.preds.iter_mut() {
+                    p.set(mask, self.live, None);
                 }
                 break;
             }
@@ -716,27 +841,25 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 self.record = saved_record;
                 return Err(());
             }
+            // Compared lane for lane over the live lanes (once for a pair
+            // of uniform registers), so the rounds match a per-lane walk.
             let mut stable = true;
-            for l in 0..WARP {
-                for r in 0..self.regs[l].len() {
-                    let old = pre.regs[l][r];
-                    let mut merged = domain::join(old, self.regs[l][r]);
+            for (r, old) in self.regs.iter_mut().zip(&pre.regs) {
+                r.merge(old, self.live, |new, old| {
+                    let mut merged = domain::join(old, new);
                     if round >= 2 {
                         merged = domain::widen(old, merged);
                     }
-                    if merged != old {
-                        stable = false;
-                    }
-                    self.regs[l][r] = merged;
-                }
-                for p in 0..self.preds[l].len() {
-                    let old = pre.preds[l][p];
-                    let merged = if old == self.preds[l][p] { old } else { None };
-                    if merged != old {
-                        stable = false;
-                    }
-                    self.preds[l][p] = merged;
-                }
+                    stable &= merged == old;
+                    merged
+                });
+            }
+            for (p, old) in self.preds.iter_mut().zip(&pre.preds) {
+                p.merge(old, self.live, |new, old| {
+                    let merged = if old == new { old } else { None };
+                    stable &= merged == old;
+                    merged
+                });
             }
             if stable {
                 break;
@@ -758,13 +881,16 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         mask: u32,
         exact: bool,
     ) -> Result<(), ()> {
+        let v = var.0 as usize;
         if exact {
-            for l in lanes(mask) {
-                self.regs[l][var.0 as usize] = self.operand(l, start);
-            }
+            self.write_reg(var, mask, self.is_uniform(start), |wi, l| {
+                wi.operand(l, start)
+            });
         }
-        let starts_exact =
-            exact && lanes(mask).all(|l| self.regs[l][var.0 as usize].as_exact().is_some());
+        let starts_exact = exact
+            && lanes(mask)
+                .take(if self.regs[v].is_uniform() { 1 } else { WARP })
+                .all(|l| self.regs[v].get(l).as_exact().is_some());
         if !starts_exact {
             return self.run_for_abstract(var, start, end, step, body, mask);
         }
@@ -790,34 +916,29 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             }
             self.walk(body, mask, true)?;
             // Latch: add var, var, step; setp var < end; bra.
-            for l in lanes(mask) {
-                let r = &mut self.regs[l][var.0 as usize];
-                if let Some(v) = r.as_exact() {
-                    *r = AbsVal::Exact(v.wrapping_add(step));
-                } else {
-                    *r = domain::alu_abs(AluOp::IAdd, *r, AbsVal::Exact(step));
+            let latch_uniform = self.regs[v].is_uniform();
+            self.write_reg(var, mask, latch_uniform, |wi, l| {
+                let r = wi.regs[v].get(l);
+                match r.as_exact() {
+                    Some(x) => AbsVal::Exact(x.wrapping_add(step)),
+                    None => domain::alu_abs(AluOp::IAdd, r, AbsVal::Exact(step)),
                 }
-            }
-            let mut cont = 0u32;
-            let mut known = true;
-            for l in lanes(mask) {
+            });
+            let uniform = self.regs[v].is_uniform() && self.is_uniform(end);
+            let cont = lanes_where(mask, uniform, |l| {
                 match (
-                    self.regs[l][var.0 as usize].as_exact(),
+                    self.regs[v].get(l).as_exact(),
                     self.operand(l, end).as_exact(),
                 ) {
-                    (Some(v), Some(e)) => {
-                        if v < e {
-                            cont |= 1 << l;
-                        }
-                    }
-                    _ => known = false,
+                    (Some(x), Some(e)) => Some(x < e),
+                    _ => None,
                 }
-            }
-            if !known {
+            });
+            let Some(cont) = cont else {
                 // The bound (or the induction variable) was clobbered by
                 // something unknown inside the body; fall back to bounds.
                 return self.run_for_abstract(var, start, end, step, body, mask);
-            }
+            };
             if cont == 0 {
                 return Ok(());
             }
@@ -862,9 +983,11 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         mask: u32,
     ) -> Result<(), ()> {
         let budget = self.cfg.trip_budget.max(1);
-        // Hull of the per-lane start/end bounds across the warp.
+        // Hull of the per-lane start/end bounds across the warp (one lane
+        // stands for all when the bound is uniform: the join is idempotent).
         let hull = |wi: &Self, op: &Operand| {
             lanes(mask)
+                .take(if wi.is_uniform(op) { 1 } else { WARP })
                 .map(|l| wi.operand(l, op))
                 .fold(None, |acc: Option<AbsVal>, v| {
                     Some(match acc {
@@ -899,9 +1022,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
             }
             _ => ((1, budget), AbsVal::Top),
         };
-        for l in lanes(mask) {
-            self.regs[l][var.0 as usize] = var_val;
-        }
+        self.write_reg(var, mask, true, |_, _| var_val);
         self.fix_body(body, mask)?;
         let saved_mult = self.mult;
         self.mult = (
@@ -911,9 +1032,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         let r = self.walk(body, mask, false);
         self.mult = saved_mult;
         r?;
-        for l in lanes(mask) {
-            self.regs[l][var.0 as usize] = AbsVal::Top;
-        }
+        self.write_reg(var, mask, true, |_, _| AbsVal::Top);
         Ok(())
     }
 
@@ -958,25 +1077,24 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
     fn exec(&mut self, idx: u64, i: &Instr, mask: u32, exact: bool) {
         match i {
             Instr::Mov { dst, src } => {
-                for l in lanes(mask) {
-                    self.regs[l][dst.0 as usize] = self.operand(l, src);
-                }
+                self.write_reg(*dst, mask, self.is_uniform(src), |wi, l| wi.operand(l, src));
             }
             Instr::Special { dst, sr } => {
-                for l in lanes(mask) {
-                    self.regs[l][dst.0 as usize] = AbsVal::Exact(match sr {
-                        SpecialReg::TidX => self.warp * WARP as u32 + l as u32,
-                        SpecialReg::CtaidX => self.block_id,
-                        SpecialReg::NtidX => self.cfg.block,
-                        SpecialReg::NctaidX => self.cfg.grid,
-                    });
-                }
+                let uniform = *sr != SpecialReg::TidX;
+                self.write_reg(*dst, mask, uniform, |wi, l| {
+                    AbsVal::Exact(match sr {
+                        SpecialReg::TidX => wi.warp * WARP as u32 + l as u32,
+                        SpecialReg::CtaidX => wi.block_id,
+                        SpecialReg::NtidX => wi.cfg.block,
+                        SpecialReg::NctaidX => wi.cfg.grid,
+                    })
+                });
             }
             Instr::Alu { op, dst, a, b } => {
-                for l in lanes(mask) {
-                    let v = domain::alu_abs(*op, self.operand(l, a), self.operand(l, b));
-                    self.regs[l][dst.0 as usize] = v;
-                }
+                let uniform = self.is_uniform(a) && self.is_uniform(b);
+                self.write_reg(*dst, mask, uniform, |wi, l| {
+                    domain::alu_abs(*op, wi.operand(l, a), wi.operand(l, b))
+                });
             }
             Instr::Mad {
                 float,
@@ -985,26 +1103,25 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 b,
                 c,
             } => {
-                for l in lanes(mask) {
-                    let v = domain::mad_abs(
-                        *float,
-                        self.operand(l, a),
-                        self.operand(l, b),
-                        self.operand(l, c),
-                    );
-                    self.regs[l][dst.0 as usize] = v;
-                }
+                let uniform = self.is_uniform(a) && self.is_uniform(b) && self.is_uniform(c);
+                self.write_reg(*dst, mask, uniform, |wi, l| {
+                    domain::mad_abs(*float, wi.operand(l, a), wi.operand(l, b), wi.operand(l, c))
+                });
             }
             Instr::Unary { op, dst, a } => {
-                for l in lanes(mask) {
-                    self.regs[l][dst.0 as usize] = domain::unary_abs(*op, self.operand(l, a));
-                }
+                self.write_reg(*dst, mask, self.is_uniform(a), |wi, l| {
+                    domain::unary_abs(*op, wi.operand(l, a))
+                });
             }
             Instr::Setp { dst, cmp, a, b } => {
-                for l in lanes(mask) {
-                    let v = domain::compare_abs(*cmp, self.operand(l, a), self.operand(l, b));
-                    self.preds[l][dst.0 as usize] = v;
-                }
+                let uniform = self.is_uniform(a) && self.is_uniform(b);
+                self.write(
+                    |wi| &mut wi.preds,
+                    dst.0 as usize,
+                    mask,
+                    uniform,
+                    |wi, l| domain::compare_abs(*cmp, wi.operand(l, a), wi.operand(l, b)),
+                );
             }
             Instr::Ld {
                 dsts,
@@ -1013,10 +1130,8 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 offset,
             } => {
                 self.memory(idx, *space, true, *base, *offset, dsts.len(), mask, exact);
-                for l in lanes(mask) {
-                    for d in dsts {
-                        self.regs[l][d.0 as usize] = AbsVal::Top;
-                    }
+                for d in dsts {
+                    self.write_reg(*d, mask, true, |_, _| AbsVal::Top);
                 }
             }
             Instr::St {
@@ -1028,9 +1143,7 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                 self.memory(idx, *space, false, *base, *offset, srcs.len(), mask, exact);
             }
             Instr::Clock { dst } => {
-                for l in lanes(mask) {
-                    self.regs[l][dst.0 as usize] = AbsVal::Top;
-                }
+                self.write_reg(*dst, mask, true, |_, _| AbsVal::Top);
             }
         }
     }
@@ -1085,25 +1198,29 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         // exactly as the machine does (u32 wrapping add, then widen);
         // interval bases carry `[lo, hi]` byte ranges unless the offset
         // could wrap, which loses the bound.
+        let addr_of = |v: AbsVal| match v {
+            AbsVal::Exact(b) => {
+                let a = b.wrapping_add(offset) as u64;
+                (Some(a), Some((a, a)))
+            }
+            AbsVal::Interval(lo, hi) if hi as u64 + offset as u64 <= u32::MAX as u64 => (
+                None,
+                Some((lo as u64 + offset as u64, hi as u64 + offset as u64)),
+            ),
+            AbsVal::Interval(..) | AbsVal::Top => (None, None),
+        };
+        // A uniform base is one address on every lane, computed once.
+        let base_reg = &self.regs[base.0 as usize];
+        let uniform = base_reg.is_uniform();
+        let uniform_addr = uniform.then(|| addr_of(base_reg.get(0)));
         let mut addrs: [Option<u64>; WARP] = [None; WARP];
         let mut ranges: [Option<(u64, u64)>; WARP] = [None; WARP];
         let mut any_unbounded = false;
         for l in lanes(mask) {
-            match self.regs[l][base.0 as usize] {
-                AbsVal::Exact(b) => {
-                    let a = b.wrapping_add(offset) as u64;
-                    addrs[l] = Some(a);
-                    ranges[l] = Some((a, a));
-                }
-                AbsVal::Interval(lo, hi) => {
-                    if hi as u64 + offset as u64 <= u32::MAX as u64 {
-                        ranges[l] = Some((lo as u64 + offset as u64, hi as u64 + offset as u64));
-                    } else {
-                        any_unbounded = true;
-                    }
-                }
-                AbsVal::Top => any_unbounded = true,
-            }
+            let (addr, range) = uniform_addr.unwrap_or_else(|| addr_of(base_reg.get(l)));
+            addrs[l] = addr;
+            ranges[l] = range;
+            any_unbounded |= range.is_none();
         }
 
         // Feed the bounds certifier: the byte footprint this site can touch.
@@ -1289,8 +1406,12 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
                         site.half_warps += issues;
                         site.half_warps_hi += issues;
                     }
+                    // A cell that has seen two threads' accesses of one
+                    // instruction already holds its second thread and, for
+                    // a store, its first write (see `RaceCell::record`), so
+                    // the other lanes of a uniform address change nothing.
                     let phase = self.sync_count;
-                    for l in lanes(mask) {
+                    for l in lanes(mask).take(if uniform { 2 } else { WARP }) {
                         let Some(addr) = addrs[l] else { continue };
                         let a = SharedAccess {
                             thread: self.warp * WARP as u32 + l as u32,
@@ -1389,9 +1510,161 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
     }
 }
 
+/// The lanes of `mask` where `test` holds, or `None` when it is undecided on
+/// some lane. When `uniform` (every lane gets the same answer) `test` runs
+/// once, for the lowest lane.
+fn lanes_where(mask: u32, uniform: bool, test: impl Fn(usize) -> Option<bool>) -> Option<u32> {
+    let mut taken = 0u32;
+    for l in lanes(mask).take(if uniform { 1 } else { WARP }) {
+        if test(l)? {
+            taken |= 1 << l;
+        }
+    }
+    Some(if uniform && taken != 0 { mask } else { taken })
+}
+
 /// The lanes of half-warp chunk `c` (chunks of `half` lanes) as a mask.
 fn chunk_lanes(c: usize, half: usize) -> u32 {
     let lo = c * half;
     let len = half.min(WARP - lo);
     (((1u64 << len) - 1) << lo) as u32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::{CmpOp, KernelBuilder};
+
+    /// Run `f` on a fresh interpreter for warp `warp` of a `block`-thread
+    /// block of `kernel`.
+    fn with_warp<'k, R>(
+        kernel: &'k Kernel,
+        block: u32,
+        warp: u32,
+        f: impl FnOnce(&mut WarpInterp<'_, 'k>) -> R,
+    ) -> R {
+        let cfg = AnalysisConfig::new(1, block, vec![]);
+        let mut sink = Sink::new();
+        let mut races = RaceCells::default();
+        let mut coalesce = CoalesceCache::new(cfg.driver);
+        let mut wi = WarpInterp::new(kernel, &cfg, 0, warp, &mut sink, &mut races, &mut coalesce);
+        f(&mut wi)
+    }
+
+    fn two_regs() -> Kernel {
+        Kernel {
+            name: "two_regs".to_string(),
+            n_params: 0,
+            n_regs: 2,
+            n_preds: 0,
+            smem_bytes: 0,
+            body: Vec::new(),
+        }
+    }
+
+    fn mov(wi: &mut WarpInterp<'_, '_>, r: u16, v: u32, mask: u32) {
+        wi.exec(
+            0,
+            &Instr::Mov {
+                dst: Reg(r),
+                src: Operand::ImmU(v),
+            },
+            mask,
+            true,
+        );
+    }
+
+    #[test]
+    fn a_partial_mask_write_reads_back_per_lane() {
+        with_warp(&two_regs(), 32, 0, |wi| {
+            mov(wi, 1, 7, 0x0000_00ff);
+            let r = &wi.regs[1];
+            assert!(!r.is_uniform());
+            for l in 0..WARP {
+                let want = if l < 8 { 7 } else { 0 };
+                assert_eq!(r.get(l), AbsVal::Exact(want), "lane {l}");
+            }
+            // The register it was not written to stays uniform.
+            assert_eq!(wi.regs[0], WarpReg::Uniform(AbsVal::Exact(0)));
+        });
+    }
+
+    #[test]
+    fn a_full_warp_write_makes_a_register_uniform_again() {
+        with_warp(&two_regs(), 32, 0, |wi| {
+            mov(wi, 1, 7, 0x0000_00ff);
+            mov(wi, 1, 3, u32::MAX);
+            assert_eq!(wi.regs[1], WarpReg::Uniform(AbsVal::Exact(3)));
+        });
+        // In a partly dead warp, the live lanes are the whole warp.
+        with_warp(&two_regs(), 48, 1, |wi| {
+            assert_eq!(wi.live, 0x0000_ffff);
+            mov(wi, 1, 7, 0x0000_000f);
+            assert!(!wi.regs[1].is_uniform());
+            mov(wi, 1, 3, 0x0000_ffff);
+            assert_eq!(wi.regs[1], WarpReg::Uniform(AbsVal::Exact(3)));
+        });
+    }
+
+    #[test]
+    fn a_join_of_two_uniform_arms_is_uniform() {
+        with_warp(&two_regs(), 32, 0, |wi| {
+            let entry = wi.snapshot();
+            mov(wi, 1, 1, u32::MAX);
+            let after_then = wi.snapshot();
+            wi.restore(&entry);
+            mov(wi, 1, 4, u32::MAX);
+            wi.join_with(&after_then);
+            assert_eq!(wi.regs[1], WarpReg::Uniform(AbsVal::Interval(1, 4)));
+            assert_eq!(wi.regs[0], WarpReg::Uniform(AbsVal::Exact(0)));
+        });
+    }
+
+    #[test]
+    fn fix_body_reaches_the_same_state_from_uniform_and_per_lane_starts() {
+        // do { i += 1; x = min(x, 9); p = i < 10 } while p: `i` widens to
+        // Top in the third round, `x` is stable from the first.
+        let mut b = KernelBuilder::new("counter");
+        let i = b.mov(Operand::ImmU(0));
+        let x = b.mov(Operand::ImmU(5));
+        b.do_while(|b| {
+            b.alu_into(i, AluOp::IAdd, i.into(), Operand::ImmU(1));
+            b.alu_into(x, AluOp::IMin, x.into(), Operand::ImmU(9));
+            b.setp(CmpOp::ULt, i.into(), Operand::ImmU(10))
+        });
+        let k = b.finish();
+        let tree = index_stmts(&k.body, &mut InstrIndexer::new());
+        let Some(IStmt::While { body, .. }) = tree.last() else {
+            panic!("the kernel ends in its While");
+        };
+        let fixpoint = |per_lane: bool| {
+            with_warp(&k, 48, 1, |wi| {
+                for (r, v) in [(i, 0), (x, 5)] {
+                    wi.regs[r.0 as usize] = if per_lane {
+                        WarpReg::PerLane(Box::new([AbsVal::Exact(v); WARP]))
+                    } else {
+                        WarpReg::Uniform(AbsVal::Exact(v))
+                    };
+                }
+                wi.fix_body(body, wi.live).expect("the body does not abort");
+                let live = wi.live;
+                let lanes_of =
+                    |r: &WarpReg<AbsVal>| lanes(live).map(|l| r.get(l)).collect::<Vec<_>>();
+                let preds: Vec<Vec<Option<bool>>> = wi
+                    .preds
+                    .iter()
+                    .map(|p| lanes(live).map(|l| p.get(l)).collect())
+                    .collect();
+                let regs: Vec<Vec<AbsVal>> = wi.regs.iter().map(lanes_of).collect();
+                (regs, preds, wi.regs[i.0 as usize].is_uniform())
+            })
+        };
+        let (regs_u, preds_u, still_uniform) = fixpoint(false);
+        let (regs_p, preds_p, _) = fixpoint(true);
+        assert_eq!(regs_u, regs_p);
+        assert_eq!(preds_u, preds_p);
+        assert!(still_uniform);
+        assert!(regs_u[i.0 as usize].iter().all(|&v| v == AbsVal::Top));
+        assert!(regs_u[x.0 as usize].iter().all(|&v| v == AbsVal::Exact(5)));
+    }
 }

@@ -180,8 +180,8 @@ pub fn buffer_summaries(report: &AnalysisReport, params: &[u32]) -> Vec<BufferSu
             continue;
         }
         let rel = ((lo - base) % stride as u64) as u32;
-        let entry = match out.iter_mut().find(|s| s.param == p) {
-            Some(e) => e,
+        let at = match out.iter().position(|s| s.param == p) {
+            Some(at) => at,
             None => {
                 out.push(BufferSummary {
                     param: p,
@@ -194,9 +194,10 @@ pub fn buffer_summaries(report: &AnalysisReport, params: &[u32]) -> Vec<BufferSu
                     half_warp_accesses: 0,
                     written: false,
                 });
-                out.last_mut().expect("just pushed")
+                out.len() - 1
             }
         };
+        let entry = &mut out[at];
         if entry.stride == 0 {
             entry.stride = stride;
         }
@@ -455,77 +456,61 @@ fn layout_candidates(sums: &[BufferSummary], old_buffers: u16) -> Vec<LayoutCand
         ),
     );
 
-    // SoA: one scalar array per hot word.
-    let all_hot: Vec<(u16, u32)> = sums
+    // The hot words of every buffer, numbered in `sums` order: word `i` of
+    // `sums[k]` is hot word `first_hot[k] + i`. `hot_maps` maps each hot
+    // word to `dest` of its number.
+    let first_hot: Vec<usize> = sums
         .iter()
-        .flat_map(|s| s.hot_words.iter().map(|&o| (s.param, o)))
+        .scan(0, |next, s| {
+            let first = *next;
+            *next += s.hot_words.len();
+            Some(first)
+        })
         .collect();
+    let n_hot: usize = sums.iter().map(|s| s.hot_words.len()).sum();
+    let hot_maps = |dest: &dyn Fn(usize) -> FieldDest| -> Vec<BufferMap> {
+        sums.iter()
+            .zip(&first_hot)
+            .map(|(s, &first)| BufferMap {
+                param: s.param,
+                stride: s.stride,
+                words: s
+                    .hot_words
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &o)| (o, dest(first + i)))
+                    .collect(),
+            })
+            .collect()
+    };
+
+    // SoA: one scalar array per hot word.
     push(
         "soa",
-        vec![4; all_hot.len()],
-        full_maps(
-            sums.iter()
-                .map(|s| BufferMap {
-                    param: s.param,
-                    stride: s.stride,
-                    words: s
-                        .hot_words
-                        .iter()
-                        .map(|&o| {
-                            let j = all_hot
-                                .iter()
-                                .position(|&(p, w)| p == s.param && w == o)
-                                .expect("hot word came from all_hot");
-                            (
-                                o,
-                                FieldDest {
-                                    buffer: j,
-                                    offset: 0,
-                                },
-                            )
-                        })
-                        .collect(),
-                })
-                .collect(),
-        ),
+        vec![4; n_hot],
+        full_maps(hot_maps(&|j| FieldDest {
+            buffer: j,
+            offset: 0,
+        })),
     );
 
     // SoAoaS at tile widths 8 and 16: pack the hot words (across all old
     // buffers) contiguously into fixed-width tiles; a short tail tile is
     // padded only to the next power of two.
     for (name, tile_words) in [("soaoas-8", 2usize), ("soaoas-16", 4usize)] {
-        let n_tiles = all_hot.len().div_ceil(tile_words);
+        let n_tiles = n_hot.div_ceil(tile_words);
         let mut strides = Vec::with_capacity(n_tiles);
         for t in 0..n_tiles {
-            let words_here = (all_hot.len() - t * tile_words).min(tile_words);
+            let words_here = (n_hot - t * tile_words).min(tile_words);
             strides.push(next_pow2(4 * words_here as u32));
         }
-        let dest_of = |p: u16, o: u32| {
-            let idx = all_hot
-                .iter()
-                .position(|&(q, w)| q == p && w == o)
-                .expect("hot word came from all_hot");
-            FieldDest {
-                buffer: idx / tile_words,
-                offset: 4 * (idx % tile_words) as u32,
-            }
-        };
         push(
             name,
             strides,
-            full_maps(
-                sums.iter()
-                    .map(|s| BufferMap {
-                        param: s.param,
-                        stride: s.stride,
-                        words: s
-                            .hot_words
-                            .iter()
-                            .map(|&o| (o, dest_of(s.param, o)))
-                            .collect(),
-                    })
-                    .collect(),
-            ),
+            full_maps(hot_maps(&|j| FieldDest {
+                buffer: j / tile_words,
+                offset: 4 * (j % tile_words) as u32,
+            })),
         );
     }
     out
@@ -656,23 +641,24 @@ fn price(kernel: &Kernel, cfg: &SynthConfig, params: Vec<u32>) -> Result<(f64, u
 
 /// Build the element-indexed input maps proving `orig ≡ rewritten`: every
 /// hot word of every old buffer gets the same canonical key on both sides.
+/// A mapped buffer without a summary has no record stride to map by, which
+/// is the `Err` reason.
 fn layout_input_maps(
     rw: &LayoutRewrite,
     sums: &[BufferSummary],
     params_a: &[u32],
     params_b: &[u32],
     n_elems: u64,
-) -> (InputMap, InputMap) {
+) -> Result<(InputMap, InputMap), String> {
     let mut a = InputMap::default();
     let mut b = InputMap::default();
     for m in &rw.maps {
         if m.words.is_empty() {
             continue; // dropped (never-read) buffer
         }
-        let s = sums
-            .iter()
-            .find(|s| s.param == m.param)
-            .expect("every mapped buffer has a summary");
+        let Some(s) = sums.iter().find(|s| s.param == m.param) else {
+            return Err(format!("buffer param {} has no access summary", m.param));
+        };
         let base_a = params_a[m.param as usize] as u64;
         for &(old_off, dest) in &m.words {
             let base_b = params_b[dest.buffer] as u64;
@@ -686,7 +672,7 @@ fn layout_input_maps(
             }
         }
     }
-    (a, b)
+    Ok((a, b))
 }
 
 /// Run the whole pipeline: summarize, enumerate, price, rank, prove.
@@ -772,7 +758,14 @@ pub fn synthesize(kernel: &Kernel, cfg: &SynthConfig) -> Result<SynthReport, Syn
                 .as_ref()
                 .map_or("keep-schedule".to_string(), |p| p.label());
             let label = format!("{lname} + {sname}");
-            match price(&k_s, cfg, params_l.clone()) {
+            // The unmodified kernel under the baseline's launch: its price
+            // is the baseline's, from the report already in hand.
+            let cost = if layout.is_none() && sched.is_none() {
+                Ok((baseline_cycles, baseline_regs))
+            } else {
+                price(&k_s, cfg, params_l.clone())
+            };
+            match cost {
                 Ok((cycles, regs)) => priced.push(Priced {
                     label,
                     layout: *layout,
@@ -833,7 +826,14 @@ pub fn synthesize(kernel: &Kernel, cfg: &SynthConfig) -> Result<SynthReport, Syn
                 let nb = fake_bases(cand.rw.new_strides.len(), 0x4000_0000);
                 let vparams_b = rewritten_params(&cand.rw, &vparams_a, &nb);
                 let (map_a, map_b) =
-                    layout_input_maps(&cand.rw, &rewritable, &vparams_a, &vparams_b, n_elems);
+                    match layout_input_maps(&cand.rw, &rewritable, &vparams_a, &vparams_b, n_elems)
+                    {
+                        Ok(maps) => maps,
+                        Err(reason) => {
+                            skipped.push(format!("{}: layout proof skipped: {reason}", p.label));
+                            continue;
+                        }
+                    };
                 let mut vcfg = VerifyConfig::new(vgrid, vblock, vparams_a.clone());
                 vcfg.params_b = Some(vparams_b.clone());
                 vcfg.input_map = Some(map_a);
@@ -923,6 +923,31 @@ mod tests {
         let soaoas = cands.iter().find(|c| c.name == "soaoas-16").unwrap();
         assert_eq!(soaoas.rw.new_strides, vec![16]);
         assert_eq!(soaoas.rw.bytes_per_element(), 16);
+    }
+
+    #[test]
+    fn a_mapped_buffer_without_a_summary_is_a_reason_not_a_panic() {
+        let rw = LayoutRewrite {
+            tag: "soa".to_string(),
+            old_buffers: 1,
+            new_strides: vec![4],
+            maps: vec![BufferMap {
+                param: 0,
+                stride: 16,
+                words: vec![(
+                    0,
+                    FieldDest {
+                        buffer: 0,
+                        offset: 0,
+                    },
+                )],
+            }],
+        };
+        let maps = layout_input_maps(&rw, &[], &[0x1_0000], &[0x4000_0000], 4);
+        assert_eq!(
+            maps.err().as_deref(),
+            Some("buffer param 0 has no access summary")
+        );
     }
 
     #[test]
