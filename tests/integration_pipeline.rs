@@ -91,6 +91,33 @@ fn unroll_and_register_ladders_match_paper() {
     assert_eq!(ladder.last().unwrap().warps, 16, "67% of 24 warps");
 }
 
+/// The Sec. IV-A sweep's rows at the `table_unroll` size (`128 · 512`) and
+/// at this file's (`128 · 256`): an FNV-1a digest of each row's factor,
+/// per-element instructions, Eq. 3 prediction and registers.
+#[test]
+fn unroll_sweep_rows_are_pinned() {
+    for (n, pin) in [
+        (128 * 512, 0xa0c9850d5233453d),
+        (128 * 256, 0x2d6d0e3e1f1ce849),
+    ] {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in unroll_sweep(n) {
+            for v in [
+                u64::from(r.factor),
+                r.instrs_per_element.to_bits(),
+                r.eq3_predicted.to_bits(),
+                u64::from(r.regs),
+            ] {
+                for b in v.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(h, pin, "n = {n}");
+    }
+}
+
 /// Fig. 12 / abstract: the full optimization ladder is worth ≈ 1.27× over the
 /// baseline GPU port, dominated by the unroll step, with layout steps small.
 #[test]
