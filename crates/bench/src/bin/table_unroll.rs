@@ -2,7 +2,9 @@
 //! budget, Eq. 3 predicted speedup and register demand per unroll factor,
 //! plus the modeled kernel-time speedup at the Fig. 12 reference size.
 use bench::report::emit;
-use bench::tables::{inner_loop_budget, unroll_sweep};
+use bench::tables::inner_loop_budget;
+use gravit_core::unroll_advisor::unroll_sweep;
+use particle_layouts::Layout;
 use simcore::Table;
 
 fn main() {
@@ -13,7 +15,7 @@ fn main() {
     );
     println!("(paper: \"a little more than 25 instructions including the loop instructions\")\n");
 
-    let rows = unroll_sweep(128 * 512);
+    let rows = unroll_sweep(Layout::SoAoaS, 128, false, 128 * 512);
     let mut t = Table::new(
         "Unroll sweep — SoAoaS force kernel, block 128",
         &["factor", "instrs/element", "Eq.3 speedup", "regs/thread"],
@@ -22,7 +24,7 @@ fn main() {
         t.row(vec![
             r.factor.to_string(),
             format!("{:.2}", r.instrs_per_element),
-            format!("{:.3}", r.eq3_predicted),
+            format!("{:.3}", r.eq3_speedup),
             r.regs.to_string(),
         ]);
     }
@@ -31,6 +33,6 @@ fn main() {
     println!(
         "Full unroll: {:.1}% fewer instructions, Eq.3 predicts {:.2}x (paper: ~18% / 1.18x)",
         100.0 * (1.0 - full.instrs_per_element / rows[0].instrs_per_element),
-        full.eq3_predicted
+        full.eq3_speedup
     );
 }

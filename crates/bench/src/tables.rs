@@ -1,67 +1,15 @@
-//! The non-figure experiments: the unroll sweep (Sec. IV-A), the occupancy
-//! ladder, the per-half-warp transaction counts (Figs. 3/5/7/9) and the
-//! access-frequency grouping ablation (Sec. II-D).
+//! The non-figure experiments: the occupancy ladder, the per-half-warp
+//! transaction counts (Figs. 3/5/7/9) and the access-frequency grouping
+//! ablation (Sec. II-D). The unroll sweep (Sec. IV-A) is
+//! `gravit_core::unroll_advisor::unroll_sweep`.
 
 use gpu_kernels::force::{build_force_kernel, ForceKernelConfig};
-use gpu_sim::ir::count::{dynamic_instructions, eq3_speedup, inner_loop_profile};
+use gpu_sim::ir::count::inner_loop_profile;
 use gpu_sim::ir::regalloc::register_demand;
 use gpu_sim::occupancy::occupancy;
 use gpu_sim::{DeviceConfig, DriverModel};
 use particle_layouts::streams::{analyze_plan, TransactionAnalysis};
 use particle_layouts::Layout;
-
-/// One row of the unroll sweep (experiment E4).
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnrollRow {
-    /// Unroll factor (1 = rolled; block = full).
-    pub factor: u32,
-    /// Dynamic instructions per thread at the reference size.
-    pub dyn_instrs: u64,
-    /// Instructions per inner element (dyn / n).
-    pub instrs_per_element: f64,
-    /// Registers per thread.
-    pub regs: u16,
-    /// Eq. 3 prediction of speedup over the rolled kernel.
-    pub eq3_predicted: f64,
-}
-
-/// Sweep unroll factors on the SoAoaS force kernel (block 128) and measure
-/// per-element instruction budgets and register demand. `n` is the padded
-/// reference problem size.
-pub fn unroll_sweep(n: u32) -> Vec<UnrollRow> {
-    let block = 128u32;
-    assert!(n.is_multiple_of(block));
-    let factors = [1u32, 2, 4, 8, 16, 32, 64, 128];
-    let mut rows = Vec::new();
-    let mut rolled_per_elem = 0.0f64;
-    for &factor in &factors {
-        let cfg = ForceKernelConfig {
-            layout: Layout::SoAoaS,
-            block,
-            unroll: factor,
-            icm: false,
-        };
-        let k = build_force_kernel(cfg);
-        let mut params = vec![0u32; k.n_params as usize];
-        let n_idx = k.n_params as usize - 3; // ..., out, n, eps, smem0
-        params[n_idx] = n;
-        let dyn_instrs = dynamic_instructions(&k, &params)
-            .expect("force kernel loop bounds are launch constants");
-        let per_elem = dyn_instrs as f64 / n as f64;
-        if factor == 1 {
-            rolled_per_elem = per_elem;
-        }
-        rows.push(UnrollRow {
-            factor,
-            dyn_instrs,
-            instrs_per_element: per_elem,
-            regs: register_demand(&k).regs_per_thread,
-            eq3_predicted: eq3_speedup(rolled_per_elem, per_elem)
-                .expect("instruction budgets are positive"),
-        });
-    }
-    rows
-}
 
 /// One row of the occupancy ladder (experiment E5).
 #[derive(Debug, Clone, PartialEq)]
@@ -171,28 +119,6 @@ pub fn inner_loop_budget() -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unroll_sweep_is_monotone_in_instructions() {
-        let rows = unroll_sweep(128 * 64);
-        for w in rows.windows(2) {
-            assert!(
-                w[1].dyn_instrs <= w[0].dyn_instrs,
-                "more unrolling must not add instructions: {} -> {}",
-                w[0].factor,
-                w[1].factor
-            );
-        }
-        // Full unroll hits the paper's ~18–20 % band.
-        let full = rows.last().unwrap();
-        let rolled = &rows[0];
-        let reduction = 1.0 - full.instrs_per_element / rolled.instrs_per_element;
-        assert!(
-            (0.15..0.25).contains(&reduction),
-            "reduction {reduction:.3}"
-        );
-        assert!(full.eq3_predicted > 1.15 && full.eq3_predicted < 1.3);
-    }
 
     #[test]
     fn occupancy_ladder_tells_the_papers_story() {

@@ -8,11 +8,18 @@
 //!    coalesced reads.
 //!
 //! The output is a [`LayoutPlan`]: one array of aligned sub-structures per
-//! bin, plus a transaction analysis (via [`gpu_sim::coalesce`]) comparing it
-//! against the naive packed array-of-structures baseline.
+//! bin, plus a transaction count comparing it against the naive packed
+//! array-of-structures baseline. Step 2 is [`gpu_sim::ir::layout::pack_tiles`],
+//! which also tiles the layout synthesizer's SoAoaS candidates, and both
+//! layouts are priced as read plans by
+//! [`particle_layouts::streams::price_reads`], as the paper's Figs. 3–9
+//! transaction tables are.
 
-use gpu_sim::coalesce::{coalesce_half_warp, AccessWidth};
+use gpu_sim::ir::layout::pack_tiles;
 use gpu_sim::DriverModel;
+use particle_layouts::plan::scalar_reads;
+use particle_layouts::streams::price_reads;
+use particle_layouts::FieldRead;
 use serde::{Deserialize, Serialize};
 
 /// Access-frequency class of a field — the grouping key of step 1.
@@ -98,92 +105,6 @@ impl StructSchema {
     }
 }
 
-/// Derive the record schema of the dominant packed buffer straight from an
-/// analysis report — the access-summary path that replaces the hand-coded
-/// Gravit schema whenever the interpreter attributed the loads.
-///
-/// Load sites are grouped by
-/// [`buffer_param`](gpu_sim::analyze::AccessSummary::buffer_param); the buffer with the
-/// widest record whose sites agree on one positive lane stride becomes the
-/// schema: each read word is a hot scalar field (named by its byte offset),
-/// each never-read word a cold one. Field *identity* (px vs. mass) is
-/// unknowable statically, but the three-step procedure only needs widths
-/// and frequencies, so the derived plan prices identically to the
-/// hand-written one.
-pub fn schema_from_report(report: &gpu_sim::analyze::AnalysisReport) -> Option<StructSchema> {
-    use std::collections::BTreeMap;
-    /// Stride plus raw `(site lo, word offset)` pairs; `None` = poisoned.
-    type BufAcc = Option<(u32, Vec<(u64, u32)>)>;
-    let mut bufs: BTreeMap<u16, BufAcc> = BTreeMap::new();
-    let mut lo_by_param: BTreeMap<u16, u64> = BTreeMap::new();
-    for acc in &report.accesses {
-        if acc.space != gpu_sim::ir::MemSpace::Global || !acc.is_load {
-            continue;
-        }
-        let Some(p) = acc.buffer_param else { continue };
-        let (Some(stride), Some((lo, _)), true) = (acc.lane_stride, acc.addr_range, acc.exact)
-        else {
-            bufs.insert(p, None);
-            continue;
-        };
-        if stride <= 0 || stride % 4 != 0 {
-            bufs.insert(p, None);
-            continue;
-        }
-        let e = lo_by_param.entry(p).or_insert(lo);
-        *e = (*e).min(lo);
-        match bufs
-            .entry(p)
-            .or_insert_with(|| Some((stride as u32, Vec::new())))
-        {
-            Some((s, words)) if *s == stride as u32 => {
-                for w in 0..acc.width_bytes / 4 {
-                    words.push((lo, 4 * w));
-                }
-            }
-            slot => *slot = None,
-        }
-    }
-    // Offsets relative to the lowest site of the buffer (the record base,
-    // assuming the first field is among the reads — true of every packed
-    // AoS kernel the workspace builds).
-    let mut best: Option<(u32, Vec<u32>)> = None;
-    for (p, slot) in bufs {
-        let Some((stride, raw)) = slot else { continue };
-        let base = lo_by_param[&p];
-        let mut hot: Vec<u32> = raw
-            .iter()
-            .map(|&(lo, w)| (((lo - base) as u32) % stride) + w)
-            .collect();
-        hot.sort_unstable();
-        hot.dedup();
-        if hot.iter().any(|&o| o + 4 > stride) {
-            continue;
-        }
-        if best.as_ref().is_none_or(|(s, _)| stride > *s) {
-            best = Some((stride, hot));
-        }
-    }
-    let (stride, hot) = best?;
-    if stride < 8 {
-        return None; // single-word records have no layout to optimize
-    }
-    let fields = (0..stride / 4)
-        .map(|w| {
-            let off = 4 * w;
-            FieldSpec::scalar(
-                format!("+{off}"),
-                if hot.contains(&off) {
-                    AccessFreq::Hot
-                } else {
-                    AccessFreq::Cold
-                },
-            )
-        })
-        .collect();
-    Some(StructSchema::new(fields))
-}
-
 /// One aligned sub-structure (step 2): a bin of fields padded to an
 /// alignable size (1, 2 or 4 words), stored as its own array (step 3).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -241,91 +162,53 @@ impl LayoutPlan {
 
 /// Run the three-step procedure on a schema.
 pub fn optimize_layout(schema: &StructSchema) -> LayoutPlan {
-    // Step 1: group by access frequency (stable, hot first).
-    let mut by_freq: Vec<(AccessFreq, Vec<usize>)> = Vec::new();
-    for freq in [AccessFreq::Hot, AccessFreq::Warm, AccessFreq::Cold] {
-        let members: Vec<usize> = schema
-            .fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.freq == freq)
-            .map(|(i, _)| i)
-            .collect();
-        if !members.is_empty() {
-            by_freq.push((freq, members));
-        }
-    }
-
-    // Step 2: split each group into 128-bit bins (first-fit decreasing),
-    // padding each bin to the next alignable size (1, 2 or 4 words).
+    // Steps 1 and 2: group by access frequency (hot first), then split each
+    // group into 128-bit sub-structures (first fit decreasing), each padded
+    // to an alignable 1, 2 or 4 words.
     let mut groups: Vec<SubStruct> = Vec::new();
-    for (freq, mut members) in by_freq {
-        members.sort_by_key(|&i| std::cmp::Reverse(schema.fields[i].words));
-        let mut bins: Vec<(Vec<usize>, u32)> = Vec::new();
-        for i in members {
-            let w = schema.fields[i].words;
-            match bins.iter_mut().find(|(_, used)| used + w <= 4) {
-                Some((bin, used)) => {
-                    bin.push(i);
-                    *used += w;
-                }
-                None => bins.push((vec![i], w)),
-            }
-        }
-        for (fields, used) in bins {
-            let padded = used.next_power_of_two().max(1);
+    for freq in [AccessFreq::Hot, AccessFreq::Warm, AccessFreq::Cold] {
+        let members: Vec<usize> = (0..schema.fields.len())
+            .filter(|&i| schema.fields[i].freq == freq)
+            .collect();
+        let widths: Vec<u32> = members.iter().map(|&i| schema.fields[i].words).collect();
+        for t in pack_tiles(&widths, 4) {
             groups.push(SubStruct {
-                fields,
+                fields: t.members.iter().map(|&m| members[m]).collect(),
                 freq,
-                used_words: used,
-                padded_words: padded,
+                used_words: t.used_words,
+                padded_words: t.padded_words,
             });
         }
     }
 
-    // Step 3 is implicit: each group becomes an array of aligned records.
-    // Score both layouts through the real coalescer (CC 1.0 protocol, the
-    // hardware rule the paper's figures assume).
-    let baseline_transactions = packed_aos_transactions(schema);
-    let optimized_transactions = groups.iter().map(group_transactions).sum::<u32>();
+    // Step 3: each group becomes an array of aligned records. Price a
+    // full-record fetch from both layouts under the CC 1.0 protocol, the
+    // hardware rule the paper's figures assume. The naive packed array of
+    // structures reads every word as a scalar at the record stride (a wide
+    // field in a packed struct may be misaligned for a vector access, so
+    // the original Gravit code reads scalars); each group is one padded
+    // vector read from its own array.
+    let offsets: Vec<u32> = (0..schema.words()).map(|w| 4 * w).collect();
+    let baseline = scalar_reads(0, 4 * schema.words(), &offsets);
+    let optimized: Vec<FieldRead> = groups
+        .iter()
+        .enumerate()
+        .map(|(buffer, g)| FieldRead {
+            buffer,
+            offset: 0,
+            words: g.padded_words,
+            stride: 4 * g.padded_words,
+        })
+        .collect();
+    let transactions =
+        |reads: &[FieldRead]| price_reads(reads, DriverModel::Cuda10).transactions as u32;
 
     LayoutPlan {
         schema: schema.clone(),
+        baseline_transactions: transactions(&baseline),
+        optimized_transactions: transactions(&optimized),
         groups,
-        baseline_transactions,
-        optimized_transactions,
     }
-}
-
-/// Transactions per half-warp for a full-record fetch from the naive packed
-/// array of structures (scalar reads, record stride = payload bytes).
-fn packed_aos_transactions(schema: &StructSchema) -> u32 {
-    let stride = schema.words() as u64 * 4;
-    let mut offset = 0u64;
-    let mut total = 0u32;
-    for f in &schema.fields {
-        // Wide fields in a packed struct may be misaligned for vector access,
-        // so the baseline reads them as scalars — exactly what the original
-        // Gravit code does.
-        for w in 0..f.words {
-            let addrs: Vec<Option<u64>> = (0..16)
-                .map(|k| Some(k * stride + offset + 4 * w as u64))
-                .collect();
-            total +=
-                coalesce_half_warp(DriverModel::Cuda10, &addrs, AccessWidth::W4).count() as u32;
-        }
-        offset += f.words as u64 * 4;
-    }
-    total
-}
-
-/// Transactions per half-warp for fetching one aligned sub-structure from its
-/// array.
-fn group_transactions(g: &SubStruct) -> u32 {
-    let width = AccessWidth::from_bytes(g.padded_words * 4).expect("alignable width");
-    let stride = g.padded_words as u64 * 4;
-    let addrs: Vec<Option<u64>> = (0..16).map(|k| Some(k * stride)).collect();
-    coalesce_half_warp(DriverModel::Cuda10, &addrs, width).count() as u32
 }
 
 #[cfg(test)]

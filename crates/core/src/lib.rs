@@ -1,9 +1,11 @@
 //! # gravit-core — the paper's optimization techniques as a library
 //!
-//! This is the facade crate of the reproduction of *"CUDA Memory
+//! This is the front end of the reproduction of *"CUDA Memory
 //! Optimizations for Large Data-Structures in the Gravit Simulator"*
 //! (Siegel, Ributzka, Li — ICPP 2009 workshops). It packages the paper's two
-//! contributions as reusable components over the [`gpu_sim`] machine model:
+//! contributions as reusable components over the [`gpu_sim`] machine model,
+//! and computes nothing the crates below it compute: a declared schema goes
+//! through the same packer, pricing and passes the layout synthesizer uses.
 //!
 //! * [`layout_advisor`] — the Sec. IV three-step memory-layout procedure for
 //!   structures larger than the 128-bit alignment boundary:
@@ -11,9 +13,13 @@
 //!   alignable sub-structures, **arrange** the sub-structures in arrays
 //!   (SoAoaS). Given a declared struct schema it produces the optimized
 //!   layout plan plus the predicted per-half-warp transaction improvement.
-//! * [`unroll_advisor`] — the Sec. IV-A loop-unrolling analysis: Eq. 3
-//!   (`speedup ≈ P₁/P₂`), measured per-iteration instruction budgets,
-//!   register-pressure and occupancy feedback, and a recommended factor.
+//! * [`unroll_advisor`] — the Sec. IV-A loop-unrolling analysis: the one
+//!   unroll sweep (measured per-element instruction budgets, Eq. 3
+//!   `speedup ≈ P₁/P₂`, register demand) plus occupancy and cost-model
+//!   feedback, and a recommended factor.
+//! * [`lint`] — the layout and pass advice `kernel-lint` attaches to an
+//!   analysis report, with the record schema taken from the report's
+//!   buffer summaries.
 //! * [`pipeline`] — applies the full ladder to the Gravit force kernel and
 //!   reports each step (the programmatic form of Fig. 12's levels).
 //!

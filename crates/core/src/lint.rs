@@ -7,10 +7,11 @@
 //! SoAoaS, 112 → 4 transactions), and invariant/register findings get the
 //! Sec. IV-A unroll + ICM guidance. The `kernel-lint` CLI renders both.
 
+use gpu_sim::analyze::synth::buffer_summaries;
 use gpu_sim::analyze::{AnalysisReport, LintKind};
 use serde::Serialize;
 
-use crate::layout_advisor::{optimize_layout, schema_from_report, LayoutPlan, StructSchema};
+use crate::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, LayoutPlan, StructSchema};
 
 /// A layout remedy attached to one diagnostic of the report.
 #[derive(Debug, Clone, Serialize)]
@@ -55,17 +56,41 @@ impl EnrichedReport {
 /// * Every error-severity [`LintKind::UncoalescedAccess`] whose access has a
 ///   constant lane stride wider than one 128-bit vector (17..=63 bytes — the
 ///   packed-record regime; Gravit's record is 28, classic AoS is 32) gets
-///   the [`LayoutPlan`] for the Gravit particle schema.
+///   the [`LayoutPlan`] of the kernel's record: the first buffer, by
+///   parameter, with the widest record stride (≥ 8 bytes) in the report's
+///   [`buffer_summaries`] under the launch `params`, its read words hot
+///   scalars and the rest cold. Without one, the plan is the Gravit
+///   particle's.
 /// * [`LintKind::UnhoistedInvariant`] and [`LintKind::RegisterPressure`]
 ///   findings get the Sec. IV-A pass ordering (licm before unroll; the
 ///   17 → 16 register drop that buys 50 % → 67 % occupancy).
-pub fn enrich_report(report: AnalysisReport) -> EnrichedReport {
+pub fn enrich_report(report: AnalysisReport, params: &[u32]) -> EnrichedReport {
     let mut layout_advice = Vec::new();
     let mut pass_advice = Vec::new();
-    // The schema comes from the report's own access summaries when the
-    // interpreter could attribute the loads (the synthesis path); the
-    // hand-written Gravit schema is only the fallback.
-    let schema = schema_from_report(&report).unwrap_or_else(StructSchema::gravit_particle);
+    // Field identity (px vs. mass) is unknowable statically, but the
+    // three-step procedure only needs widths and frequencies, so a schema
+    // of byte-offset-named scalars prices like the hand-written one.
+    let summaries = buffer_summaries(&report, params);
+    let widest = summaries.iter().map(|s| s.stride).max().filter(|&w| w >= 8);
+    let schema = summaries
+        .iter()
+        .find(|s| Some(s.stride) == widest)
+        .map_or_else(StructSchema::gravit_particle, |s| {
+            StructSchema::new(
+                (0..s.stride)
+                    .step_by(4)
+                    .map(|off| {
+                        let freq = if s.hot_words.contains(&off) {
+                            AccessFreq::Hot
+                        } else {
+                            AccessFreq::Cold
+                        };
+                        FieldSpec::scalar(format!("+{off}"), freq)
+                    })
+                    .collect(),
+            )
+        });
+    let plan = optimize_layout(&schema);
     for (i, d) in report.diagnostics.iter().enumerate() {
         match d.kind {
             LintKind::UncoalescedAccess => {
@@ -75,7 +100,6 @@ pub fn enrich_report(report: AnalysisReport) -> EnrichedReport {
                     .find(|a| Some(a.instruction) == d.site.instruction)
                     .and_then(|a| a.lane_stride);
                 if let Some(stride @ 17..=63) = stride {
-                    let plan = optimize_layout(&schema);
                     layout_advice.push(LayoutAdvice {
                         diagnostic: i,
                         lane_stride: stride,
@@ -89,7 +113,7 @@ pub fn enrich_report(report: AnalysisReport) -> EnrichedReport {
                             plan.optimized_transactions,
                             plan.transaction_improvement()
                         ),
-                        plan,
+                        plan: plan.clone(),
                     });
                 }
             }
@@ -128,7 +152,7 @@ mod tests {
     fn packed_record_findings_carry_the_layout_plan() {
         // The Fig. 12 baseline (Unopt layout) is the first lintset target.
         let target = &workspace_lint_targets()[0];
-        let enriched = enrich_report(target.analyze());
+        let enriched = enrich_report(target.analyze(), &target.params);
         assert!(enriched.report.has_errors());
         assert!(
             !enriched.layout_advice.is_empty(),
@@ -155,7 +179,7 @@ mod tests {
         // Any rolled force target warns about the recomputed eps² and the
         // enrichment names the pass ordering.
         let target = &workspace_lint_targets()[0];
-        let enriched = enrich_report(target.analyze());
+        let enriched = enrich_report(target.analyze(), &target.params);
         assert!(
             enriched.pass_advice.iter().any(|a| a.contains("licm")),
             "{:?}",
@@ -170,7 +194,7 @@ mod tests {
             .into_iter()
             .find(|t| t.kernel.name.contains("b128") && t.kernel.name.contains("icm"))
             .expect("Full-level target");
-        let enriched = enrich_report(clean.analyze());
+        let enriched = enrich_report(clean.analyze(), &clean.params);
         assert!(enriched.layout_advice.is_empty());
         assert!(enriched.pass_advice.is_empty());
     }

@@ -7,12 +7,13 @@
 //! examples and the gravit application print.
 
 use gpu_kernels::force::{build_force_kernel, OptLevel};
-use gpu_sim::ir::count::dynamic_instructions;
 use gpu_sim::ir::regalloc::register_demand;
 use gpu_sim::occupancy::{occupancy, Occupancy};
 use gpu_sim::DeviceConfig;
 use gpu_sim::DriverModel;
 use particle_layouts::streams::analyze_plan;
+
+use crate::unroll_advisor::instrs_per_element;
 
 /// One step of the ladder.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,18 +38,12 @@ pub fn optimization_ladder(dev: &DeviceConfig, driver: DriverModel) -> Vec<Ladde
         .map(|&level| {
             let cfg = level.config();
             let kernel = build_force_kernel(cfg);
-            let n = cfg.block * 64;
-            let mut params = vec![0u32; kernel.n_params as usize];
-            params[kernel.n_params as usize - 3] = n;
             let regs = register_demand(&kernel).regs_per_thread;
             LadderStep {
                 level,
                 tile_fetch_transactions: analyze_plan(&cfg.layout.read_plan_posmass(), driver)
                     .transactions,
-                instrs_per_element: dynamic_instructions(&kernel, &params)
-                    .expect("force kernel loop bounds are launch constants")
-                    as f64
-                    / n as f64,
+                instrs_per_element: instrs_per_element(&kernel, cfg.block * 64),
                 regs,
                 occupancy: occupancy(dev, cfg.block, regs as u32, kernel.smem_bytes),
             }

@@ -101,8 +101,8 @@ pub fn build_report(
 
 impl OptimizationReport {
     /// Serialize as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report serializes")
+    pub fn to_json(&self) -> serde_json::Result<String> {
+        serde_json::to_string_pretty(self)
     }
 }
 
@@ -118,7 +118,7 @@ mod tests {
         assert_eq!(r.recommended_unroll, 128);
         assert_eq!(r.ladder.len(), 6);
         assert_eq!(r.unroll.len(), 8);
-        let json = r.to_json();
+        let json = r.to_json().unwrap();
         assert!(json.contains("\"recommended_unroll\": 128"));
         assert!(json.contains("SoAoaS"));
         // Round-trippable enough for tooling: valid JSON.

@@ -1,18 +1,74 @@
 //! The Sec. IV-A unrolling analysis as an advisor.
 //!
-//! For a tiled kernel with innermost trip count K, the advisor evaluates
-//! every unroll factor dividing K: per-element instruction budget (measured
-//! on the transformed IR, not estimated), Eq. 3 predicted speedup, register
-//! demand, and the resulting occupancy — then recommends the factor with the
-//! best predicted speedup, breaking ties toward smaller code.
+//! For a tiled kernel with innermost trip count K, [`unroll_sweep`]
+//! evaluates every unroll factor dividing K: per-element instruction budget
+//! (measured on the transformed IR, not estimated), Eq. 3 predicted speedup
+//! and register demand. [`advise_unroll`] adds the resulting occupancy and
+//! the cost model's predicted cycles, then recommends the factor with the
+//! best predicted time, breaking ties toward smaller code. The `table_unroll`
+//! experiment prints the same sweep at its own problem size.
 
 use gpu_kernels::force::{build_force_kernel, ForceKernelConfig};
 use gpu_sim::analyze::{cost, AnalysisConfig};
 use gpu_sim::ir::count::{dynamic_instructions, eq3_speedup};
 use gpu_sim::ir::regalloc::register_demand;
+use gpu_sim::ir::Kernel;
 use gpu_sim::occupancy::{occupancy, Occupancy};
 use gpu_sim::DeviceConfig;
 use particle_layouts::Layout;
+
+/// One factor of the unroll sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepRow {
+    /// The factor (1 = rolled; the block size = full unroll).
+    pub factor: u32,
+    /// The force kernel unrolled by `factor`.
+    pub kernel: Kernel,
+    /// Per-element dynamic instructions (thread 0 at the swept size).
+    pub instrs_per_element: f64,
+    /// Eq. 3 predicted speedup over factor 1.
+    pub eq3_speedup: f64,
+    /// Registers per thread after the transformation.
+    pub regs: u16,
+}
+
+/// Dynamic instructions of a force kernel's thread 0 per body, at `n`
+/// padded bodies.
+pub fn instrs_per_element(kernel: &Kernel, n: u32) -> f64 {
+    let mut params = vec![0u32; kernel.n_params as usize];
+    params[kernel.n_params as usize - 3] = n; // ..., out, n, eps, smem0
+    dynamic_instructions(kernel, &params).expect("force kernel loop bounds are launch constants")
+        as f64
+        / n as f64
+}
+
+/// Sweep the force kernel at a layout, block size and ICM setting over every
+/// power-of-two unroll factor dividing `block`, ascending, at `n` padded
+/// bodies.
+pub fn unroll_sweep(layout: Layout, block: u32, icm: bool, n: u32) -> Vec<SweepRow> {
+    let mut rows: Vec<SweepRow> = Vec::new();
+    for factor in (0..=block.ilog2())
+        .map(|e| 1 << e)
+        .filter(|f| block.is_multiple_of(*f))
+    {
+        let kernel = build_force_kernel(ForceKernelConfig {
+            layout,
+            block,
+            unroll: factor,
+            icm,
+        });
+        let per_elem = instrs_per_element(&kernel, n);
+        let rolled = rows.first().map_or(per_elem, |r| r.instrs_per_element);
+        rows.push(SweepRow {
+            factor,
+            eq3_speedup: eq3_speedup(rolled, per_elem).expect("instruction budgets are positive"),
+            regs: register_demand(&kernel).regs_per_thread,
+            instrs_per_element: per_elem,
+            kernel,
+        });
+    }
+    rows
+}
 
 /// Evaluation of one unroll factor.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,68 +108,55 @@ impl UnrollAdvice {
 /// Analyze unroll factors for the force kernel at a given layout/block/ICM
 /// setting on a device.
 pub fn advise_unroll(dev: &DeviceConfig, layout: Layout, block: u32, icm: bool) -> UnrollAdvice {
-    let n = block * 64; // reference size; per-element budgets are size-stable
-    let factors: Vec<u32> = (0..=block.ilog2())
-        .map(|e| 1 << e)
-        .filter(|f| block.is_multiple_of(*f))
+    // Reference size: per-element budgets are size-stable.
+    let options: Vec<UnrollOption> = unroll_sweep(layout, block, icm, block * 64)
+        .into_iter()
+        .map(|row| {
+            // Price the transformed kernel through the same cost model the
+            // layout/schedule synthesizer ranks candidates with, at a small
+            // reference launch (2 blocks, one tile pass per thread).
+            let k = &row.kernel;
+            let mut cost_params: Vec<u32> =
+                (0..k.n_params as u32).map(|i| 0x1_0000 * (i + 1)).collect();
+            cost_params[k.n_params as usize - 3] = 2 * block;
+            cost_params[k.n_params as usize - 1] = 0; // smem0
+            let acfg = AnalysisConfig::new(2, block, cost_params);
+            UnrollOption {
+                factor: row.factor,
+                instrs_per_element: row.instrs_per_element,
+                eq3_speedup: row.eq3_speedup,
+                regs: row.regs,
+                occupancy: occupancy(dev, block, row.regs as u32, k.smem_bytes),
+                predicted_cycles: cost::estimate(k, &acfg).ok().map(|c| c.total_cycles()),
+            }
+        })
         .collect();
-    let mut options = Vec::new();
-    let mut rolled = None;
-    for &factor in &factors {
-        let cfg = ForceKernelConfig {
-            layout,
-            block,
-            unroll: factor,
-            icm,
-        };
-        let k = build_force_kernel(cfg);
-        let mut params = vec![0u32; k.n_params as usize];
-        params[k.n_params as usize - 3] = n;
-        let per_elem = dynamic_instructions(&k, &params)
-            .expect("force kernel loop bounds are launch constants") as f64
-            / n as f64;
-        if factor == 1 {
-            rolled = Some(per_elem);
-        }
-        let regs = register_demand(&k).regs_per_thread;
-        // Price the transformed kernel through the same cost model the
-        // layout/schedule synthesizer ranks candidates with, at a small
-        // reference launch (2 blocks, one tile pass per thread).
-        let mut cost_params: Vec<u32> =
-            (0..k.n_params as u32).map(|i| 0x1_0000 * (i + 1)).collect();
-        cost_params[k.n_params as usize - 3] = 2 * block;
-        cost_params[k.n_params as usize - 1] = 0; // smem0
-        let acfg = AnalysisConfig::new(2, block, cost_params);
-        let predicted_cycles = cost::estimate(&k, &acfg).ok().map(|c| c.total_cycles());
-        options.push(UnrollOption {
-            factor,
-            instrs_per_element: per_elem,
-            eq3_speedup: eq3_speedup(rolled.expect("factor 1 first"), per_elem)
-                .expect("instruction budgets are positive"),
-            regs,
-            occupancy: occupancy(dev, block, regs as u32, k.smem_bytes),
-            predicted_cycles,
-        });
-    }
     // Recommend the cheapest kernel under the full cost model (the same
     // yardstick `analyze::synth` ranks schedules with), preferring smaller
     // factors on a tie; fall back to the Eq. 3 × occupancy score when the
     // cost model abstains.
     let mut recommended = 0;
-    if options.iter().all(|o| o.predicted_cycles.is_some()) {
-        for (i, o) in options.iter().enumerate() {
-            if o.predicted_cycles.unwrap() + 1e-9 < options[recommended].predicted_cycles.unwrap() {
-                recommended = i;
+    match options
+        .iter()
+        .map(|o| o.predicted_cycles)
+        .collect::<Option<Vec<f64>>>()
+    {
+        Some(cycles) => {
+            for (i, &c) in cycles.iter().enumerate() {
+                if c + 1e-9 < cycles[recommended] {
+                    recommended = i;
+                }
             }
         }
-    } else {
-        let base_occ = options[0].occupancy.fraction();
-        let mut best_score = 0.0f64;
-        for (i, o) in options.iter().enumerate() {
-            let score = o.eq3_speedup * (o.occupancy.fraction() / base_occ).max(1.0);
-            if score > best_score + 1e-9 {
-                best_score = score;
-                recommended = i;
+        None => {
+            let base_occ = options[0].occupancy.fraction();
+            let mut best_score = 0.0f64;
+            for (i, o) in options.iter().enumerate() {
+                let score = o.eq3_speedup * (o.occupancy.fraction() / base_occ).max(1.0);
+                if score > best_score + 1e-9 {
+                    best_score = score;
+                    recommended = i;
+                }
             }
         }
     }
@@ -126,6 +169,28 @@ pub fn advise_unroll(dev: &DeviceConfig, layout: Layout, block: u32, icm: bool) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unroll_sweep_is_monotone_in_instructions() {
+        let rows = unroll_sweep(Layout::SoAoaS, 128, false, 128 * 64);
+        for w in rows.windows(2) {
+            assert!(
+                w[1].instrs_per_element <= w[0].instrs_per_element,
+                "more unrolling must not add instructions: {} -> {}",
+                w[0].factor,
+                w[1].factor
+            );
+        }
+        // Full unroll hits the paper's ~18–20 % band.
+        let full = rows.last().unwrap();
+        let rolled = &rows[0];
+        let reduction = 1.0 - full.instrs_per_element / rolled.instrs_per_element;
+        assert!(
+            (0.15..0.25).contains(&reduction),
+            "reduction {reduction:.3}"
+        );
+        assert!(full.eq3_speedup > 1.15 && full.eq3_speedup < 1.3);
+    }
 
     #[test]
     fn full_unroll_is_recommended_for_the_gravit_kernel() {

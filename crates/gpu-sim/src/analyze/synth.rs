@@ -36,8 +36,9 @@
 use std::fmt;
 
 use crate::driver::DriverModel;
-use crate::ir::layout::{rewrite_layout, BufferMap, FieldDest, LayoutRewrite};
-use crate::ir::{count, Kernel, MemSpace, Operand, Stmt};
+use crate::ir::layout::{pack_tiles, rewrite_layout, BufferMap, FieldDest, LayoutRewrite};
+use crate::ir::passes::unroll_trips;
+use crate::ir::{Kernel, MemSpace};
 
 use super::cost::{self, CostError};
 use super::verify::{verify_equiv, InputMap, PassId, VerifyConfig, VerifyResult};
@@ -372,10 +373,6 @@ fn fake_bases(n: usize, start: u32) -> Vec<u32> {
     (0..n as u32).map(|j| start + j * 0x1_0000).collect()
 }
 
-fn next_pow2(x: u32) -> u32 {
-    x.max(1).next_power_of_two()
-}
-
 // ---------------------------------------------------------------------------
 // Candidate enumeration
 // ---------------------------------------------------------------------------
@@ -431,7 +428,7 @@ fn layout_candidates(sums: &[BufferSummary], old_buffers: u16) -> Vec<LayoutCand
     // paper's 28→32-byte step).
     push(
         "aos-pow2",
-        sums.iter().map(|s| next_pow2(s.stride)).collect(),
+        sums.iter().map(|s| s.stride.next_power_of_two()).collect(),
         full_maps(
             sums.iter()
                 .enumerate()
@@ -484,105 +481,28 @@ fn layout_candidates(sums: &[BufferSummary], old_buffers: u16) -> Vec<LayoutCand
             .collect()
     };
 
-    // SoA: one scalar array per hot word.
-    push(
-        "soa",
-        vec![4; n_hot],
-        full_maps(hot_maps(&|j| FieldDest {
-            buffer: j,
-            offset: 0,
-        })),
-    );
-
-    // SoAoaS at tile widths 8 and 16: pack the hot words (across all old
-    // buffers) contiguously into fixed-width tiles; a short tail tile is
+    // SoA and SoAoaS at tile widths 8 and 16: pack the hot words (across
+    // all old buffers) into tiles of 1, 2 or 4 words with the layout
+    // procedure's step 2, which for words is in order; a short tail tile is
     // padded only to the next power of two.
-    for (name, tile_words) in [("soaoas-8", 2usize), ("soaoas-16", 4usize)] {
-        let n_tiles = n_hot.div_ceil(tile_words);
-        let mut strides = Vec::with_capacity(n_tiles);
-        for t in 0..n_tiles {
-            let words_here = (n_hot - t * tile_words).min(tile_words);
-            strides.push(next_pow2(4 * words_here as u32));
+    for (name, tile_words) in [("soa", 1), ("soaoas-8", 2), ("soaoas-16", 4)] {
+        let tiles = pack_tiles(&vec![1; n_hot], tile_words);
+        let mut dests = vec![FieldDest::default(); n_hot];
+        for (buffer, t) in tiles.iter().enumerate() {
+            for (k, &j) in t.members.iter().enumerate() {
+                dests[j] = FieldDest {
+                    buffer,
+                    offset: 4 * k as u32,
+                };
+            }
         }
         push(
             name,
-            strides,
-            full_maps(hot_maps(&|j| FieldDest {
-                buffer: j / tile_words,
-                offset: 4 * (j % tile_words) as u32,
-            })),
+            tiles.iter().map(|t| 4 * t.padded_words).collect(),
+            full_maps(hot_maps(&|j| dests[j])),
         );
     }
     out
-}
-
-/// Mirror of `unroll_innermost`'s target selection: the trip count of the
-/// loop it would unroll, or `None` when unrolling would be refused
-/// (non-immediate bounds, induction variable redefined, no loop at all).
-fn unrollable_trips(stmts: &[Stmt]) -> Option<u64> {
-    fn contains_loop(s: &Stmt) -> bool {
-        match s {
-            Stmt::For { .. } | Stmt::While { .. } => true,
-            Stmt::If { then, els, .. } => {
-                then.iter().any(contains_loop) || els.iter().any(contains_loop)
-            }
-            _ => false,
-        }
-    }
-    fn defines(stmts: &[Stmt], var: crate::ir::Reg) -> bool {
-        stmts.iter().any(|s| match s {
-            Stmt::I(i) => i.defs().contains(&var),
-            Stmt::For { body, var: v, .. } => *v == var || defines(body, var),
-            Stmt::While { body, .. } => defines(body, var),
-            Stmt::If { then, els, .. } => defines(then, var) || defines(els, var),
-            Stmt::Sync => false,
-        })
-    }
-    // Recurse-first, exactly like `unroll_in`.
-    for s in stmts {
-        match s {
-            Stmt::For { body, .. }
-                if (body.iter().any(|b| matches!(b, Stmt::For { .. }))
-                    || body
-                        .iter()
-                        .any(|b| matches!(b, Stmt::If { .. }) && contains_loop(b))) =>
-            {
-                if let Some(t) = unrollable_trips(body) {
-                    return Some(t);
-                }
-            }
-            Stmt::If { then, els, .. }
-                if (then.iter().any(contains_loop) || els.iter().any(contains_loop)) =>
-            {
-                if let Some(t) = unrollable_trips(then).or_else(|| unrollable_trips(els)) {
-                    return Some(t);
-                }
-            }
-            _ => {}
-        }
-    }
-    for s in stmts {
-        if let Stmt::For {
-            var,
-            start,
-            end,
-            step,
-            body,
-        } = s
-        {
-            if body.iter().any(contains_loop) {
-                continue;
-            }
-            let (Operand::ImmU(s0), Operand::ImmU(e0)) = (start, end) else {
-                return None;
-            };
-            if defines(body, *var) {
-                return None;
-            }
-            return count::trip_count(*s0, *e0, *step).ok();
-        }
-    }
-    None
 }
 
 /// Pass schedules worth trying on `k`: nothing, `licm`, and — when the
@@ -591,7 +511,7 @@ fn unrollable_trips(stmts: &[Stmt]) -> Option<u64> {
 /// unroll-then-licm at equal cost, so ties resolve to the paper's order.
 fn schedule_candidates(k: &Kernel) -> Vec<Option<PassId>> {
     let mut out: Vec<Option<PassId>> = vec![None, Some(PassId::Licm)];
-    if let Some(trips) = unrollable_trips(&k.body) {
+    if let Some(trips) = unroll_trips(k) {
         if (2..=1024).contains(&trips) {
             let mut factors = Vec::new();
             if trips % 4 == 0 && trips > 4 {

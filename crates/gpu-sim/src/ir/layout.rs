@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use super::{Instr, Kernel, MemSpace, Operand, Reg, Stmt};
 
 /// Where one 32-bit word of the old record lives in the new layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FieldDest {
     /// Index into [`LayoutRewrite::new_strides`] (and the new parameter
     /// list) of the buffer that now holds this word.
@@ -107,6 +107,46 @@ impl LayoutRewrite {
     pub fn bytes_per_element(&self) -> u32 {
         self.new_strides.iter().sum()
     }
+}
+
+/// One aligned sub-structure of [`pack_tiles`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tile {
+    /// Indices into the packed widths, in placement order.
+    pub members: Vec<usize>,
+    /// Words the members occupy.
+    pub used_words: u32,
+    /// `used_words` padded to the next power of two (an alignable width).
+    pub padded_words: u32,
+}
+
+/// Step 2 of the paper's layout procedure (Sec. IV): split fields of the
+/// given word widths into sub-structures of at most `tile_words` words that
+/// can be aligned. First fit in order of decreasing width (stable, so equal
+/// widths keep their order), each tile padded to the next power of two; a
+/// field is never split. For unit widths this is the in-order tiling.
+pub fn pack_tiles(widths: &[u32], tile_words: u32) -> Vec<Tile> {
+    let mut order: Vec<usize> = (0..widths.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(widths[i]));
+    let mut tiles: Vec<Tile> = Vec::new();
+    for i in order {
+        let w = widths[i];
+        match tiles.iter_mut().find(|t| t.used_words + w <= tile_words) {
+            Some(t) => {
+                t.members.push(i);
+                t.used_words += w;
+            }
+            None => tiles.push(Tile {
+                members: vec![i],
+                used_words: w,
+                padded_words: 0,
+            }),
+        }
+    }
+    for t in &mut tiles {
+        t.padded_words = t.used_words.next_power_of_two();
+    }
+    tiles
 }
 
 /// Why a layout rewrite was refused. Every variant is a *refusal*, not a
@@ -908,5 +948,35 @@ mod tests {
             }
         });
         assert_eq!(widths, vec![1, 1]);
+    }
+
+    fn members_and_padding(tiles: &[Tile]) -> Vec<(Vec<usize>, u32)> {
+        tiles
+            .iter()
+            .map(|t| (t.members.clone(), t.padded_words))
+            .collect()
+    }
+
+    #[test]
+    fn unit_widths_tile_in_order() {
+        assert_eq!(
+            members_and_padding(&pack_tiles(&[1; 5], 2)),
+            vec![(vec![0, 1], 2), (vec![2, 3], 2), (vec![4], 1)]
+        );
+        assert_eq!(
+            members_and_padding(&pack_tiles(&[1; 7], 4)),
+            vec![(vec![0, 1, 2, 3], 4), (vec![4, 5, 6], 4)]
+        );
+    }
+
+    #[test]
+    fn wide_fields_pack_first_and_are_never_split() {
+        // a:1, b:1, v:3 -> {v, a} fills a 4-word tile, b rides alone.
+        let tiles = pack_tiles(&[1, 1, 3], 4);
+        assert_eq!(
+            members_and_padding(&tiles),
+            vec![(vec![2, 0], 4), (vec![1], 1)]
+        );
+        assert_eq!(tiles[0].used_words, 4);
     }
 }

@@ -91,23 +91,73 @@ fn defines(stmts: &[Stmt], r: Reg) -> bool {
     })
 }
 
+/// The loop [`unroll_innermost`] unrolls, walking statements in order and
+/// looking inside every `For` body and `If` arm first: the first `For` whose
+/// body holds no loop. `f` gets the statement list holding it and its index
+/// there.
+fn at_innermost_loop<R>(
+    stmts: &mut Vec<Stmt>,
+    f: &mut impl FnMut(&mut Vec<Stmt>, usize) -> R,
+) -> Option<R> {
+    let inner = stmts.iter_mut().find_map(|s| match s {
+        Stmt::For { body, .. } => at_innermost_loop(body, f),
+        Stmt::If { then, els, .. } => {
+            at_innermost_loop(then, f).or_else(|| at_innermost_loop(els, f))
+        }
+        _ => None,
+    });
+    if inner.is_some() {
+        return inner;
+    }
+    let at = stmts
+        .iter()
+        .position(|s| matches!(s, Stmt::For { body, .. } if !body.iter().any(contains_loop)))?;
+    Some(f(stmts, at))
+}
+
+/// The trip count of a `For` that [`unroll_innermost`] can unroll:
+/// immediate bounds, a positive step and a body that leaves the induction
+/// variable alone.
+fn loop_trips(s: &Stmt) -> Option<u64> {
+    match s {
+        Stmt::For {
+            var,
+            start: Operand::ImmU(s0),
+            end: Operand::ImmU(e0),
+            step,
+            body,
+        } if !defines(body, *var) => count::trip_count(*s0, *e0, *step).ok(),
+        _ => None,
+    }
+}
+
+/// The trip count of the loop [`unroll_innermost`] unrolls, or `None` when
+/// it would refuse: no loop, bounds that are not immediates, a step of
+/// zero, or a body that redefines the induction variable. (The walk hands
+/// out the loop mutably, so it walks a copy of the body.)
+pub fn unroll_trips(kernel: &Kernel) -> Option<u64> {
+    at_innermost_loop(&mut kernel.body.clone(), &mut |stmts, at| {
+        loop_trips(&stmts[at])
+    })
+    .flatten()
+}
+
 /// Unroll the innermost loop of the kernel by `factor`.
 ///
 /// Requirements (checked): the innermost loop's bounds are immediates, the
 /// trip count is a multiple of `factor`, and the body does not redefine the
-/// induction variable. `factor == trip count` removes the loop entirely
-/// (full unroll, the paper's headline case); smaller factors keep the loop
-/// with a widened step and per-copy induction offsets, which
-/// [`fold_addressing`] then folds into load/store offsets.
+/// induction variable ([`unroll_trips`] is `Some`). `factor == trip count`
+/// removes the loop entirely (full unroll, the paper's headline case);
+/// smaller factors keep the loop with a widened step and per-copy induction
+/// offsets, which [`fold_addressing`] then folds into load/store offsets.
 pub fn unroll_innermost(kernel: &Kernel, factor: u32) -> Kernel {
     assert!(factor >= 1);
     let mut k = kernel.clone();
     let mut next_reg = k.n_regs;
-    let done = unroll_in(&mut k.body, factor, &mut next_reg);
-    assert!(
-        done,
-        "kernel has no innermost loop with immediate bounds to unroll"
-    );
+    let done = at_innermost_loop(&mut k.body, &mut |stmts, at| {
+        unroll_at(stmts, at, factor, &mut next_reg)
+    });
+    assert!(done.is_some(), "kernel has no innermost loop to unroll");
     k.n_regs = next_reg;
     let k2 = fold_addressing(&k);
     k2.validate();
@@ -115,107 +165,69 @@ pub fn unroll_innermost(kernel: &Kernel, factor: u32) -> Kernel {
 }
 
 // Unrolling a loop with non-immediate bounds is a caller contract violation
-// (asserted, like the divisibility requirement), not a device fault. The
-// recursion conditions cannot become match guards: they call `unroll_in`,
-// which needs the bodies mutably.
-#[allow(clippy::panic, clippy::collapsible_match)]
-fn unroll_in(stmts: &mut Vec<Stmt>, factor: u32, next_reg: &mut u16) -> bool {
-    // Find the deepest loop: recurse first.
-    for s in stmts.iter_mut() {
-        match s {
-            Stmt::For { body, .. } => {
-                if (body.iter().any(|b| matches!(b, Stmt::For { .. }))
-                    || body
-                        .iter()
-                        .any(|b| matches!(b, Stmt::If { .. }) && contains_loop(b)))
-                    && unroll_in(body, factor, next_reg)
-                {
-                    return true;
-                }
-            }
-            Stmt::If { then, els, .. } => {
-                if (then.iter().any(contains_loop) || els.iter().any(contains_loop))
-                    && (unroll_in(then, factor, next_reg) || unroll_in(els, factor, next_reg))
-                {
-                    return true;
-                }
-            }
-            _ => {}
+// (asserted, like the divisibility requirement), not a device fault.
+#[allow(clippy::panic)]
+fn unroll_at(stmts: &mut Vec<Stmt>, idx: usize, factor: u32, next_reg: &mut u16) {
+    let (
+        Some(trips),
+        Stmt::For {
+            var,
+            start: Operand::ImmU(s0),
+            end,
+            step,
+            body,
+        },
+    ) = (loop_trips(&stmts[idx]), stmts[idx].clone())
+    else {
+        panic!(
+            "innermost loop needs immediate bounds, a positive step and an \
+             untouched induction variable to unroll"
+        )
+    };
+    assert!(
+        trips.is_multiple_of(factor as u64),
+        "unroll factor {factor} must divide trip count {trips}"
+    );
+    if factor as u64 == trips {
+        // Full unroll: splice immediate-substituted copies in place.
+        let mut copies = Vec::with_capacity(body.len() * factor as usize);
+        for t in 0..trips {
+            let mut c = body.clone();
+            substitute_uses(&mut c, var, Operand::ImmU(s0 + t as u32 * step));
+            copies.extend(c);
         }
-    }
-    // No nested loop below any loop here: unroll the first loop at this level.
-    for idx in 0..stmts.len() {
-        if let Stmt::For { .. } = &stmts[idx] {
-            let Stmt::For {
-                var,
-                start,
-                end,
-                step,
-                body,
-            } = stmts[idx].clone()
-            else {
-                unreachable!()
-            };
-            if body.iter().any(contains_loop) {
-                continue; // handled above; defensive
+        stmts.splice(idx..=idx, copies);
+    } else {
+        // Partial unroll: widen the step. Copy k>0 gets fresh names for its
+        // temporaries (so address folding can CSE the copy-0 address
+        // computation) and addresses var + k·step through a fresh register
+        // that folding absorbs into load offsets.
+        let mut new_body = Vec::with_capacity(body.len() * factor as usize);
+        for kcopy in 0..factor {
+            let mut c = body.clone();
+            if kcopy > 0 {
+                let mut map = HashMap::new();
+                rename_defs(&mut c, next_reg, &mut map);
+                let vk = Reg(*next_reg);
+                *next_reg += 1;
+                substitute_uses(&mut c, var, Operand::R(vk));
+                new_body.push(Stmt::I(Instr::Alu {
+                    op: AluOp::IAdd,
+                    dst: vk,
+                    a: Operand::R(var),
+                    b: Operand::ImmU(kcopy * step),
+                }));
             }
-            let (Operand::ImmU(s0), Operand::ImmU(e0)) = (start, end) else {
-                panic!("innermost loop bounds must be immediates to unroll")
-            };
-            assert!(
-                !defines(&body, var),
-                "body must not redefine the induction variable"
-            );
-            let trips =
-                count::trip_count(s0, e0, step).expect("loop step must be positive to unroll");
-            assert!(
-                trips.is_multiple_of(factor as u64),
-                "unroll factor {factor} must divide trip count {trips}"
-            );
-            if factor as u64 == trips {
-                // Full unroll: splice immediate-substituted copies in place.
-                let mut copies = Vec::with_capacity(body.len() * factor as usize);
-                for t in 0..trips {
-                    let mut c = body.clone();
-                    substitute_uses(&mut c, var, Operand::ImmU(s0 + t as u32 * step));
-                    copies.extend(c);
-                }
-                stmts.splice(idx..=idx, copies);
-            } else {
-                // Partial unroll: widen the step. Copy k>0 gets fresh names
-                // for its temporaries (so address folding can CSE the copy-0
-                // address computation) and addresses var + k·step through a
-                // fresh register that folding absorbs into load offsets.
-                let mut new_body = Vec::with_capacity(body.len() * factor as usize);
-                for kcopy in 0..factor {
-                    let mut c = body.clone();
-                    if kcopy > 0 {
-                        let mut map = HashMap::new();
-                        rename_defs(&mut c, next_reg, &mut map);
-                        let vk = Reg(*next_reg);
-                        *next_reg += 1;
-                        substitute_uses(&mut c, var, Operand::R(vk));
-                        new_body.push(Stmt::I(Instr::Alu {
-                            op: AluOp::IAdd,
-                            dst: vk,
-                            a: Operand::R(var),
-                            b: Operand::ImmU(kcopy * step),
-                        }));
-                    }
-                    new_body.extend(c);
-                }
-                stmts[idx] = Stmt::For {
-                    var,
-                    start,
-                    end,
-                    step: step * factor,
-                    body: new_body,
-                };
-            }
-            return true;
+            new_body.extend(c);
         }
+        stmts[idx] = Stmt::For {
+            var,
+            start: Operand::ImmU(s0),
+            end,
+            step: step * factor,
+            body: new_body,
+        };
     }
-    false
 }
 
 /// Rename every register *defined* in `stmts` to a fresh name, rewriting
@@ -772,6 +784,67 @@ mod tests {
     #[should_panic]
     fn non_dividing_factor_rejected() {
         unroll_innermost(&mini_kernel(true), 3);
+    }
+
+    /// A kernel of `body` with registers 0..4 (register 0 the parameter)
+    /// and one predicate.
+    fn kernel_of(body: Vec<Stmt>) -> Kernel {
+        Kernel {
+            name: "select".into(),
+            n_params: 1,
+            n_regs: 4,
+            n_preds: 1,
+            smem_bytes: 0,
+            body,
+        }
+    }
+
+    /// `for r<var> in 0..end step 1 { body }`.
+    fn counted(var: u16, end: Operand, body: Vec<Stmt>) -> Stmt {
+        Stmt::For {
+            var: Reg(var),
+            start: Operand::ImmU(0),
+            end,
+            step: 1,
+            body,
+        }
+    }
+
+    fn set(dst: u16) -> Stmt {
+        Stmt::I(Instr::Mov {
+            dst: Reg(dst),
+            src: Operand::ImmU(7),
+        })
+    }
+
+    #[test]
+    fn no_unroll_target_for_register_bounds() {
+        let k = kernel_of(vec![counted(1, Operand::R(Reg(0)), vec![set(2)])]);
+        assert_eq!(unroll_trips(&k), None);
+    }
+
+    #[test]
+    fn no_unroll_target_when_the_body_redefines_the_induction_variable() {
+        let k = kernel_of(vec![counted(1, Operand::ImmU(8), vec![set(1)])]);
+        assert_eq!(unroll_trips(&k), None);
+    }
+
+    #[test]
+    fn the_loop_in_an_if_arm_inside_a_loop_is_the_target() {
+        let inner = counted(2, Operand::ImmU(6), vec![set(3)]);
+        let k = kernel_of(vec![counted(
+            1,
+            Operand::ImmU(4),
+            vec![Stmt::If {
+                pred: Pred(0),
+                negate: false,
+                then: vec![],
+                els: vec![inner],
+            }],
+        )]);
+        assert_eq!(unroll_trips(&k), Some(6));
+        // Unrolling it fully leaves the outer loop as the next target.
+        assert_eq!(unroll_trips(&unroll_innermost(&k, 6)), Some(4));
     }
 
     #[test]

@@ -303,7 +303,10 @@ fn cmd_report(args: &[String]) {
     let dev = DeviceConfig::g8800gtx();
     let report =
         gravit_core::build_report(&dev, DriverModel::Cuda10, &StructSchema::gravit_particle());
-    let json = report.to_json();
+    let json = report.to_json().unwrap_or_else(|e| {
+        eprintln!("gravit: cannot serialize the report: {e}");
+        std::process::exit(2);
+    });
     match flag(args, "--out") {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, &json) {

@@ -644,7 +644,7 @@ fn main() -> ExitCode {
             if !violations.is_empty() || (opts.deny && report.has_errors()) {
                 gate_failed = true;
             }
-            let enriched = enrich_report(report);
+            let enriched = enrich_report(report, &cfg.params);
             if opts.format == Format::Text {
                 print!("{}", enriched.render());
                 for v in &violations {

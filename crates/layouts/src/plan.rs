@@ -238,7 +238,8 @@ pub struct PosMassLanes {
     pub mass: (usize, usize),
 }
 
-fn scalar_reads(buffer: usize, stride: u32, offsets: &[u32]) -> Vec<FieldRead> {
+/// One 32-bit read per byte offset of a record of `stride` bytes in `buffer`.
+pub fn scalar_reads(buffer: usize, stride: u32, offsets: &[u32]) -> Vec<FieldRead> {
     offsets
         .iter()
         .map(|&o| FieldRead {

@@ -6,7 +6,7 @@
 //! (transaction diagrams) and the source of the per-layout transaction table
 //! (bench binary `table_transactions`).
 
-use crate::plan::{Layout, ReadPlan};
+use crate::plan::{FieldRead, Layout, ReadPlan};
 use gpu_sim::coalesce::{coalesce_half_warp, AccessWidth};
 use gpu_sim::DriverModel;
 
@@ -59,31 +59,51 @@ pub fn analyze_layout(layout: Layout, driver: DriverModel) -> TransactionAnalysi
 
 /// As [`analyze_layout`] but for an arbitrary plan (e.g. the posmass plan).
 pub fn analyze_plan(plan: &ReadPlan, driver: DriverModel) -> TransactionAnalysis {
-    let bases: Vec<u64> = (0..plan.layout.buffers().len())
-        .map(|b| (b as u64 + 1) << 20)
-        .collect();
-    let mut transactions = 0usize;
-    let mut bus_bytes = 0u64;
-    let mut useful = 0u64;
-    let mut all_coalesced = true;
-    for (ri, r) in plan.reads.iter().enumerate() {
-        let addrs = half_warp_addresses(plan, &bases, ri, 0);
-        let width = AccessWidth::from_bytes(r.words * 4).expect("plan width");
-        let res = coalesce_half_warp(driver, &addrs, width);
-        transactions += res.count();
-        bus_bytes += res.total_bytes();
-        useful += 16 * width.bytes();
-        all_coalesced &= res.coalesced;
-    }
+    let cost = price_reads(&plan.reads, driver);
     TransactionAnalysis {
         layout: plan.layout,
         driver,
         reads: plan.reads.len(),
-        transactions,
-        bus_bytes,
-        useful_bytes: useful,
-        all_coalesced,
+        transactions: cost.transactions,
+        bus_bytes: cost.bus_bytes,
+        useful_bytes: cost.useful_bytes,
+        all_coalesced: cost.all_coalesced,
     }
+}
+
+/// What a half-warp's reads cost on the bus.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ReadsCost {
+    /// DRAM transactions.
+    pub transactions: usize,
+    /// Bus bytes.
+    pub bus_bytes: u64,
+    /// Useful bytes (what the threads asked for).
+    pub useful_bytes: u64,
+    /// Whether every read coalesced under the strict rule.
+    pub all_coalesced: bool,
+}
+
+/// Price `reads` issued by a half-warp whose lane `k` handles particle `k`,
+/// with buffer `b` at the synthetic aligned base `(b + 1) << 20`.
+pub fn price_reads(reads: &[FieldRead], driver: DriverModel) -> ReadsCost {
+    let mut cost = ReadsCost {
+        transactions: 0,
+        bus_bytes: 0,
+        useful_bytes: 0,
+        all_coalesced: true,
+    };
+    for r in reads {
+        let base = (r.buffer as u64 + 1) << 20;
+        let addrs: Vec<Option<u64>> = (0..16).map(|k| Some(r.address(base, k))).collect();
+        let width = AccessWidth::from_bytes(r.words * 4).expect("plan width");
+        let res = coalesce_half_warp(driver, &addrs, width);
+        cost.transactions += res.count();
+        cost.bus_bytes += res.total_bytes();
+        cost.useful_bytes += 16 * width.bytes();
+        cost.all_coalesced &= res.coalesced;
+    }
+    cost
 }
 
 #[cfg(test)]

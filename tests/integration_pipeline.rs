@@ -4,9 +4,10 @@
 
 use bench::gravit_harness::model_frame;
 use bench::membench_harness::{fig11_speedups, run_membench};
-use bench::tables::{occupancy_ladder, unroll_sweep};
+use bench::tables::occupancy_ladder;
 use gpu_kernels::force::OptLevel;
 use gpu_sim::DriverModel;
+use gravit_core::unroll_advisor::unroll_sweep;
 use particle_layouts::Layout;
 
 /// Fig. 10/11 shape: under every driver, the paper's ordering holds —
@@ -74,7 +75,7 @@ fn cuda11_flattens_the_unoptimized_penalty() {
 /// band and the register ladder is exactly 18 → 17 (+ICM → 16).
 #[test]
 fn unroll_and_register_ladders_match_paper() {
-    let rows = unroll_sweep(128 * 256);
+    let rows = unroll_sweep(Layout::SoAoaS, 128, false, 128 * 256);
     let rolled = &rows[0];
     let full = rows.last().unwrap();
     assert_eq!(rolled.regs, 18);
@@ -101,11 +102,11 @@ fn unroll_sweep_rows_are_pinned() {
         (128 * 256, 0x2d6d0e3e1f1ce849),
     ] {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in unroll_sweep(n) {
+        for r in unroll_sweep(Layout::SoAoaS, 128, false, n) {
             for v in [
                 u64::from(r.factor),
                 r.instrs_per_element.to_bits(),
-                r.eq3_predicted.to_bits(),
+                r.eq3_speedup.to_bits(),
                 u64::from(r.regs),
             ] {
                 for b in v.to_le_bytes() {
