@@ -2,7 +2,8 @@
 //! `kernel-lint --driver all` prints, as text and as `--json`, with its exit
 //! code. The text is every workspace lint target's report under every
 //! driver plus the layout and pass advice attached to it; the JSON adds the
-//! advice's layout plans. A change to the analyzer or to the advice that
+//! advice's layout plans. `--suggest --driver all --json` is pinned the same
+//! way. A change to the analyzer or to the advice that
 //! claims identical output must pass these unedited.
 
 use std::process::Command;
@@ -37,5 +38,15 @@ fn every_driver_json_report_is_pinned() {
     assert_eq!(
         run(&["--driver", "all", "--json"]),
         (0x6982407fcb36f4f7, Some(0))
+    );
+}
+
+/// `--suggest --driver all --json`: every synthesis target's report under
+/// every driver, with its suggested kernels, rewrites and certificates.
+#[test]
+fn every_driver_suggest_json_is_pinned() {
+    assert_eq!(
+        run(&["--suggest", "--driver", "all", "--json"]),
+        (0x82c9508e6ca05684, Some(0))
     );
 }

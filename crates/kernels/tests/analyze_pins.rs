@@ -15,11 +15,14 @@
 //!   `verifyset` pass and layout-ladder target;
 //! * the `force-soa-b64` synthesis report under every driver model:
 //!   candidate labels, predicted-cycle bits, registers, skipped reasons
-//!   and certificate summaries;
+//!   and certificate summaries, plus every suggestion's full certificate
+//!   (each proof's `threads`/`stores`/`syncs` counts);
 //! * a hand-built kernel whose registers move between one value on every
 //!   lane and a value per lane (a partly dead warp, an exact `If` on the
 //!   thread index, a joined `If`, a widened `While`, a racy shared store,
 //!   broadcast shared and global loads) under every driver model.
+
+use std::sync::OnceLock;
 
 use gpu_kernels::lintset::workspace_lint_targets;
 use gpu_kernels::synthset::synth_targets;
@@ -388,22 +391,51 @@ fn synth_digest(r: &SynthReport) -> u64 {
     h
 }
 
+/// The `force-soa-b64` synthesis reports under CUDA 1.0, 1.1 and 2.2,
+/// synthesized once for every test that reads them.
+fn force_soa_b64_reports() -> &'static [SynthReport; 3] {
+    static REPORTS: OnceLock<[SynthReport; 3]> = OnceLock::new();
+    REPORTS.get_or_init(|| {
+        DriverModel::ALL.map(|d| {
+            let target = synth_targets(d)
+                .into_iter()
+                .find(|t| t.name == "force-soa-b64")
+                .expect("force-soa-b64 is a synthesis target");
+            target.synthesize().expect("force-soa-b64 is priceable")
+        })
+    })
+}
+
 /// `force-soa-b64` synthesis digests under CUDA 1.0, 1.1 and 2.2.
 const SYNTH_PINS: [u64; 3] = [0xb2147b7559a22e76, 0x67c35958632e949e, 0x3bb4aec3ec5f99a2];
 
 #[test]
 fn force_soa_b64_synthesis_is_pinned() {
-    let actual = DriverModel::ALL.map(|d| {
-        let target = synth_targets(d)
-            .into_iter()
-            .find(|t| t.name == "force-soa-b64")
-            .expect("force-soa-b64 is a synthesis target");
-        let report = target.synthesize().expect("force-soa-b64 is priceable");
-        synth_digest(&report)
-    });
+    let actual = force_soa_b64_reports().each_ref().map(synth_digest);
     assert_eq!(
         actual, SYNTH_PINS,
         "synthesis digests moved: [{:#018x}, {:#018x}, {:#018x}]",
+        actual[0], actual[1], actual[2]
+    );
+}
+
+/// Digests of the full `Debug` of every `force-soa-b64` suggestion's
+/// certificate under CUDA 1.0, 1.1 and 2.2: each proof's verdict with its
+/// `threads`, `stores` and `syncs` counts, which the certificate summary in
+/// [`synth_digest`] does not show.
+const CERTIFICATE_PINS: [u64; 3] = [0x4a94c4685d88dff4, 0x4a94c4685d88dff4, 0x4a94c4685d88dff4];
+
+#[test]
+fn force_soa_b64_certificates_are_pinned() {
+    let actual = force_soa_b64_reports().each_ref().map(|r| {
+        r.suggestions.iter().fold(FNV_OFFSET, |h, s| {
+            let h = fnv1a(h, s.label.as_bytes());
+            fnv1a(h, format!("{:?}", s.certificate).as_bytes())
+        })
+    });
+    assert_eq!(
+        actual, CERTIFICATE_PINS,
+        "certificate digests moved: [{:#018x}, {:#018x}, {:#018x}]",
         actual[0], actual[1], actual[2]
     );
 }
