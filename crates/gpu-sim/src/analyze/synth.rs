@@ -41,7 +41,7 @@ use crate::ir::passes::unroll_trips;
 use crate::ir::{Kernel, MemSpace};
 
 use super::cost::{self, CostError};
-use super::verify::{verify_equiv, InputMap, PassId, VerifyConfig, VerifyResult};
+use super::verify::{InputMap, PassId, Reference, VerifyConfig, VerifyResult};
 use super::{analyze_kernel, AnalysisConfig, AnalysisReport};
 
 /// What the synthesizer needs to know about a launch to optimize a kernel.
@@ -559,40 +559,56 @@ fn price(kernel: &Kernel, cfg: &SynthConfig, params: Vec<u32>) -> Result<(f64, u
     price_report(kernel, &acfg, &analyze_kernel(kernel, &acfg))
 }
 
-/// Build the element-indexed input maps proving `orig ≡ rewritten`: every
-/// hot word of every old buffer gets the same canonical key on both sides.
-/// A mapped buffer without a summary has no record stride to map by, which
-/// is the `Err` reason.
-fn layout_input_maps(
+/// The element-indexed naming of the original kernel's inputs: every hot
+/// word of every rewritable buffer, for each of `n_elems` elements, gets its
+/// canonical key. Every layout candidate maps exactly these words, so this
+/// one map is the original's side of every layout proof.
+fn canonical_input_map(sums: &[BufferSummary], params: &[u32], n_elems: u64) -> InputMap {
+    let mut map = InputMap::default();
+    for s in sums {
+        let base = params[s.param as usize] as u64;
+        for &off in &s.hot_words {
+            for e in 0..n_elems {
+                map.global.insert(
+                    base + e * s.stride as u64 + off as u64,
+                    canon_key(s.param, e, off),
+                );
+            }
+        }
+    }
+    map
+}
+
+/// The naming of the rewritten kernel's inputs under `rw`: each mapped word
+/// gets the canonical key of the original word it holds, so `orig ≡
+/// rewritten` is provable. A mapped buffer without a summary has no record
+/// stride to map by, which is the `Err` reason.
+fn layout_input_map(
     rw: &LayoutRewrite,
     sums: &[BufferSummary],
-    params_a: &[u32],
     params_b: &[u32],
     n_elems: u64,
-) -> Result<(InputMap, InputMap), String> {
-    let mut a = InputMap::default();
+) -> Result<InputMap, String> {
     let mut b = InputMap::default();
     for m in &rw.maps {
         if m.words.is_empty() {
             continue; // dropped (never-read) buffer
         }
-        let Some(s) = sums.iter().find(|s| s.param == m.param) else {
+        if !sums.iter().any(|s| s.param == m.param) {
             return Err(format!("buffer param {} has no access summary", m.param));
-        };
-        let base_a = params_a[m.param as usize] as u64;
+        }
         for &(old_off, dest) in &m.words {
             let base_b = params_b[dest.buffer] as u64;
             let new_stride = rw.new_strides[dest.buffer] as u64;
             for e in 0..n_elems {
-                let key = canon_key(m.param, e, old_off);
-                a.global
-                    .insert(base_a + e * s.stride as u64 + old_off as u64, key);
-                b.global
-                    .insert(base_b + e * new_stride + dest.offset as u64, key);
+                b.global.insert(
+                    base_b + e * new_stride + dest.offset as u64,
+                    canon_key(m.param, e, old_off),
+                );
             }
         }
     }
-    Ok((a, b))
+    Ok(b)
 }
 
 /// Run the whole pipeline: summarize, enumerate, price, rank, prove.
@@ -716,11 +732,17 @@ pub fn synthesize(kernel: &Kernel, cfg: &SynthConfig) -> Result<SynthReport, Syn
         })
         .collect();
 
-    // Prove the ranked winners, best first, until enough survive.
+    // Prove the ranked winners, best first, until enough survive, each
+    // against one symbolic run of the original kernel: its inputs named by
+    // the canonical keys of the rewritable words.
     let vblock = cfg.block;
     let vgrid = cfg.verify_grid.max(1);
     let n_elems = (vgrid * vblock) as u64;
-    let vparams_a = shaped_params(cfg, &cfg.params, vblock);
+    let mut vcfg = VerifyConfig::new(vgrid, vblock, shaped_params(cfg, &cfg.params, vblock));
+    vcfg.input_map = Some(canonical_input_map(&rewritable, &vcfg.params, n_elems));
+    vcfg.max_steps = cfg.verify_max_steps;
+    let vparams_a = &vcfg.params;
+    let mut reference = Reference::new(kernel, &vcfg);
     let mut suggestions: Vec<Suggestion> = Vec::new();
     for p in &priced {
         if suggestions.len() >= cfg.max_suggestions {
@@ -736,42 +758,42 @@ pub fn synthesize(kernel: &Kernel, cfg: &SynthConfig) -> Result<SynthReport, Syn
             layout: None,
             schedule: None,
         };
-        let (k_l, vparams_b) = match p.layout {
-            None => (kernel.clone(), vparams_a.clone()),
+        // The rewritten kernel with its parameters and input naming; `None`
+        // keeps the original's.
+        let rewritten = match p.layout {
+            None => None,
             Some(li) => {
                 let cand = &layouts[li];
                 let Some((k_l, _)) = &layout_kernels[li] else {
                     continue;
                 };
                 let nb = fake_bases(cand.rw.new_strides.len(), 0x4000_0000);
-                let vparams_b = rewritten_params(&cand.rw, &vparams_a, &nb);
-                let (map_a, map_b) =
-                    match layout_input_maps(&cand.rw, &rewritable, &vparams_a, &vparams_b, n_elems)
-                    {
-                        Ok(maps) => maps,
-                        Err(reason) => {
-                            skipped.push(format!("{}: layout proof skipped: {reason}", p.label));
-                            continue;
-                        }
-                    };
-                let mut vcfg = VerifyConfig::new(vgrid, vblock, vparams_a.clone());
-                vcfg.params_b = Some(vparams_b.clone());
-                vcfg.input_map = Some(map_a);
-                vcfg.input_map_b = Some(map_b);
-                vcfg.max_steps = cfg.verify_max_steps;
-                let r = verify_equiv(kernel, k_l, &vcfg);
+                let vparams_b = rewritten_params(&cand.rw, vparams_a, &nb);
+                let map_b = match layout_input_map(&cand.rw, &rewritable, &vparams_b, n_elems) {
+                    Ok(map) => map,
+                    Err(reason) => {
+                        skipped.push(format!("{}: layout proof skipped: {reason}", p.label));
+                        continue;
+                    }
+                };
+                let r = reference.check(k_l, Some(&vparams_b), Some(&map_b));
                 if !(r.is_proved() || r.is_proved_bounded()) {
                     skipped.push(format!("{}: layout proof failed: {r}", p.label));
                     continue;
                 }
                 cert.layout = Some(r);
-                (k_l.clone(), vparams_b)
+                Some((k_l, vparams_b, map_b))
             }
         };
+        // Proved against the original, the schedule step is proved against
+        // the rewritten kernel too: both share the original's terms.
         if let Some(pass) = &p.schedule {
-            let mut vcfg = VerifyConfig::new(vgrid, vblock, vparams_b.clone());
-            vcfg.max_steps = cfg.verify_max_steps;
-            let r = verify_equiv(&k_l, &pass.apply(&k_l), &vcfg);
+            let r = match &rewritten {
+                None => reference.check(&pass.apply(kernel), None, None),
+                Some((k_l, vparams_b, map_b)) => {
+                    reference.check(&pass.apply(k_l), Some(vparams_b), Some(map_b))
+                }
+            };
             if !(r.is_proved() || r.is_proved_bounded()) {
                 skipped.push(format!("{}: schedule proof failed: {r}", p.label));
                 continue;
@@ -863,9 +885,9 @@ mod tests {
                 )],
             }],
         };
-        let maps = layout_input_maps(&rw, &[], &[0x1_0000], &[0x4000_0000], 4);
+        let map = layout_input_map(&rw, &[], &[0x4000_0000], 4);
         assert_eq!(
-            maps.err().as_deref(),
+            map.err().as_deref(),
             Some("buffer param 0 has no access summary")
         );
     }

@@ -154,9 +154,22 @@ impl TermArena {
         }
     }
 
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.slots.fill(EMPTY);
+    /// Drop every term interned after the first `len`, keeping the table's
+    /// size. Exact because the newest term is removed first: a term's probe
+    /// run from its home slot only crosses slots of older terms (inserts and
+    /// [`TermArena::grow`] both place terms in id order), so no remaining
+    /// term's run crosses a freed slot.
+    fn truncate(&mut self, len: usize) {
+        let mask = self.slots.len() - 1;
+        while self.nodes.len() > len {
+            let id = self.nodes.len() - 1;
+            let mut i = home_slot(&self.nodes[id], mask);
+            while self.slots[i] != id as u32 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = EMPTY;
+            self.nodes.pop();
+        }
     }
 
     fn konst(&mut self, v: u32) -> TermId {
@@ -459,135 +472,256 @@ pub fn verify_pass(kernel: &Kernel, pass: PassId, cfg: &VerifyConfig) -> VerifyR
 /// Both kernels are symbolically executed block by block, all threads of a
 /// block in lockstep (so shared-memory staging works), and each thread's
 /// ordered trace of observable events — global/shared stores and barriers —
-/// is compared. The first divergence is returned as a counterexample.
+/// is compared. The first divergence is returned as a counterexample. This
+/// is a one-off [`Reference`] of `a` and one [`Reference::check`] of `b`.
 pub fn verify_equiv(a: &Kernel, b: &Kernel, cfg: &VerifyConfig) -> VerifyResult {
-    if cfg.block == 0 || cfg.grid == 0 {
-        return VerifyResult::Unsupported {
-            reason: "empty launch".to_string(),
+    Reference::new(a, cfg).check(b, cfg.params_b.as_deref(), cfg.input_map_b.as_ref())
+}
+
+/// One kernel's symbolic run under a [`VerifyConfig`] (its launch shape,
+/// `params`, `input_map` and uniform-`While` guard), kept so that any number
+/// of kernels can be checked against it while it runs only once.
+///
+/// Each block has its own [`TermArena`], holding the reference's terms and
+/// its threads' traces. Blocks run lazily, in block order, when the first
+/// check reaches them, and are kept for every later check. A check interns
+/// its kernel's terms into the block's arena after the reference's and
+/// drops them once compared, so every check starts from the arena the
+/// reference left and returns exactly what a one-off [`verify_equiv`]
+/// returns.
+pub struct Reference<'k> {
+    kernel: &'k Kernel,
+    cfg: &'k VerifyConfig,
+    /// Why no check can run: an empty launch or a parameter list that does
+    /// not fit the reference kernel.
+    invalid: Option<VerifyResult>,
+    /// One run per assumed uniform trip count `1..=r` under the guard, or
+    /// the one unguarded run.
+    runs: Vec<RefRun>,
+}
+
+/// The reference's run under one trip-count assumption.
+struct RefRun {
+    assume_rounds: Option<u32>,
+    /// Blocks `0..blocks.len()`, run so far.
+    blocks: Vec<RefBlock>,
+    /// The `Unsupported` of block `blocks.len()`, when it cannot run: every
+    /// check that reaches it returns this.
+    stuck: Option<VerifyResult>,
+}
+
+/// One block of the reference: its terms, its threads' traces, and the
+/// store and barrier events in them.
+struct RefBlock {
+    arena: TermArena,
+    traces: Vec<Vec<Event>>,
+    stores: u64,
+    syncs: u64,
+}
+
+impl<'k> Reference<'k> {
+    /// The reference run of `kernel` under `cfg`. Nothing is executed until
+    /// the first [`Reference::check`].
+    pub fn new(kernel: &'k Kernel, cfg: &'k VerifyConfig) -> Reference<'k> {
+        let invalid = if cfg.block == 0 || cfg.grid == 0 {
+            Some(VerifyResult::Unsupported {
+                reason: "empty launch".to_string(),
+            })
+        } else {
+            param_mismatch(kernel, &cfg.params)
         };
-    }
-    if cfg.params.len() != a.n_params as usize {
-        return VerifyResult::Unsupported {
-            reason: format!(
-                "kernel `{}` takes {} parameters, config supplies {}",
-                a.name,
-                a.n_params,
-                cfg.params.len()
-            ),
+        let assumptions: Vec<Option<u32>> = match cfg.uniform_while_rounds {
+            None => vec![None],
+            Some(rounds) => (1..=rounds.max(1)).map(Some).collect(),
         };
-    }
-    let params_b = cfg.params_b.as_ref().unwrap_or(&cfg.params);
-    if params_b.len() != b.n_params as usize {
-        return VerifyResult::Unsupported {
-            reason: format!(
-                "kernel `{}` takes {} parameters, config supplies {}",
-                b.name,
-                b.n_params,
-                params_b.len()
-            ),
-        };
+        Reference {
+            kernel,
+            cfg,
+            invalid,
+            runs: assumptions
+                .into_iter()
+                .map(|assume_rounds| RefRun {
+                    assume_rounds,
+                    blocks: Vec::new(),
+                    stuck: None,
+                })
+                .collect(),
+        }
     }
 
-    match cfg.uniform_while_rounds {
-        None => verify_under(a, b, params_b, cfg, None),
-        Some(rounds) => {
-            // One full proof per assumed uniform trip count; every one must
-            // hold for the guarded claim.
-            let (mut threads, mut stores, mut syncs) = (0u64, 0u64, 0u64);
-            for t in 1..=rounds.max(1) {
-                match verify_under(a, b, params_b, cfg, Some(t)) {
-                    VerifyResult::Proved {
-                        threads: th,
-                        stores: st,
-                        syncs: sy,
-                    } => {
-                        threads += th;
-                        stores += st;
-                        syncs += sy;
-                    }
-                    other => return other,
+    /// Prove `b`, run with `params_b` and inputs named by `map_b`,
+    /// observably equivalent to the reference. `None` takes the reference's
+    /// own parameters or naming, as [`VerifyConfig::params_b`] and
+    /// [`VerifyConfig::input_map_b`] do.
+    pub fn check(
+        &mut self,
+        b: &Kernel,
+        params_b: Option<&[u32]>,
+        map_b: Option<&InputMap>,
+    ) -> VerifyResult {
+        if let Some(r) = &self.invalid {
+            return r.clone();
+        }
+        let cfg = self.cfg;
+        let params_b = params_b.unwrap_or(&cfg.params);
+        if let Some(r) = param_mismatch(b, params_b) {
+            return r;
+        }
+        let empty = InputMap::default();
+        let side_a = Side {
+            kernel: self.kernel,
+            params: &cfg.params,
+            map: cfg.input_map.as_ref().unwrap_or(&empty),
+        };
+        let side_b = Side {
+            kernel: b,
+            params: params_b,
+            map: map_b.or(cfg.input_map.as_ref()).unwrap_or(&empty),
+        };
+        if cfg.uniform_while_rounds.is_none() {
+            return self.runs[0].check(&side_a, &side_b, cfg);
+        }
+        // One full proof per assumed uniform trip count; every one must
+        // hold for the guarded claim.
+        let (mut threads, mut stores, mut syncs) = (0u64, 0u64, 0u64);
+        for run in &mut self.runs {
+            match run.check(&side_a, &side_b, cfg) {
+                VerifyResult::Proved {
+                    threads: th,
+                    stores: st,
+                    syncs: sy,
+                } => {
+                    threads += th;
+                    stores += st;
+                    syncs += sy;
                 }
+                other => return other,
             }
-            VerifyResult::ProvedBounded {
-                rounds: rounds.max(1),
-                threads,
-                stores,
-                syncs,
-            }
+        }
+        VerifyResult::ProvedBounded {
+            rounds: self.runs.len() as u32,
+            threads,
+            stores,
+            syncs,
         }
     }
 }
 
-/// One equivalence proof, optionally under an assumed uniform trip count for
-/// data-dependent `While` loops.
-fn verify_under(
-    a: &Kernel,
-    b: &Kernel,
-    params_b: &[u32],
-    cfg: &VerifyConfig,
-    assume_rounds: Option<u32>,
-) -> VerifyResult {
-    let empty = InputMap::default();
-    let mut arena = TermArena::new();
-    let mut threads = 0u64;
-    let mut stores = 0u64;
-    let mut syncs = 0u64;
-    for block_id in 0..cfg.grid {
-        let trace_a = match run_block(
-            a,
-            &cfg.params,
-            cfg.input_map.as_ref().unwrap_or(&empty),
-            block_id,
-            cfg,
-            assume_rounds,
-            &mut arena,
-        ) {
-            Ok(t) => t,
-            Err(e) => return e.into_result(a, block_id),
-        };
-        let trace_b = match run_block(
-            b,
-            params_b,
-            cfg.input_map_b
-                .as_ref()
-                .or(cfg.input_map.as_ref())
-                .unwrap_or(&empty),
-            block_id,
-            cfg,
-            assume_rounds,
-            &mut arena,
-        ) {
-            Ok(t) => t,
-            Err(e) => return e.into_result(b, block_id),
-        };
-        for tid in 0..cfg.block as usize {
-            let (ta, tb) = (&trace_a[tid], &trace_b[tid]);
-            if let Some(m) = compare_traces(ta, tb, &arena) {
-                return VerifyResult::Mismatch {
-                    site: FaultSite {
-                        kernel: Some(b.name.clone()),
-                        block: Some(block_id),
-                        thread: Some(tid as u32),
-                        instruction: m.instruction,
-                    },
-                    detail: m.detail,
-                };
+/// `Unsupported` when `params` does not fit `k`'s parameter list.
+fn param_mismatch(k: &Kernel, params: &[u32]) -> Option<VerifyResult> {
+    (params.len() != k.n_params as usize).then(|| VerifyResult::Unsupported {
+        reason: format!(
+            "kernel `{}` takes {} parameters, config supplies {}",
+            k.name,
+            k.n_params,
+            params.len()
+        ),
+    })
+}
+
+/// A kernel with the parameters and input naming it runs under.
+struct Side<'s> {
+    kernel: &'s Kernel,
+    params: &'s [u32],
+    map: &'s InputMap,
+}
+
+impl RefRun {
+    /// Block `block_id` of the run, running the blocks up to it first.
+    fn block(
+        &mut self,
+        a: &Side<'_>,
+        cfg: &VerifyConfig,
+        block_id: u32,
+    ) -> Result<&mut RefBlock, VerifyResult> {
+        while self.blocks.len() <= block_id as usize {
+            if let Some(stuck) = &self.stuck {
+                return Err(stuck.clone());
             }
-            threads += 1;
-            stores += ta
-                .iter()
-                .filter(|e| matches!(e, Event::Store { .. }))
-                .count() as u64;
-            syncs += ta.iter().filter(|e| matches!(e, Event::Sync)).count() as u64;
+            let id = self.blocks.len() as u32;
+            let mut arena = TermArena::new();
+            match run_block(
+                a.kernel,
+                a.params,
+                a.map,
+                id,
+                cfg,
+                self.assume_rounds,
+                &mut arena,
+            ) {
+                Ok(traces) => {
+                    let events = traces.iter().flatten();
+                    let stores = events
+                        .clone()
+                        .filter(|e| matches!(e, Event::Store { .. }))
+                        .count() as u64;
+                    let syncs = events.filter(|e| matches!(e, Event::Sync)).count() as u64;
+                    self.blocks.push(RefBlock {
+                        arena,
+                        traces,
+                        stores,
+                        syncs,
+                    });
+                }
+                Err(e) => self.stuck = Some(e.into_result(a.kernel, id)),
+            }
         }
-        // No term outlives its block's comparison: start the next block on
-        // an empty arena (keeping its capacity).
-        arena.clear();
+        Ok(&mut self.blocks[block_id as usize])
     }
-    VerifyResult::Proved {
-        threads,
-        stores,
-        syncs,
+
+    /// One equivalence proof of `b` against this run, block by block: the
+    /// reference's block first, then `b`'s in the same arena.
+    fn check(&mut self, a: &Side<'_>, b: &Side<'_>, cfg: &VerifyConfig) -> VerifyResult {
+        let assume_rounds = self.assume_rounds;
+        let (mut threads, mut stores, mut syncs) = (0u64, 0u64, 0u64);
+        for block_id in 0..cfg.grid {
+            let blk = match self.block(a, cfg, block_id) {
+                Ok(blk) => blk,
+                Err(stuck) => return stuck,
+            };
+            let mark = blk.arena.nodes.len();
+            let verdict = match run_block(
+                b.kernel,
+                b.params,
+                b.map,
+                block_id,
+                cfg,
+                assume_rounds,
+                &mut blk.arena,
+            ) {
+                Err(e) => Some(e.into_result(b.kernel, block_id)),
+                Ok(trace_b) => {
+                    blk.traces
+                        .iter()
+                        .zip(&trace_b)
+                        .enumerate()
+                        .find_map(|(tid, (ta, tb))| {
+                            let m = compare_traces(ta, tb, &blk.arena)?;
+                            Some(VerifyResult::Mismatch {
+                                site: FaultSite {
+                                    kernel: Some(b.kernel.name.clone()),
+                                    block: Some(block_id),
+                                    thread: Some(tid as u32),
+                                    instruction: m.instruction,
+                                },
+                                detail: m.detail,
+                            })
+                        })
+                }
+            };
+            blk.arena.truncate(mark);
+            if let Some(v) = verdict {
+                return v;
+            }
+            threads += u64::from(cfg.block);
+            stores += blk.stores;
+            syncs += blk.syncs;
+        }
+        VerifyResult::Proved {
+            threads,
+            stores,
+            syncs,
+        }
     }
 }
 
@@ -1213,12 +1347,7 @@ mod tests {
     #[test]
     fn changed_store_value_is_a_mismatch_with_site() {
         let k = sample_kernel(4);
-        let mut bad = k.clone();
-        // Flip the final store to write ε instead of the accumulator.
-        let Some(Stmt::I(Instr::St { srcs, .. })) = bad.body.last_mut() else {
-            panic!("expected trailing store");
-        };
-        srcs[0] = Operand::R(Reg(2)); // eps param
+        let bad = sample_with_wrong_store(4);
         let r = verify_equiv(&k, &bad, &cfg());
         let VerifyResult::Mismatch { site, detail } = r else {
             panic!("expected mismatch, got {r}");
@@ -1307,7 +1436,24 @@ mod tests {
             }
             assert_eq!(arena.intern(Node::Alu(AluOp::IAdd, ids[3], ids[7])), sum);
             assert_eq!(arena.nodes.len(), 1001);
-            arena.clear();
+            arena.truncate(0);
+        }
+    }
+
+    #[test]
+    fn truncation_forgets_exactly_the_newer_terms() {
+        let mut arena = TermArena::new();
+        // Past several doublings, so the kept and the dropped terms share
+        // probe runs in the grown table.
+        let ids: Vec<TermId> = (0..1000).map(|v| arena.konst(v * 4)).collect();
+        arena.truncate(600);
+        assert_eq!(arena.nodes.len(), 600);
+        for (v, id) in (0..600).zip(&ids) {
+            assert_eq!(arena.konst(v * 4), *id, "a kept term keeps its id");
+        }
+        // A dropped term is new again and takes the next id.
+        for (k, v) in (600..1000).rev().enumerate() {
+            assert_eq!(arena.konst(v * 4).0 as usize, 600 + k);
         }
     }
 
@@ -1395,6 +1541,108 @@ mod tests {
         let cfg = VerifyConfig::new(1, 8, vec![0x8000]).with_uniform_while_rounds(2);
         let r = verify_equiv(&k, &k, &cfg);
         assert!(r.is_proved_bounded(), "{r}");
+    }
+
+    /// The sample kernel with its final store writing ε instead of the
+    /// accumulator.
+    fn sample_with_wrong_store(iters: u32) -> Kernel {
+        let mut bad = sample_kernel(iters);
+        let Some(Stmt::I(Instr::St { srcs, .. })) = bad.body.last_mut() else {
+            panic!("expected trailing store");
+        };
+        srcs[0] = Operand::R(Reg(2)); // eps param
+        bad
+    }
+
+    #[test]
+    fn checks_against_one_reference_match_one_off_proofs() {
+        let k = sample_kernel(8);
+        // Same parameters as the sample; branches on a loaded word.
+        let stuck = {
+            let mut b = KernelBuilder::new("ddbranch");
+            let buf = b.param();
+            let out = b.param();
+            let _eps = b.param();
+            let tid = b.special(SpecialReg::TidX);
+            let v = b.ld(MemSpace::Global, buf, 0, 1)[0];
+            let p = b.setp(CmpOp::ULt, v.into(), Operand::ImmU(10));
+            b.if_then(p, |b| {
+                let oa = b.mad_u(tid.into(), Operand::ImmU(4), out.into());
+                b.st(MemSpace::Global, oa, 0, vec![v.into()]);
+            });
+            b.finish()
+        };
+        let candidates = [
+            PassId::LicmThenUnroll(8).apply(&k),
+            sample_with_wrong_store(8),
+            stuck,
+            PassId::Licm.apply(&k),
+        ];
+        let cfg = VerifyConfig::new(2, 32, vec![0x1000, 0x8000, 0.5f32.to_bits()]);
+        let mut reference = Reference::new(&k, &cfg);
+        let shared: Vec<VerifyResult> = candidates
+            .iter()
+            .map(|c| reference.check(c, None, None))
+            .collect();
+        let one_off: Vec<VerifyResult> = candidates
+            .iter()
+            .map(|c| verify_equiv(&k, c, &cfg))
+            .collect();
+        assert_eq!(shared, one_off);
+        assert!(shared[0].is_proved() && shared[3].is_proved(), "{shared:?}");
+        assert!(
+            matches!(shared[1], VerifyResult::Mismatch { .. }),
+            "{}",
+            shared[1]
+        );
+        assert!(
+            matches!(shared[2], VerifyResult::Unsupported { .. }),
+            "{}",
+            shared[2]
+        );
+    }
+
+    /// Stores `tid + bump` in every block; block 1 then branches on a
+    /// loaded word, which no symbolic run can decide.
+    fn stuck_in_block_1(bump: u32) -> Kernel {
+        let mut b = KernelBuilder::new("late");
+        let buf = b.param();
+        let out = b.param();
+        let tid = b.special(SpecialReg::TidX);
+        let cta = b.special(SpecialReg::CtaidX);
+        let v = b.iadd(tid.into(), Operand::ImmU(bump));
+        let oa = b.mad_u(tid.into(), Operand::ImmU(4), out.into());
+        b.st(MemSpace::Global, oa, 0, vec![v.into()]);
+        let in_block_1 = b.setp(CmpOp::UEq, cta.into(), Operand::ImmU(1));
+        b.if_then(in_block_1, |b| {
+            let w = b.ld(MemSpace::Global, buf, 0, 1)[0];
+            let p = b.setp(CmpOp::ULt, w.into(), Operand::ImmU(10));
+            b.if_then(p, |b| b.st(MemSpace::Global, oa, 0, vec![w.into()]));
+        });
+        b.finish()
+    }
+
+    #[test]
+    fn a_reference_stuck_in_block_1_still_reports_block_0_mismatches() {
+        let k = stuck_in_block_1(0);
+        let cfg = VerifyConfig::new(2, 32, vec![0x1000, 0x8000]);
+        let mut reference = Reference::new(&k, &cfg);
+        let early = reference.check(&stuck_in_block_1(1), None, None);
+        let VerifyResult::Mismatch { site, .. } = &early else {
+            panic!("expected a block-0 mismatch, got {early}");
+        };
+        assert_eq!((site.block, site.thread), (Some(0), Some(0)));
+        // Block 0 passes: the candidate reaches the block the reference
+        // could not run.
+        let late = reference.check(&k, None, None);
+        let VerifyResult::Unsupported { reason } = &late else {
+            panic!("expected the reference's block-1 Unsupported, got {late}");
+        };
+        assert!(reason.starts_with("kernel `late` block 1"), "{reason}");
+        // Neither answer depends on what the reference ran before.
+        assert_eq!(reference.check(&stuck_in_block_1(1), None, None), early);
+        assert_eq!(early, verify_equiv(&k, &stuck_in_block_1(1), &cfg));
+        assert_eq!(late, verify_equiv(&k, &k, &cfg));
     }
 
     #[test]
