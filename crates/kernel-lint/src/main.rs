@@ -572,7 +572,28 @@ fn run_suggest(opts: &Options) -> ExitCode {
     }
 }
 
+/// Restore the default `SIGPIPE` action, which the Rust runtime sets to
+/// "ignore" so that a write to a closed pipe fails instead. `println!` turns
+/// that failure into a panic; with the default action, a reader that stops
+/// early (`kernel-lint --json | head`) ends the process quietly, as it does
+/// any other filter in a pipeline.
+#[cfg(unix)]
+fn restore_default_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: `signal` with `SIG_DFL` installs no handler of ours; it runs
+    // once, before any other thread exists.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
 fn main() -> ExitCode {
+    #[cfg(unix)]
+    restore_default_sigpipe();
     let opts = match parse_args() {
         Ok(o) => o,
         Err(e) => {

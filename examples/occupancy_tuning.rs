@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release --example occupancy_tuning`
 
-use gravit_core::substrates::gpu_sim::occupancy::occupancy;
+use gravit_core::substrates::gpu_sim::occupancy::{occupancy, regs_per_block};
 use gravit_core::substrates::gpu_sim::DeviceConfig;
 use gravit_core::substrates::particle_layouts::Layout;
 use gravit_core::unroll_advisor::advise_unroll;
@@ -23,6 +23,12 @@ fn main() {
     for block in [64u32, 96, 128, 160, 192, 256, 320, 384] {
         print!("{block:>6}");
         for regs in [16u32, 17, 18, 20, 24] {
+            // A block that needs more registers than the SM has is a launch
+            // CUDA refuses: no occupancy to print.
+            if regs_per_block(&g80, block, regs) > g80.regs_per_sm {
+                print!("{:>10}", "-");
+                continue;
+            }
             let o = occupancy(&g80, block, regs, block * 16);
             print!("{:>9.0}%", o.percent());
         }
