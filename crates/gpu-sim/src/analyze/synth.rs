@@ -22,9 +22,16 @@
 //!    report's register demand) under one launch shape; candidates are
 //!    ranked by predicted cycles (ties to fewer registers — the paper's
 //!    17→16 point).
-//! 4. **Prove** — top candidates are checked with
-//!    [`verify_equiv`] under an element-indexed [`InputMap`] (the
-//!    layout step) and [`verify_pass`](super::verify::verify_pass) (the schedule step). **A
+//! 4. **Prove** — top candidates are checked against one
+//!    [`Reference`]: a single symbolic run of the original kernel per
+//!    call, its inputs named by the canonical `(param, element, offset)`
+//!    keys of the rewritable hot words. The layout step checks the
+//!    rewritten kernel under its element-indexed [`InputMap`]; the schedule
+//!    step checks the scheduled kernel against the same reference, under
+//!    the layout's naming (or the original's, for a schedule-only
+//!    candidate). A proved layout step leaves the rewritten kernel with
+//!    the original's very terms, so this is the same verdict, site and
+//!    counts as proving the schedule against the rewritten kernel. **A
 //!    candidate that does not come back `Proved`/`ProvedBounded` is
 //!    discarded, never suggested** — the prove-then-suggest invariant.
 //!
@@ -785,8 +792,10 @@ pub fn synthesize(kernel: &Kernel, cfg: &SynthConfig) -> Result<SynthReport, Syn
                 Some((k_l, vparams_b, map_b))
             }
         };
-        // Proved against the original, the schedule step is proved against
-        // the rewritten kernel too: both share the original's terms.
+        // Checking the scheduled kernel against the original, under the
+        // layout's naming, is checking it against the rewritten kernel: the
+        // layout proof showed that kernel's traces are the original's, term
+        // for term.
         if let Some(pass) = &p.schedule {
             let r = match &rewritten {
                 None => reference.check(&pass.apply(kernel), None, None),

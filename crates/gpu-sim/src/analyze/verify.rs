@@ -11,10 +11,10 @@
 //! semantics (`alu`/`mad`/`unary`/`compare`, defined once in [`crate::ir`]),
 //! so the symbolic run never disagrees with a dynamic one.
 //!
-//! Terms live in a single hash-consed [`TermArena`] shared by both kernels:
-//! structural equality is pointer equality (the arena and the per-block
-//! memory maps hash with [`simcore::hash::FxHasher`]: lookups only, so no
-//! result depends on iteration order), and no float identities are
+//! Terms live in a hash-consed [`TermArena`] per block, shared by both
+//! kernels: structural equality is pointer equality (the arena and the
+//! per-block memory maps hash with [`simcore::hash::FxHasher`]: lookups
+//! only, so no result depends on iteration order), and no float identities are
 //! assumed (not even `x + 0.0`, which is wrong for `-0.0`) — which is exactly
 //! why the passes this checker validates (`unroll_innermost`, `licm`,
 //! `fold_addressing`) are provable: they reorder and de-duplicate
@@ -25,6 +25,10 @@
 //! [`InputMap`] canonicalizing each load address to the logical
 //! `(element, field)` it holds, so `px` of particle 7 gets the *same* input
 //! term whether it was fetched from a packed 28-byte record or a `float4`.
+//!
+//! A [`Reference`] keeps one kernel's run, block by block, so that many
+//! candidates are checked against it while it runs once; [`verify_equiv`]
+//! is a reference used for one check.
 //!
 //! On a mismatch the checker emits a counterexample [`FaultSite`] — kernel,
 //! block, thread and the stable instruction index of the first diverging
@@ -482,7 +486,7 @@ pub fn verify_equiv(a: &Kernel, b: &Kernel, cfg: &VerifyConfig) -> VerifyResult 
 /// `params`, `input_map` and uniform-`While` guard), kept so that any number
 /// of kernels can be checked against it while it runs only once.
 ///
-/// Each block has its own [`TermArena`], holding the reference's terms and
+/// Each block has its own term arena, holding the reference's terms and
 /// its threads' traces. Blocks run lazily, in block order, when the first
 /// check reaches them, and are kept for every later check. A check interns
 /// its kernel's terms into the block's arena after the reference's and
@@ -578,11 +582,8 @@ impl<'k> Reference<'k> {
             params: params_b,
             map: map_b.or(cfg.input_map.as_ref()).unwrap_or(&empty),
         };
-        if cfg.uniform_while_rounds.is_none() {
-            return self.runs[0].check(&side_a, &side_b, cfg);
-        }
-        // One full proof per assumed uniform trip count; every one must
-        // hold for the guarded claim.
+        // One full proof per assumed uniform trip count (the one run
+        // without the guard); every one must hold.
         let (mut threads, mut stores, mut syncs) = (0u64, 0u64, 0u64);
         for run in &mut self.runs {
             match run.check(&side_a, &side_b, cfg) {
@@ -597,6 +598,13 @@ impl<'k> Reference<'k> {
                 }
                 other => return other,
             }
+        }
+        if cfg.uniform_while_rounds.is_none() {
+            return VerifyResult::Proved {
+                threads,
+                stores,
+                syncs,
+            };
         }
         VerifyResult::ProvedBounded {
             rounds: self.runs.len() as u32,
