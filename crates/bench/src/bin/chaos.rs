@@ -94,6 +94,7 @@ fn attributed_faults(reports: &[FaultReport]) -> usize {
 }
 
 fn main() {
+    simcore::restore_default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let campaigns: u64 = flag(&args, "--campaigns")
         .and_then(|v| v.parse().ok())

@@ -274,6 +274,7 @@ fn soak(
 }
 
 fn main() {
+    simcore::restore_default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let devices: usize = flag(&args, "--devices")
         .and_then(|v| v.parse().ok())

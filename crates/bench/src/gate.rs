@@ -1,7 +1,7 @@
-//! Flag lookup for the bench bins that take options (`chaos`, `fleet`,
-//! `table_lint_validation`). Wall time is judged by the repository
-//! benchmark alone (`BENCHMARK.json`); the host-independent values the
-//! bins check live in `cargo test`.
+//! Flag lookup for the bench bins that take options (`chaos`, `fleet`).
+//! Wall time is judged by the repository benchmark alone
+//! (`BENCHMARK.json`); the host-independent values the bins check live in
+//! `cargo test`.
 
 /// The value following `name` in `args`, if both are present.
 pub fn flag(args: &[String], name: &str) -> Option<String> {

@@ -3,7 +3,7 @@
 //! ablation (Sec. II-D). The unroll sweep (Sec. IV-A) is
 //! `gravit_core::unroll_advisor::unroll_sweep`.
 
-use gpu_kernels::force::{build_force_kernel, ForceKernelConfig};
+use gpu_kernels::force::{build_force_kernel, ForceKernelConfig, OptLevel};
 use gpu_sim::ir::count::inner_loop_profile;
 use gpu_sim::ir::regalloc::register_demand;
 use gpu_sim::occupancy::occupancy;
@@ -343,61 +343,84 @@ pub struct CrossoverRow {
     pub bh_occupancy_pct: f64,
 }
 
+/// A Barnes–Hut traversal launch (θ = 0.5) on a Plummer sphere, uploaded
+/// to a device memory sized to the upload.
+struct BhLaunch {
+    kernel: gpu_sim::ir::Kernel,
+    block: u32,
+    grid: u32,
+    params: Vec<u32>,
+    gmem: gpu_sim::mem::GlobalMemory,
+    /// Nodes of the tree.
+    nodes: u32,
+}
+
+/// Build the real tree for `n` Plummer bodies, size the kernel's stack to
+/// it and upload tree, targets and output.
+fn bh_launch(n: u32) -> BhLaunch {
+    use gpu_kernels::barnes_hut::{build_bh_kernel, upload_bh, BhKernelConfig};
+    use gpu_sim::mem::GlobalMemory;
+    use nbody::barnes_hut::LinearTree;
+
+    let theta = 0.5f32;
+    let bodies = nbody::spawn::plummer(n as usize, 1.0, 1.0, 1234);
+    let lt = LinearTree::from_bodies(&bodies, 1.0);
+    // Size the shared-memory stack from the workload's measured worst-case
+    // depth (sampled probes + safety margin), shrinking the block if
+    // 64-thread stacks would not fit.
+    let probes: Vec<simcore::Vec3> = bodies.pos.iter().copied().step_by(17).collect();
+    let need = lt.max_stack_depth(&probes, theta * theta) as u32 + 16;
+    let block = if 64 * need * 4 <= 15 * 1024 { 64 } else { 32 };
+    let cfg = BhKernelConfig { block, depth: need };
+    assert!(
+        cfg.smem_bytes() <= 15 * 1024,
+        "stack depth {need} unservable"
+    );
+    // Targets, centres of mass, node metadata, bodies and the output: one
+    // 16-byte record per entry each.
+    let padded = n.div_ceil(block) * block;
+    let nodes = lt.n_nodes() as u32;
+    let records = [padded, nodes, nodes, lt.bodies.len().max(1) as u32, padded];
+    let mut gmem = GlobalMemory::new(GlobalMemory::footprint(&records.map(|r| u64::from(r) * 16)));
+    let (mut params, padded) =
+        upload_bh(&mut gmem, &lt, &bodies.pos, block).expect("tree upload fits");
+    let out = gmem.alloc(padded as u64 * 16).expect("output fits");
+    params.push(out.0 as u32);
+    params.push((theta * theta).to_bits());
+    params.push(0.05f32.to_bits());
+    BhLaunch {
+        kernel: build_bh_kernel(cfg),
+        block,
+        grid: padded / block,
+        params,
+        gmem,
+        nodes,
+    }
+}
+
 /// Model the direct-vs-tree kernel times across problem sizes — the
 /// quantitative form of the paper's Sec. I-D decision to use O(n²).
 pub fn bh_crossover(sizes: &[u32]) -> Vec<CrossoverRow> {
-    use gpu_kernels::barnes_hut::{build_bh_kernel, upload_bh, BhKernelConfig};
     use gpu_sim::exec::timed::time_resident;
-    use gpu_sim::mem::GlobalMemory;
     use gpu_sim::TimingParams;
     use gravit_app::model::{grid_seconds, model_frame_config};
-    use nbody::barnes_hut::LinearTree;
-    use nbody::spawn;
 
     let dev = DeviceConfig::g8800gtx();
     let driver = DriverModel::Cuda10;
     let tp = TimingParams::for_driver(driver);
-    let theta = 0.5f32;
 
     sizes
         .iter()
         .map(|&n| {
             // Direct kernel at the paper's full optimization level.
-            let direct_cfg = ForceKernelConfig {
-                layout: Layout::SoAoaS,
-                block: 128,
-                unroll: 128,
-                icm: true,
-            };
-            let (direct, _) = model_frame_config(direct_cfg, n, driver);
+            let (direct, _) = model_frame_config(OptLevel::Full.config(), n, driver);
 
-            // BH: build the real tree for this workload and simulate sample
-            // blocks of the launch (per-block work varies with the bodies it
-            // owns, so sample across the grid and scale).
-            let bodies = spawn::plummer(n as usize, 1.0, 1.0, 1234);
-            let lt = LinearTree::from_bodies(&bodies, 1.0);
-            // Size the shared-memory stack from the workload's measured
-            // worst-case depth (sampled probes + safety margin), shrinking
-            // the block if 64-thread stacks would not fit.
-            let probes: Vec<simcore::Vec3> = bodies.pos.iter().copied().step_by(17).collect();
-            let need = lt.max_stack_depth(&probes, theta * theta) as u32 + 16;
-            let block = if 64 * need * 4 <= 15 * 1024 { 64 } else { 32 };
-            let cfg = BhKernelConfig { block, depth: need };
-            assert!(
-                cfg.smem_bytes() <= 15 * 1024,
-                "stack depth {need} unservable"
-            );
-            let kernel = build_bh_kernel(cfg);
-            let regs = register_demand(&kernel).regs_per_thread as u32;
-            let occ = occupancy(&dev, cfg.block, regs, kernel.smem_bytes);
-            let mut gmem = GlobalMemory::new(512 << 20);
-            let (mut params, padded) = upload_bh(&mut gmem, &lt, &bodies.pos, cfg.block)
-                .expect("tree upload fits the device");
-            let out = gmem.alloc(padded as u64 * 16).expect("output fits");
-            params.push(out.0 as u32);
-            params.push((theta * theta).to_bits());
-            params.push(0.05f32.to_bits());
-            let grid = padded / cfg.block;
+            // BH: simulate sample blocks of the launch (per-block work varies
+            // with the bodies it owns, so sample across the grid and scale).
+            let bh = bh_launch(n);
+            let grid = bh.grid;
+            let regs = register_demand(&bh.kernel).regs_per_thread as u32;
+            let occ = occupancy(&dev, bh.block, regs, bh.kernel.smem_bytes);
             // Sample up to 4 resident sets spread across the grid.
             let samples = 4.min(grid);
             let mut cycles = 0u64;
@@ -406,14 +429,13 @@ pub fn bh_crossover(sizes: &[u32]) -> Vec<CrossoverRow> {
                 let resident: Vec<u32> = (0..occ.active_blocks.min(grid - base))
                     .map(|k| base + k)
                     .collect();
-                let mut scratch = gmem.clone();
                 let run = time_resident(
-                    &kernel,
+                    &bh.kernel,
                     &resident,
-                    cfg.block,
+                    bh.block,
                     grid,
-                    &params,
-                    &mut scratch,
+                    &bh.params,
+                    &mut bh.gmem.clone(),
                     &dev,
                     driver,
                     &tp,
@@ -507,11 +529,14 @@ pub fn lint_cross_validation() -> Vec<LintValidationRow> {
         let kernel = build_membench_kernel(cfg);
         let n = cfg.particles_needed(grid, block) as usize;
         let ps: Vec<Particle> = (0..n).map(|_| Particle::SENTINEL).collect();
-        let mut gmem = GlobalMemory::new(64 << 20);
+        let outs = [u64::from(grid * block) * 4; 2];
+        let mut sizes = DeviceImage::alloc_sizes(layout, n as u32, block);
+        sizes.extend(outs);
+        let mut gmem = GlobalMemory::new(GlobalMemory::footprint(&sizes));
         let img =
             DeviceImage::upload(&mut gmem, layout, &ps, block).expect("validation upload fits");
-        let out_delta = gmem.alloc(u64::from(grid * block) * 4).expect("delta fits");
-        let out_sum = gmem.alloc(u64::from(grid * block) * 4).expect("sum fits");
+        let out_delta = gmem.alloc(outs[0]).expect("delta fits");
+        let out_sum = gmem.alloc(outs[1]).expect("sum fits");
         let mut params = img.base_params();
         params.push(out_delta.0 as u32);
         params.push(out_sum.0 as u32);
@@ -568,57 +593,38 @@ pub struct BoundsValidationRow {
 /// budget, run the launch on the timed executor, and require the measured
 /// transactions to land inside the static `[best, worst]` interval.
 pub fn bh_bounds_validation(n: u32) -> Vec<BoundsValidationRow> {
-    use gpu_kernels::barnes_hut::{build_bh_kernel, traversal_budget, upload_bh, BhKernelConfig};
+    use gpu_kernels::barnes_hut::traversal_budget;
     use gpu_sim::analyze::{analyze_kernel, AnalysisConfig};
     use gpu_sim::exec::timed::time_grid;
-    use gpu_sim::mem::GlobalMemory;
     use gpu_sim::TimingParams;
-    use nbody::barnes_hut::LinearTree;
-    use nbody::spawn;
 
     let dev = DeviceConfig::g8800gtx();
-    let theta = 0.5f32;
-    let bodies = spawn::plummer(n as usize, 1.0, 1.0, 1234);
-    let lt = LinearTree::from_bodies(&bodies, 1.0);
-    let probes: Vec<simcore::Vec3> = bodies.pos.iter().copied().step_by(17).collect();
-    let need = lt.max_stack_depth(&probes, theta * theta) as u32 + 16;
-    let block = if 64 * need * 4 <= 15 * 1024 { 64 } else { 32 };
-    let cfg = BhKernelConfig { block, depth: need };
-    let kernel = build_bh_kernel(cfg);
-
-    let mut gmem = GlobalMemory::new(512 << 20);
-    let (mut params, padded) =
-        upload_bh(&mut gmem, &lt, &bodies.pos, cfg.block).expect("tree upload fits");
-    let out = gmem.alloc(padded as u64 * 16).expect("output fits");
-    params.push(out.0 as u32);
-    params.push((theta * theta).to_bits());
-    params.push(0.05f32.to_bits());
-    let grid = padded / cfg.block;
-    let budget = traversal_budget(lt.n_nodes() as u32);
+    let bh = bh_launch(n);
+    let budget = traversal_budget(bh.nodes);
 
     let mut rows = Vec::new();
     for driver in DriverModel::ALL {
-        let acfg = AnalysisConfig::new(grid, cfg.block, params.clone())
+        let acfg = AnalysisConfig::new(bh.grid, bh.block, bh.params.clone())
             .with_driver(driver)
             .with_trip_budget(budget);
-        let report = analyze_kernel(&kernel, &acfg);
+        let report = analyze_kernel(&bh.kernel, &acfg);
         let (tx_lo, tx_hi) = report.transaction_bounds;
 
         let tp = TimingParams::for_driver(driver);
         let run = time_grid(
-            &kernel,
-            grid,
-            cfg.block,
+            &bh.kernel,
+            bh.grid,
+            bh.block,
             1,
-            &params,
-            &mut gmem.clone(),
+            &bh.params,
+            &mut bh.gmem.clone(),
             &dev,
             driver,
             &tp,
         )
         .expect("BH launch is well-formed");
         rows.push(BoundsValidationRow {
-            kernel: kernel.name.clone(),
+            kernel: bh.kernel.name.clone(),
             driver,
             tx_lo,
             tx_hi,

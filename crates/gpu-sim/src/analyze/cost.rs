@@ -18,7 +18,7 @@
 //! The estimate is a *ranking* model, not a simulator: both components are
 //! monotone in what the optimisations change (fewer instructions, fewer
 //! transactions, more warps), so orderings — the AoS→SoA→AoaS→SoAoaS ladder,
-//! the unroll/LICM gains — are preserved. `bench --bin table_verify`
+//! the unroll/LICM gains — are preserved. `results --only table_verify`
 //! cross-validates exactly that against the dynamic engine, per driver.
 
 use crate::driver::DriverModel;

@@ -56,8 +56,8 @@ pub struct TimingParams {
 impl TimingParams {
     /// Constants for the given driver revision.
     ///
-    /// Calibration notes (see `bench/src/bin/fig10_membench.rs` for the
-    /// experiment these were fitted on):
+    /// Calibration notes (see the `fig10_membench` entry of `bench::results`
+    /// for the experiment these were fitted on):
     /// * `Cuda10` — tall per-transaction overhead: the original coalescing
     ///   path issued uncoalesced accesses as fully serialized transactions.
     /// * `Cuda11` — same hardware, but the driver merges same-line requests

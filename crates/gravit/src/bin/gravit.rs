@@ -26,6 +26,7 @@ use simcore::format_duration_s;
 use std::time::Instant;
 
 fn main() {
+    simcore::restore_default_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),

@@ -399,3 +399,22 @@ fn par_and_disk_are_the_defaults_and_selectable_by_name() {
     );
     assert_ne!(default, run_physics(&["--spawn", "ball"]));
 }
+
+#[test]
+fn a_closed_pipe_ends_the_output_quietly() {
+    // The read end is closed before the child starts, so its first write
+    // meets a closed pipe, however little it prints.
+    for args in [&["ladder"][..], &["model", "--n", "100000"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = gravit()
+            .args(args)
+            .stdout(writer)
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .expect("run gravit");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    }
+}

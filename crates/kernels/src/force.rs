@@ -569,7 +569,7 @@ mod tests {
 /// kernel: each tile's global load is issued *before* the inner loop over the
 /// previous tile, hiding the fetch latency behind 128 iterations of compute.
 ///
-/// The classic trade (measured by `bench --bin table_prefetch`): the prefetch
+/// The classic trade (measured by `results --only table_prefetch`): the prefetch
 /// buffer costs four extra registers, which on a CC-1.0 register file can
 /// push the kernel off its occupancy step — latency hiding bought by losing
 /// warps. SoAoaS-only (one float4 per tile element).

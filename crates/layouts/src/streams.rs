@@ -4,7 +4,7 @@
 //! generates, and runs them through the [`gpu_sim::coalesce`] protocols.
 //! This is the direct reproduction of the paper's Figures 3, 5, 7 and 9
 //! (transaction diagrams) and the source of the per-layout transaction table
-//! (bench binary `table_transactions`).
+//! (the `table_transactions_*` results of `bench::results`).
 
 use crate::plan::{FieldRead, Layout, ReadPlan};
 use gpu_sim::coalesce::{coalesce_half_warp, AccessWidth};

@@ -9,6 +9,7 @@
 //!   maps keyed by the program's own integers and terms.
 //! * [`par`] — the one parallel primitive: an index-ordered map over scoped
 //!   worker threads.
+//! * [`pipe`] — quiet exit when a command's reader closes its pipe.
 //! * [`rng`] — deterministic pseudo-random number generation (SplitMix64 and
 //!   Xoshiro256++) plus sampling helpers. We implement these ourselves rather
 //!   than depending on `rand` so that every workload, kernel run and timing
@@ -27,6 +28,7 @@
 pub mod crc;
 pub mod hash;
 pub mod par;
+pub mod pipe;
 pub mod rng;
 pub mod stats;
 pub mod table;
@@ -34,6 +36,7 @@ pub mod units;
 pub mod vec3;
 
 pub use crc::crc32;
+pub use pipe::restore_default_sigpipe;
 pub use rng::{Rng64, SplitMix64, Xoshiro256pp};
 pub use stats::{geometric_mean, linear_fit, percentile, Histogram, Summary};
 pub use table::Table;
