@@ -250,15 +250,13 @@ fn fig12_decomposition() -> Rendered {
         let total = p.total_s();
         let step = prev.map_or_else(|| "-".into(), |x| format!("{:.3}x", x / total));
         prev = Some(total);
-        let transfers = dur(p.upload_s + p.download_s);
-        let occupancy = pct(p.occupancy.percent());
         row![
             level.label(),
             dur(p.kernel_s),
-            transfers,
+            dur(p.upload_s + p.download_s),
             dur(total),
             p.regs,
-            occupancy,
+            pct(p.occupancy.percent()),
             step
         ]
     });
@@ -355,12 +353,11 @@ fn bh_bounds() -> Rendered {
 fn crossover() -> Rendered {
     let rows = bh_crossover(&[1_024, 4_096, 16_384, 65_536]);
     let rows = rows.iter().map(|r| {
-        let speedup = format!("{:.2}x", r.direct_s / r.bh_s);
         row![
             r.n,
             dur(r.direct_s),
             dur(r.bh_s),
-            speedup,
+            format!("{:.2}x", r.direct_s / r.bh_s),
             pct(r.bh_occupancy_pct)
         ]
     });
@@ -401,13 +398,12 @@ fn blocksweep() -> Rendered {
 fn grouping() -> Rendered {
     let rows = grouping_ablation(DriverModel::Cuda10);
     let rows = rows.iter().map(|a| {
-        let efficiency = pct(100.0 * a.efficiency());
         row![
             a.layout.label(),
             a.reads,
             a.transactions,
             a.bus_bytes,
-            efficiency
+            pct(100.0 * a.efficiency())
         ]
     });
     Rendered::new(
@@ -509,12 +505,11 @@ fn model_validation() -> Rendered {
         let params = standard_upload(cfg.layout, cfg.block)(&mut gmem, &particles)
             .expect("validation upload fits");
         let grid = n / cfg.block;
-        let (block, blocks) = (cfg.block, occ.active_blocks);
         let exact = time_grid(
             &kernel,
             grid,
-            block,
-            blocks,
+            cfg.block,
+            occ.active_blocks,
             &params,
             &mut gmem.clone(),
             &dev,
@@ -526,9 +521,9 @@ fn model_validation() -> Rendered {
         // puts on an SM (matters only at validation-scale grids; the Fig. 12
         // sweeps have hundreds of blocks per SM).
         let per_sm = grid.div_ceil(dev.num_sms).max(1);
-        let resident: Vec<u32> = (0..blocks.min(per_sm).min(grid)).collect();
+        let resident: Vec<u32> = (0..occ.active_blocks.min(per_sm).min(grid)).collect();
         let wave = time_resident(
-            &kernel, &resident, block, grid, &params, &mut gmem, &dev, driver, &tp,
+            &kernel, &resident, cfg.block, grid, &params, &mut gmem, &dev, driver, &tp,
         )
         .expect("wave launch is well-formed");
         let est = grid_cycles(&dev, wave.cycles, grid as u64, resident.len() as u64);
@@ -705,15 +700,14 @@ fn texture() -> Rendered {
 fn transactions(driver: DriverModel) -> Rendered {
     let rows = transaction_table(driver);
     let rows = rows.iter().map(|a| {
-        let (efficiency, coalesced) = (pct(100.0 * a.efficiency()), a.all_coalesced);
         row![
             a.layout.label(),
             a.reads,
             a.transactions,
             a.bus_bytes,
             a.useful_bytes,
-            efficiency,
-            coalesced
+            pct(100.0 * a.efficiency()),
+            a.all_coalesced
         ]
     });
     Rendered::new(
@@ -745,11 +739,10 @@ fn unroll() -> Rendered {
         full.eq3_speedup
     );
     let rows = sweep.iter().map(|r| {
-        let (instrs, eq3) = (r.instrs_per_element, r.eq3_speedup);
         row![
             r.factor,
-            format!("{instrs:.2}"),
-            format!("{eq3:.3}"),
+            format!("{:.2}", r.instrs_per_element),
+            format!("{:.3}", r.eq3_speedup),
             r.regs
         ]
     });
