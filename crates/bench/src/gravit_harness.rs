@@ -40,32 +40,23 @@ pub fn fig12_sweep(driver: DriverModel) -> Vec<FramePoint> {
 }
 
 /// Measured serial-CPU seconds per frame, extrapolated O(n²) from
-/// calibration runs at `calib_n` bodies. It takes the fastest of at least
-/// three runs and 50 ms of them, so a run the host preempted does not set
-/// the number: a small calibration lasts only milliseconds.
+/// calibration runs at `calib_n` bodies: the fastest of as many runs as
+/// fill 50 ms, at least one. A small calibration lasts only milliseconds,
+/// so one run the host preempted would otherwise set the number.
 pub fn cpu_frame_seconds(n: u32, calib_n: u32) -> f64 {
     let bodies = spawn::uniform_ball(calib_n as usize, 10.0, 1.0, 123);
     let fp = ForceParams::default();
     // Warm-up, then timed runs.
     let _ = accelerations(&bodies, &fp);
-    let (mut fastest, mut spent, mut runs) = (f64::INFINITY, 0.0, 0);
-    while runs < 3 || spent < 0.05 {
+    let (mut fastest, mut spent) = (f64::INFINITY, 0.0);
+    while spent < 0.05 {
         let t0 = Instant::now();
         let acc = black_box(accelerations(black_box(&bodies), &fp));
         let dt = t0.elapsed().as_secs_f64();
         assert!(acc.len() == calib_n as usize);
-        (fastest, spent, runs) = (fastest.min(dt), spent + dt, runs + 1);
+        (fastest, spent) = (fastest.min(dt), spent + dt);
     }
     fastest * (n as f64 / calib_n as f64).powi(2)
-}
-
-/// The abstract's two headline ratios at a given size: (full-opt speedup over
-/// the GPU baseline, full-opt speedup over the serial CPU).
-pub fn summary_speedups(n: u32, driver: DriverModel, cpu_calib_n: u32) -> (f64, f64) {
-    let base = model_frame(OptLevel::Baseline, n, driver).total_s();
-    let full = model_frame(OptLevel::Full, n, driver).total_s();
-    let cpu = cpu_frame_seconds(n, cpu_calib_n);
-    (base / full, cpu / full)
 }
 
 #[cfg(test)]
