@@ -16,7 +16,9 @@
 //! * the `force-soa-b64` synthesis report under every driver model:
 //!   candidate labels, predicted-cycle bits, registers, skipped reasons
 //!   and certificate summaries, plus every suggestion's full certificate
-//!   (each proof's `threads`/`stores`/`syncs` counts);
+//!   (each proof's `threads`/`stores`/`syncs` counts), and the serde JSON
+//!   of every suggestion's `SynthesizedLayout`, the allocation plan
+//!   `kernel-lint --fix` emits;
 //! * a hand-built kernel whose registers move between one value on every
 //!   lane and a value per lane (a partly dead warp, an exact `If` on the
 //!   thread index, a joined `If`, a widened `While`, a racy shared store,
@@ -25,7 +27,7 @@
 use std::sync::OnceLock;
 
 use gpu_kernels::lintset::workspace_lint_targets;
-use gpu_kernels::synthset::synth_targets;
+use gpu_kernels::synthset::{synth_targets, synthesized_layout};
 use gpu_kernels::verifyset::{layout_ladder_targets, workspace_pass_targets};
 use gpu_sim::analyze::synth::SynthReport;
 use gpu_sim::analyze::verify::VerifyResult;
@@ -436,6 +438,29 @@ fn force_soa_b64_certificates_are_pinned() {
     assert_eq!(
         actual, CERTIFICATE_PINS,
         "certificate digests moved: [{:#018x}, {:#018x}, {:#018x}]",
+        actual[0], actual[1], actual[2]
+    );
+}
+
+/// Digests of the serde JSON of every `force-soa-b64` suggestion's
+/// synthesized layout under CUDA 1.0, 1.1 and 2.2 (`null` for a
+/// schedule-only suggestion): the host-side allocation plan
+/// `kernel-lint --fix` emits.
+const SYNTHESIZED_LAYOUT_PINS: [u64; 3] =
+    [0x306d3abf90747953, 0x306d3abf90747953, 0x306d3abf90747953];
+
+#[test]
+fn force_soa_b64_synthesized_layouts_are_pinned() {
+    let actual = force_soa_b64_reports().each_ref().map(|r| {
+        r.suggestions.iter().fold(FNV_OFFSET, |h, s| {
+            let layout = s.rewrite.as_ref().map(synthesized_layout);
+            let json = serde_json::to_string(&layout).expect("layouts serialize");
+            fnv1a(fnv1a(h, s.label.as_bytes()), json.as_bytes())
+        })
+    });
+    assert_eq!(
+        actual, SYNTHESIZED_LAYOUT_PINS,
+        "synthesized layout digests moved: [{:#018x}, {:#018x}, {:#018x}]",
         actual[0], actual[1], actual[2]
     );
 }

@@ -55,7 +55,7 @@ proptest! {
     /// aligned, and disjoint across lanes' slots.
     #[test]
     fn plan_addresses_are_aligned_and_distinct(layout in layout_strategy(), first in 0u64..1024) {
-        for plan in [layout.read_plan_all(), layout.read_plan_posmass()] {
+        for plan in [layout.read_plan_all(), layout.read_plan_posmass(), layout.read_plan_posvel()] {
             let bases: Vec<u64> = (0..layout.buffers().len()).map(|b| (b as u64 + 1) << 20).collect();
             for (ri, r) in plan.reads.iter().enumerate() {
                 let addrs = half_warp_addresses(&plan, &bases, ri, first);
