@@ -198,7 +198,7 @@ pub fn plan_frame(level: OptLevel, n: u32, capacity: Option<u64>) -> MemoryPlan 
         .buffers()
         .iter()
         .zip(DeviceImage::alloc_sizes(cfg.layout, n, cfg.block))
-        .map(|(kind, bytes)| (format!("{kind:?}"), bytes))
+        .map(|(buffer, bytes)| (buffer.name().to_string(), bytes))
         .collect();
     if n > 0 {
         buffers.push(("AccelOut4".into(), padded_count(n, cfg.block) * 16));

@@ -38,7 +38,7 @@
 use gpu_sim::ir::passes::{licm, unroll_innermost};
 use gpu_sim::ir::{AluOp, Kernel, KernelBuilder, MemSpace, Operand, Reg, SpecialReg};
 use nbody::model::MIN_DIST_SQ;
-use particle_layouts::{DeviceImage, Layout};
+use particle_layouts::{DeviceImage, Layout, Particle};
 
 /// Configuration of a force-kernel build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,8 +347,8 @@ fn load_posmass(
     bufs: &[Reg],
     idx: Reg,
 ) -> (Reg, Reg, Reg, Reg) {
-    let reads: Vec<Vec<Reg>> = layout
-        .read_plan_posmass()
+    let plan = layout.read_plan_posmass();
+    let reads: Vec<Vec<Reg>> = plan
         .reads
         .iter()
         .map(|r| {
@@ -356,13 +356,12 @@ fn load_posmass(
             b.ld(MemSpace::Global, addr, r.offset, r.words as usize)
         })
         .collect();
-    let lanes = layout.posmass_lanes();
-    (
-        reads[lanes.px.0][lanes.px.1],
-        reads[lanes.py.0][lanes.py.1],
-        reads[lanes.pz.0][lanes.pz.1],
-        reads[lanes.mass.0][lanes.mass.1],
-    )
+    let reg = |word: usize| {
+        let (read, lane) = plan.lane(word);
+        reads[read][lane]
+    };
+    let [x, y, z, mass] = Particle::POSMASS.map(reg);
+    (x, y, z, mass)
 }
 
 /// Assemble the launch parameter values for a force kernel over `img`,

@@ -19,7 +19,7 @@
 //! stepping is bit-identical to host stepping.
 
 use gpu_sim::ir::{Kernel, KernelBuilder, MemSpace, Operand, Reg};
-use particle_layouts::Layout;
+use particle_layouts::{Layout, Particle};
 
 /// Build the Euler integration kernel for a layout.
 ///
@@ -27,7 +27,6 @@ use particle_layouts::Layout;
 /// particle, as written by the force kernel) and `dt` (f32 bits).
 pub fn build_integrate_kernel(layout: Layout) -> Kernel {
     let plan = layout.read_plan_posvel();
-    let lanes = layout.posvel_lanes();
     let n_buffers = layout.buffers().len();
     let mut b = KernelBuilder::new(format!("integrate_{}", layout.label()));
     let bufs: Vec<Reg> = (0..n_buffers).map(|_| b.param()).collect();
@@ -49,12 +48,14 @@ pub fn build_integrate_kernel(layout: Layout) -> Kernel {
 
     // v' = v + a·dt ; p' = p + v'·dt — written back into the loaded word
     // registers so the stores below round-trip the ride-along words.
+    let reg = |word: usize| {
+        let (read, lane) = plan.lane(word);
+        loaded[read].1[lane]
+    };
     for (k, ak) in a.iter().enumerate().take(3) {
-        let (vr, vw) = lanes.vel[k];
-        let v = loaded[vr].1[vw];
+        let v = reg(Particle::VEL[k]);
         b.fmad_into(v, (*ak).into(), dt.into(), v.into());
-        let (pr, pw) = lanes.pos[k];
-        let p = loaded[pr].1[pw];
+        let p = reg(Particle::POS[k]);
         b.fmad_into(p, v.into(), dt.into(), p.into());
     }
 

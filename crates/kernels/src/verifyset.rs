@@ -11,7 +11,7 @@
 use gpu_sim::analyze::verify::{InputMap, PassId, VerifyConfig, VerifyResult};
 use gpu_sim::analyze::{analyze_kernel, cost, AnalysisConfig, BufferExtent, Severity};
 use gpu_sim::ir::Kernel;
-use particle_layouts::Layout;
+use particle_layouts::{Layout, Particle};
 
 use crate::banks::build_bank_kernel;
 use crate::barnes_hut::{build_bh_kernel, traversal_budget, BhKernelConfig};
@@ -87,24 +87,16 @@ fn force_verify_params(layout: Layout) -> Vec<u32> {
 /// unique per plan slot and never collide with the hot fields.
 pub fn posmass_input_map(layout: Layout, buffers: &[u32], n: u32) -> InputMap {
     let plan = layout.read_plan_posmass();
-    let lanes = layout.posmass_lanes();
+    let hot = Particle::POSMASS.map(|w| plan.lane(w));
     let mut map = InputMap::default();
     for e in 0..n as u64 {
         for (ri, r) in plan.reads.iter().enumerate() {
             let base = buffers[r.buffer] as u64;
             for w in 0..r.words as u64 {
                 let addr = base + e * r.stride as u64 + r.offset as u64 + 4 * w;
-                let slot = (ri, w as usize);
-                let field = if slot == lanes.px {
-                    0
-                } else if slot == lanes.py {
-                    1
-                } else if slot == lanes.pz {
-                    2
-                } else if slot == lanes.mass {
-                    3
-                } else {
-                    4 + (ri as u64 * 4 + w)
+                let field = match hot.iter().position(|&l| l == (ri, w as usize)) {
+                    Some(f) => f as u64,
+                    None => 4 + (ri as u64 * 4 + w),
                 };
                 map.global.insert(addr, e * 16 + field);
             }
@@ -449,12 +441,10 @@ mod tests {
             let plan = layout.read_plan_posmass();
             assert_eq!(map.global.len(), 64 * plan.words() as usize, "{layout}");
             // Hot-field keys are layout-independent.
-            let lanes = layout.posmass_lanes();
-            let r = &plan.reads[lanes.px.0];
-            let addr = params[r.buffer] as u64
-                + 7 * r.stride as u64
-                + r.offset as u64
-                + 4 * lanes.px.1 as u64;
+            let (read, lane) = plan.lane(Particle::POS[0]);
+            let r = &plan.reads[read];
+            let addr =
+                params[r.buffer] as u64 + 7 * r.stride as u64 + r.offset as u64 + 4 * lane as u64;
             assert_eq!(
                 map.global.get(&addr),
                 Some(&(7 * 16)),

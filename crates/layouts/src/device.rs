@@ -11,7 +11,7 @@
 //! typed [`gpu_sim::DeviceError`]s instead of panics.
 
 use crate::host::Particle;
-use crate::plan::{BufferKind, Field, Layout};
+use crate::plan::Layout;
 use gpu_sim::fault::{DeviceError, DeviceResult, FaultKind};
 use gpu_sim::mem::{DevicePtr, GlobalMemory};
 
@@ -39,6 +39,8 @@ pub struct DeviceImage {
 impl DeviceImage {
     /// Upload `particles` under `layout`, padding the count to a multiple of
     /// `pad_to` (typically the block size) with [`Particle::SENTINEL`].
+    /// A record slot no word maps to (the aligned record's pad word, the
+    /// cold `float4`'s fourth word) is stored as 0.0.
     ///
     /// An empty particle set is a valid no-op image: no buffers are
     /// allocated, `padded_n` is zero, and no kernel launch is needed.
@@ -68,19 +70,22 @@ impl DeviceImage {
                 reason: format!("{n} particles padded to a multiple of {pad_to} overflow u32"),
             })
         })?;
-        let kinds = layout.buffers();
-        let mut buffers = Vec::with_capacity(kinds.len());
+        let placement = layout.placement();
+        let mut buffers = Vec::with_capacity(placement.buffers.len());
         let mut bytes = 0u64;
-        for kind in &kinds {
-            let size = kind.stride() * padded_n as u64;
+        for (b, buffer) in placement.buffers.iter().enumerate() {
+            let stride = buffer.stride();
+            let size = stride * u64::from(padded_n);
             let ptr = gmem.alloc(size)?;
             bytes += size;
-            for i in 0..padded_n {
-                let p = particles
-                    .get(i as usize)
-                    .copied()
-                    .unwrap_or(Particle::SENTINEL);
-                write_record(gmem, *kind, ptr, i as u64, &p)?;
+            let record: Vec<Option<usize>> = placement.record(b).collect();
+            for i in 0..padded_n as usize {
+                let fields = particles.get(i).unwrap_or(&Particle::SENTINEL).fields();
+                let at = ptr.0 + i as u64 * stride;
+                for (slot, word) in record.iter().enumerate() {
+                    let v = word.map_or(0.0, |w| fields[w]);
+                    gmem.store_f32(at + 4 * slot as u64, v)?;
+                }
             }
             buffers.push(ptr);
         }
@@ -118,11 +123,17 @@ impl DeviceImage {
                 redzone: false,
             }));
         }
-        let mut p = Particle::SENTINEL;
-        for (kind, base) in self.layout.buffers().iter().zip(&self.buffers) {
-            read_record(gmem, *kind, *base, i as u64, &mut p)?;
+        let placement = self.layout.placement();
+        let mut fields = [0.0; 7];
+        for (b, base) in self.buffers.iter().enumerate() {
+            let at = base.0 + u64::from(i) * placement.buffers[b].stride();
+            for (slot, word) in placement.record(b).enumerate() {
+                if let Some(w) = word {
+                    fields[w] = gmem.load_f32(at + 4 * slot as u64)?;
+                }
+            }
         }
-        Ok(p)
+        Ok(Particle::from_fields(fields))
     }
 
     /// Read all real (unpadded) particles back.
@@ -146,96 +157,6 @@ impl DeviceImage {
         }
         Ok(())
     }
-}
-
-fn write_record(
-    gmem: &mut GlobalMemory,
-    kind: BufferKind,
-    base: DevicePtr,
-    i: u64,
-    p: &Particle,
-) -> DeviceResult<()> {
-    let at = |off: u64| base.0 + i * kind.stride() + off;
-    match kind {
-        BufferKind::Packed28 | BufferKind::Aligned32 => {
-            for (f, v) in p.fields().iter().enumerate() {
-                gmem.store_f32(at(4 * f as u64), *v)?;
-            }
-            if kind == BufferKind::Aligned32 {
-                gmem.store_f32(at(28), 0.0)?;
-            }
-        }
-        BufferKind::ScalarArray(field) => {
-            let v = match field {
-                Field::Px => p.pos.x,
-                Field::Py => p.pos.y,
-                Field::Pz => p.pos.z,
-                Field::Vx => p.vel.x,
-                Field::Vy => p.vel.y,
-                Field::Vz => p.vel.z,
-                Field::Mass => p.mass,
-            };
-            gmem.store_f32(at(0), v)?;
-        }
-        BufferKind::PosMass4 => {
-            gmem.store_f32(at(0), p.pos.x)?;
-            gmem.store_f32(at(4), p.pos.y)?;
-            gmem.store_f32(at(8), p.pos.z)?;
-            gmem.store_f32(at(12), p.mass)?;
-        }
-        BufferKind::Velocity4 => {
-            gmem.store_f32(at(0), p.vel.x)?;
-            gmem.store_f32(at(4), p.vel.y)?;
-            gmem.store_f32(at(8), p.vel.z)?;
-            gmem.store_f32(at(12), 0.0)?;
-        }
-    }
-    Ok(())
-}
-
-fn read_record(
-    gmem: &GlobalMemory,
-    kind: BufferKind,
-    base: DevicePtr,
-    i: u64,
-    p: &mut Particle,
-) -> DeviceResult<()> {
-    let at = |off: u64| base.0 + i * kind.stride() + off;
-    match kind {
-        BufferKind::Packed28 | BufferKind::Aligned32 => {
-            p.pos.x = gmem.load_f32(at(0))?;
-            p.pos.y = gmem.load_f32(at(4))?;
-            p.pos.z = gmem.load_f32(at(8))?;
-            p.vel.x = gmem.load_f32(at(12))?;
-            p.vel.y = gmem.load_f32(at(16))?;
-            p.vel.z = gmem.load_f32(at(20))?;
-            p.mass = gmem.load_f32(at(24))?;
-        }
-        BufferKind::ScalarArray(field) => {
-            let v = gmem.load_f32(at(0))?;
-            match field {
-                Field::Px => p.pos.x = v,
-                Field::Py => p.pos.y = v,
-                Field::Pz => p.pos.z = v,
-                Field::Vx => p.vel.x = v,
-                Field::Vy => p.vel.y = v,
-                Field::Vz => p.vel.z = v,
-                Field::Mass => p.mass = v,
-            }
-        }
-        BufferKind::PosMass4 => {
-            p.pos.x = gmem.load_f32(at(0))?;
-            p.pos.y = gmem.load_f32(at(4))?;
-            p.pos.z = gmem.load_f32(at(8))?;
-            p.mass = gmem.load_f32(at(12))?;
-        }
-        BufferKind::Velocity4 => {
-            p.vel.x = gmem.load_f32(at(0))?;
-            p.vel.y = gmem.load_f32(at(4))?;
-            p.vel.z = gmem.load_f32(at(8))?;
-        }
-    }
-    Ok(())
 }
 
 /// Allocate a zero-filled output buffer for per-particle `float4`

@@ -1,8 +1,10 @@
-//! Host-side particle types: the canonical record and the four byte layouts
-//! from the paper's Figures 2, 4, 6 and 8, as real `repr(C)` Rust types.
+//! The host-side particle record every layout converts to and from.
 //!
-//! Tests pin the sizes and field offsets, so "28-byte packed struct" is a
-//! checked property rather than a comment.
+//! Its seven words, in [`Particle::fields`] order, are what each layout's
+//! placement table in [`crate::plan`] puts at a `(buffer, byte offset)`
+//! slot. The tests below pin the byte shapes of the paper's Figures 2, 4, 6
+//! and 8 on that table: the 28-byte packed record, the 32-byte aligned
+//! record with its hidden pad word, and the two 16-byte `float4`s.
 
 use simcore::Vec3;
 
@@ -26,6 +28,15 @@ impl Particle {
         mass: 0.0,
     };
 
+    /// Indices of position x/y/z in [`Particle::fields`].
+    pub const POS: [usize; 3] = [0, 1, 2];
+    /// Indices of velocity x/y/z in [`Particle::fields`].
+    pub const VEL: [usize; 3] = [3, 4, 5];
+    /// Index of the mass in [`Particle::fields`].
+    pub const MASS: usize = 6;
+    /// Indices of the force kernel's hot words, position x/y/z and mass.
+    pub const POSMASS: [usize; 4] = [0, 1, 2, Particle::MASS];
+
     /// The seven floats in the paper's canonical order
     /// (px, py, pz, vx, vy, vz, mass).
     pub fn fields(&self) -> [f32; 7] {
@@ -33,236 +44,88 @@ impl Particle {
             self.pos.x, self.pos.y, self.pos.z, self.vel.x, self.vel.y, self.vel.z, self.mass,
         ]
     }
-}
 
-/// Paper Fig. 2: the original Gravit layout — a packed 28-byte structure.
-#[repr(C)]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ParticlePacked {
-    /// Position x/y/z.
-    pub px: f32,
-    /// Position y.
-    pub py: f32,
-    /// Position z.
-    pub pz: f32,
-    /// Velocity x.
-    pub vx: f32,
-    /// Velocity y.
-    pub vy: f32,
-    /// Velocity z.
-    pub vz: f32,
-    /// Mass.
-    pub mass: f32,
-}
-
-/// Paper Fig. 6: the `__align__(16)` structure — 7 floats plus one hidden
-/// 32-bit padding element, 32 bytes, 16-byte aligned. Serves both the `AoS`
-/// variant (scalar access) and the `AoaS` variant (two 128-bit accesses).
-#[repr(C, align(16))]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ParticleAligned {
-    /// Position x.
-    pub px: f32,
-    /// Position y.
-    pub py: f32,
-    /// Position z.
-    pub pz: f32,
-    /// Velocity x.
-    pub vx: f32,
-    /// Velocity y.
-    pub vy: f32,
-    /// Velocity z.
-    pub vz: f32,
-    /// Mass.
-    pub mass: f32,
-    /// The hidden padding element alignment adds.
-    pub _pad: f32,
-}
-
-/// Paper Fig. 8, hot half: position + mass, the `float4`-shaped sub-structure
-/// read on every tile of the force kernel.
-#[repr(C, align(16))]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PosMass {
-    /// Position x.
-    pub x: f32,
-    /// Position y.
-    pub y: f32,
-    /// Position z.
-    pub z: f32,
-    /// Mass.
-    pub mass: f32,
-}
-
-/// Paper Fig. 8, cold half: velocity (+ hidden padding), read far less often
-/// — the access-frequency grouping of Sec. II-D.
-#[repr(C, align(16))]
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Velocity4 {
-    /// Velocity x.
-    pub x: f32,
-    /// Velocity y.
-    pub y: f32,
-    /// Velocity z.
-    pub z: f32,
-    /// Hidden padding element.
-    pub _pad: f32,
-}
-
-impl From<Particle> for ParticlePacked {
-    fn from(p: Particle) -> Self {
-        ParticlePacked {
-            px: p.pos.x,
-            py: p.pos.y,
-            pz: p.pos.z,
-            vx: p.vel.x,
-            vy: p.vel.y,
-            vz: p.vel.z,
-            mass: p.mass,
-        }
-    }
-}
-
-impl From<ParticlePacked> for Particle {
-    fn from(p: ParticlePacked) -> Self {
+    /// The particle whose [`Particle::fields`] are `f`.
+    pub fn from_fields(f: [f32; 7]) -> Particle {
         Particle {
-            pos: Vec3::new(p.px, p.py, p.pz),
-            vel: Vec3::new(p.vx, p.vy, p.vz),
-            mass: p.mass,
+            pos: Vec3::new(f[0], f[1], f[2]),
+            vel: Vec3::new(f[3], f[4], f[5]),
+            mass: f[6],
         }
-    }
-}
-
-impl From<Particle> for ParticleAligned {
-    fn from(p: Particle) -> Self {
-        ParticleAligned {
-            px: p.pos.x,
-            py: p.pos.y,
-            pz: p.pos.z,
-            vx: p.vel.x,
-            vy: p.vel.y,
-            vz: p.vel.z,
-            mass: p.mass,
-            _pad: 0.0,
-        }
-    }
-}
-
-impl From<ParticleAligned> for Particle {
-    fn from(p: ParticleAligned) -> Self {
-        Particle {
-            pos: Vec3::new(p.px, p.py, p.pz),
-            vel: Vec3::new(p.vx, p.vy, p.vz),
-            mass: p.mass,
-        }
-    }
-}
-
-impl From<Particle> for (PosMass, Velocity4) {
-    fn from(p: Particle) -> Self {
-        (
-            PosMass {
-                x: p.pos.x,
-                y: p.pos.y,
-                z: p.pos.z,
-                mass: p.mass,
-            },
-            Velocity4 {
-                x: p.vel.x,
-                y: p.vel.y,
-                z: p.vel.z,
-                _pad: 0.0,
-            },
-        )
-    }
-}
-
-/// Structure-of-arrays host container (paper Fig. 4): seven scalar arrays.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SoaParticles {
-    /// Position x values.
-    pub px: Vec<f32>,
-    /// Position y values.
-    pub py: Vec<f32>,
-    /// Position z values.
-    pub pz: Vec<f32>,
-    /// Velocity x values.
-    pub vx: Vec<f32>,
-    /// Velocity y values.
-    pub vy: Vec<f32>,
-    /// Velocity z values.
-    pub vz: Vec<f32>,
-    /// Masses.
-    pub mass: Vec<f32>,
-}
-
-impl SoaParticles {
-    /// Transpose an AoS particle slice into SoA form.
-    pub fn from_particles(ps: &[Particle]) -> Self {
-        let mut s = SoaParticles::default();
-        for p in ps {
-            s.px.push(p.pos.x);
-            s.py.push(p.pos.y);
-            s.pz.push(p.pos.z);
-            s.vx.push(p.vel.x);
-            s.vy.push(p.vel.y);
-            s.vz.push(p.vel.z);
-            s.mass.push(p.mass);
-        }
-        s
-    }
-
-    /// Number of particles.
-    pub fn len(&self) -> usize {
-        self.px.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.px.is_empty()
-    }
-
-    /// Transpose back to AoS.
-    pub fn to_particles(&self) -> Vec<Particle> {
-        (0..self.len())
-            .map(|i| Particle {
-                pos: Vec3::new(self.px[i], self.py[i], self.pz[i]),
-                vel: Vec3::new(self.vx[i], self.vy[i], self.vz[i]),
-                mass: self.mass[i],
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::mem::{align_of, offset_of, size_of};
+    use crate::plan::Layout;
+
+    /// `(buffer, byte offset)` of every record slot no word maps to.
+    fn pads(l: Layout) -> Vec<(usize, u32)> {
+        let p = l.placement();
+        (0..p.buffers.len())
+            .flat_map(|b| p.record(b).zip(0..).map(move |(w, s)| (w, (b, 4 * s))))
+            .filter_map(|(w, slot)| w.is_none().then_some(slot))
+            .collect()
+    }
+
+    fn strides(l: Layout) -> Vec<u64> {
+        l.buffers().iter().map(|b| b.stride()).collect()
+    }
 
     #[test]
     fn packed_struct_is_28_bytes() {
-        assert_eq!(size_of::<ParticlePacked>(), 28);
-        assert_eq!(align_of::<ParticlePacked>(), 4);
-        assert_eq!(offset_of!(ParticlePacked, px), 0);
-        assert_eq!(offset_of!(ParticlePacked, vx), 12);
-        assert_eq!(offset_of!(ParticlePacked, mass), 24);
+        let p = Layout::Unopt.placement();
+        assert_eq!(strides(Layout::Unopt), [28]);
+        assert_eq!(p.slots[0], (0, 0));
+        assert_eq!(p.slots[Particle::VEL[0]], (0, 12));
+        assert_eq!(p.slots[Particle::MASS], (0, 24));
+        assert!(pads(Layout::Unopt).is_empty());
     }
 
     #[test]
     fn aligned_struct_is_32_bytes_align_16() {
-        assert_eq!(size_of::<ParticleAligned>(), 32);
-        assert_eq!(align_of::<ParticleAligned>(), 16);
-        assert_eq!(offset_of!(ParticleAligned, mass), 24);
-        assert_eq!(offset_of!(ParticleAligned, _pad), 28);
+        for l in [Layout::AoS, Layout::AoaS] {
+            let p = l.placement();
+            assert_eq!(strides(l), [32], "{l}");
+            assert_eq!(p.slots[Particle::MASS], (0, 24), "{l}");
+            assert_eq!(pads(l), [(0, 28)], "{l}: the hidden padding element");
+        }
+        assert!(Layout::AoaS.placement().vector);
     }
 
     #[test]
     fn sub_structures_are_float4_shaped() {
-        assert_eq!(size_of::<PosMass>(), 16);
-        assert_eq!(align_of::<PosMass>(), 16);
-        assert_eq!(offset_of!(PosMass, mass), 12);
-        assert_eq!(size_of::<Velocity4>(), 16);
-        assert_eq!(align_of::<Velocity4>(), 16);
+        let p = Layout::SoAoaS.placement();
+        assert_eq!(strides(Layout::SoAoaS), [16, 16]);
+        let hot = Particle::POS.map(|w| p.slots[w]);
+        assert_eq!(hot, [(0, 0), (0, 4), (0, 8)]);
+        assert_eq!(p.slots[Particle::MASS], (0, 12));
+        assert_eq!(Particle::VEL.map(|w| p.slots[w]), [(1, 0), (1, 4), (1, 8)]);
+        assert_eq!(pads(Layout::SoAoaS), [(1, 12)], "the cold float4's pad");
+    }
+
+    #[test]
+    fn soa_transpose_roundtrip() {
+        // Fig. 4: word k of particle i sits at byte 4i of array k.
+        assert!(pads(Layout::SoA).is_empty());
+        let ps: Vec<Particle> = (0..10)
+            .map(|i| Particle {
+                pos: Vec3::splat(i as f32),
+                vel: Vec3::splat(-(i as f32)),
+                mass: i as f32 * 0.5,
+            })
+            .collect();
+        let mut gmem = gpu_sim::mem::GlobalMemory::new(1 << 16);
+        let img = crate::DeviceImage::upload(&mut gmem, Layout::SoA, &ps, 16).unwrap();
+        assert_eq!(img.buffers.len(), 7);
+        for (i, p) in ps.iter().enumerate() {
+            for (k, base) in img.buffers.iter().enumerate() {
+                let v = gmem.load_f32(base.0 + 4 * i as u64).unwrap();
+                assert_eq!(v, p.fields()[k]);
+            }
+        }
+        assert_eq!(img.read_all(&gmem).unwrap(), ps);
     }
 
     #[test]
@@ -272,27 +135,9 @@ mod tests {
             vel: Vec3::new(-1.0, -2.0, -3.0),
             mass: 7.5,
         };
-        assert_eq!(Particle::from(ParticlePacked::from(p)), p);
-        assert_eq!(Particle::from(ParticleAligned::from(p)), p);
-        let (pm, v): (PosMass, Velocity4) = p.into();
-        assert_eq!(pm.mass, 7.5);
-        assert_eq!((pm.x, pm.y, pm.z), (1.0, 2.0, 3.0));
-        assert_eq!((v.x, v.y, v.z), (-1.0, -2.0, -3.0));
-    }
-
-    #[test]
-    fn soa_transpose_roundtrip() {
-        let ps: Vec<Particle> = (0..10)
-            .map(|i| Particle {
-                pos: Vec3::splat(i as f32),
-                vel: Vec3::splat(-(i as f32)),
-                mass: i as f32 * 0.5,
-            })
-            .collect();
-        let soa = SoaParticles::from_particles(&ps);
-        assert_eq!(soa.len(), 10);
-        assert!(!soa.is_empty());
-        assert_eq!(soa.to_particles(), ps);
+        assert_eq!(Particle::from_fields(p.fields()), p);
+        assert_eq!(p.fields()[Particle::MASS], 7.5);
+        assert_eq!(Particle::VEL.map(|w| p.fields()[w]), [-1.0, -2.0, -3.0]);
     }
 
     #[test]

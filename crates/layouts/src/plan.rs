@@ -1,11 +1,19 @@
 //! Layout descriptors and read plans.
 //!
+//! Each [`Layout`] is declared once, as one entry of the `PLACEMENTS`
+//! table: its buffers' record strides, the `(buffer, byte offset)` slot of
+//! each of the seven record words, and whether threads read it with 128-bit
+//! vectors. The buffer list, the read plans, the kernel builders' register
+//! lanes ([`ReadPlan::lane`]) and the device image ([`crate::device`]) are
+//! all derived from that one table.
+//!
 //! A [`ReadPlan`] is the machine-readable answer to "how does a thread fetch
 //! this particle's data under layout X?" — the kernel builders turn it into
-//! IR loads, the coalescing analysis turns it into address streams, and the
-//! device module turns it into buffers. The per-layout plans are exactly the
-//! access patterns of the paper's Figures 3, 5, 7 and 9.
+//! IR loads, and the coalescing analysis turns it into address streams. The
+//! per-layout plans are exactly the access patterns of the paper's Figures
+//! 3, 5, 7 and 9.
 
+use crate::host::Particle;
 use serde::{Deserialize, Serialize};
 
 /// The memory layouts compared in the paper (Fig. 10's x-axis).
@@ -26,6 +34,81 @@ pub enum Layout {
     /// (Sec. II-D).
     SoAoaS,
 }
+
+/// Where a layout puts the particle record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Placement {
+    /// The layout's buffers, in kernel parameter order.
+    pub buffers: &'static [Buffer],
+    /// `(buffer, byte offset)` of each record word, in [`Particle::fields`]
+    /// order. A record slot no word maps to is padding, stored as 0.0.
+    pub slots: [(usize, u32); 7],
+    /// Threads read the layout with one 128-bit vector per 16-byte chunk
+    /// instead of one scalar per word.
+    pub vector: bool,
+}
+
+impl Placement {
+    /// The record word at each 4-byte slot of buffer `buffer`, in offset
+    /// order; `None` is a padding slot.
+    pub fn record(&self, buffer: usize) -> impl Iterator<Item = Option<usize>> + '_ {
+        (0..self.buffers[buffer].stride)
+            .step_by(4)
+            .map(move |off| self.slots.iter().position(|&s| s == (buffer, off)))
+    }
+}
+
+/// Word `k` at byte `4k` of one buffer: the packed and the aligned record.
+const IN_ORDER: [(usize, u32); 7] = [(0, 0), (0, 4), (0, 8), (0, 12), (0, 16), (0, 20), (0, 24)];
+
+const fn buffer(name: &'static str, stride: u32) -> Buffer {
+    Buffer { name, stride }
+}
+
+/// Every layout's placement, in [`Layout::ALL`] order.
+const PLACEMENTS: [Placement; 5] = [
+    // Unopt (Fig. 2): the packed 28-byte record, read one scalar at a time.
+    Placement {
+        buffers: &[buffer("Packed28", 28)],
+        slots: IN_ORDER,
+        vector: false,
+    },
+    // AoS: Fig. 6's 32-byte aligned record (pad word at byte 28), read as
+    // scalars.
+    Placement {
+        buffers: &[buffer("Aligned32", 32)],
+        slots: IN_ORDER,
+        vector: false,
+    },
+    // SoA (Fig. 4): one 4-byte array per word.
+    Placement {
+        buffers: &[
+            buffer("ScalarArray(Px)", 4),
+            buffer("ScalarArray(Py)", 4),
+            buffer("ScalarArray(Pz)", 4),
+            buffer("ScalarArray(Vx)", 4),
+            buffer("ScalarArray(Vy)", 4),
+            buffer("ScalarArray(Vz)", 4),
+            buffer("ScalarArray(Mass)", 4),
+        ],
+        slots: [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)],
+        vector: false,
+    },
+    // AoaS (Fig. 6): the aligned record as two float4s, (px, py, pz, vx)
+    // and (vy, vz, mass, pad).
+    Placement {
+        buffers: &[buffer("Aligned32", 32)],
+        slots: IN_ORDER,
+        vector: true,
+    },
+    // SoAoaS (Fig. 8): a hot (x, y, z, mass) and a cold (vx, vy, vz, pad)
+    // float4 array, grouped by access frequency.
+    Placement {
+        buffers: &[buffer("PosMass4", 16), buffer("Velocity4", 16)],
+        slots: [(0, 0), (0, 4), (0, 8), (1, 0), (1, 4), (1, 8), (0, 12)],
+        vector: true,
+    },
+];
 
 impl Layout {
     /// All layouts in the order the paper plots them.
@@ -48,81 +131,20 @@ impl Layout {
         }
     }
 
-    /// The buffers this layout stores particles in.
-    pub fn buffers(self) -> Vec<BufferKind> {
-        match self {
-            Layout::Unopt => vec![BufferKind::Packed28],
-            Layout::AoS | Layout::AoaS => vec![BufferKind::Aligned32],
-            Layout::SoA => vec![
-                BufferKind::ScalarArray(Field::Px),
-                BufferKind::ScalarArray(Field::Py),
-                BufferKind::ScalarArray(Field::Pz),
-                BufferKind::ScalarArray(Field::Vx),
-                BufferKind::ScalarArray(Field::Vy),
-                BufferKind::ScalarArray(Field::Vz),
-                BufferKind::ScalarArray(Field::Mass),
-            ],
-            Layout::SoAoaS => vec![BufferKind::PosMass4, BufferKind::Velocity4],
-        }
+    /// Where this layout puts the particle record.
+    pub(crate) fn placement(self) -> &'static Placement {
+        &PLACEMENTS[self as usize]
     }
 
-    /// Bytes of device storage per particle (including padding elements).
-    pub fn bytes_per_particle(self) -> u64 {
-        match self {
-            Layout::Unopt => 28,
-            Layout::AoS | Layout::AoaS => 32,
-            Layout::SoA => 28,
-            Layout::SoAoaS => 32,
-        }
+    /// The buffers this layout stores particles in.
+    pub fn buffers(self) -> Vec<Buffer> {
+        self.placement().buffers.to_vec()
     }
 
     /// The reads a thread issues to fetch **all seven** floats of particle
     /// `i` — the membench access pattern (paper Sec. III).
     pub fn read_plan_all(self) -> ReadPlan {
-        let reads = match self {
-            Layout::Unopt => scalar_reads(0, 28, &[0, 4, 8, 12, 16, 20, 24]),
-            Layout::AoS => scalar_reads(0, 32, &[0, 4, 8, 12, 16, 20, 24]),
-            Layout::SoA => (0..7)
-                .map(|f| FieldRead {
-                    buffer: f,
-                    offset: 0,
-                    words: 1,
-                    stride: 4,
-                })
-                .collect(),
-            Layout::AoaS => vec![
-                FieldRead {
-                    buffer: 0,
-                    offset: 0,
-                    words: 4,
-                    stride: 32,
-                },
-                FieldRead {
-                    buffer: 0,
-                    offset: 16,
-                    words: 4,
-                    stride: 32,
-                },
-            ],
-            Layout::SoAoaS => vec![
-                FieldRead {
-                    buffer: 0,
-                    offset: 0,
-                    words: 4,
-                    stride: 16,
-                },
-                FieldRead {
-                    buffer: 1,
-                    offset: 0,
-                    words: 4,
-                    stride: 16,
-                },
-            ],
-        };
-        ReadPlan {
-            layout: self,
-            reads,
-        }
+        self.read_plan(&[0, 1, 2, 3, 4, 5, 6])
     }
 
     /// The reads a thread issues to fetch **position + mass** of particle `i`
@@ -131,89 +153,46 @@ impl Layout {
     /// while the ungrouped `AoaS` must pull both halves of the structure to
     /// reach the mass.
     pub fn read_plan_posmass(self) -> ReadPlan {
-        let reads = match self {
-            Layout::Unopt => scalar_reads(0, 28, &[0, 4, 8, 24]),
-            Layout::AoS => scalar_reads(0, 32, &[0, 4, 8, 24]),
-            Layout::SoA => vec![
-                FieldRead {
-                    buffer: 0,
-                    offset: 0,
-                    words: 1,
-                    stride: 4,
-                },
-                FieldRead {
-                    buffer: 1,
-                    offset: 0,
-                    words: 1,
-                    stride: 4,
-                },
-                FieldRead {
-                    buffer: 2,
-                    offset: 0,
-                    words: 1,
-                    stride: 4,
-                },
-                FieldRead {
-                    buffer: 6,
-                    offset: 0,
-                    words: 1,
-                    stride: 4,
-                },
-            ],
-            Layout::AoaS => vec![
-                FieldRead {
-                    buffer: 0,
-                    offset: 0,
-                    words: 4,
-                    stride: 32,
-                },
-                FieldRead {
-                    buffer: 0,
-                    offset: 16,
-                    words: 4,
-                    stride: 32,
-                },
-            ],
-            Layout::SoAoaS => vec![FieldRead {
-                buffer: 0,
-                offset: 0,
-                words: 4,
-                stride: 16,
-            }],
-        };
+        self.read_plan(&Particle::POSMASS)
+    }
+
+    /// The reads (and, reused with stores, writes) an **integration kernel**
+    /// issues per particle: position and velocity, plus whatever padding or
+    /// co-located fields the layout forces along (mass rides in the same
+    /// vector for `AoaS`/`SoAoaS` and is written back unchanged).
+    pub fn read_plan_posvel(self) -> ReadPlan {
+        let ([x, y, z], [vx, vy, vz]) = (Particle::POS, Particle::VEL);
+        self.read_plan(&[x, y, z, vx, vy, vz])
+    }
+
+    /// The reads that fetch record `words` (indices into
+    /// [`Particle::fields`]): a scalar layout issues one 1-word read per
+    /// word at its slot, in request order; a vector layout issues one
+    /// 4-word read per 16-byte-aligned chunk holding a requested word, in
+    /// first-request order.
+    fn read_plan(self, words: &[usize]) -> ReadPlan {
+        let p = self.placement();
+        let mut reads: Vec<FieldRead> = Vec::new();
+        for &w in words {
+            let (buffer, offset) = p.slots[w];
+            let (offset, width) = if p.vector {
+                (offset - offset % 16, 4)
+            } else {
+                (offset, 1)
+            };
+            let read = FieldRead {
+                buffer,
+                offset,
+                words: width,
+                stride: p.buffers[buffer].stride,
+            };
+            if !reads.contains(&read) {
+                reads.push(read);
+            }
+        }
         ReadPlan {
             layout: self,
             reads,
-        }
-    }
-
-    /// Where (buffer, byte offset within the particle's slot, word lane
-    /// within the read) each of px/py/pz/mass lands when fetched via
-    /// [`Layout::read_plan_posmass`] — used by kernel builders to pick the
-    /// right destination registers.
-    pub fn posmass_lanes(self) -> PosMassLanes {
-        match self {
-            // Scalar plans: reads arrive in order px, py, pz, mass.
-            Layout::Unopt | Layout::AoS | Layout::SoA => PosMassLanes {
-                px: (0, 0),
-                py: (1, 0),
-                pz: (2, 0),
-                mass: (3, 0),
-            },
-            // AoaS: first float4 = (px,py,pz,vx), second = (vy,vz,mass,pad).
-            Layout::AoaS => PosMassLanes {
-                px: (0, 0),
-                py: (0, 1),
-                pz: (0, 2),
-                mass: (1, 2),
-            },
-            // SoAoaS posmass float4 = (x,y,z,mass).
-            Layout::SoAoaS => PosMassLanes {
-                px: (0, 0),
-                py: (0, 1),
-                pz: (0, 2),
-                mass: (0, 3),
-            },
         }
     }
 }
@@ -224,18 +203,23 @@ impl core::fmt::Display for Layout {
     }
 }
 
-/// Which of the hot fields sits in which (read index, word lane) of the
-/// posmass read plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PosMassLanes {
-    /// (read index, word index) of position x.
-    pub px: (usize, usize),
-    /// (read index, word index) of position y.
-    pub py: (usize, usize),
-    /// (read index, word index) of position z.
-    pub pz: (usize, usize),
-    /// (read index, word index) of mass.
-    pub mass: (usize, usize),
+/// One device buffer of a layout: an array of fixed-size records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Buffer {
+    name: &'static str,
+    stride: u32,
+}
+
+impl Buffer {
+    /// The buffer's name in memory plans, e.g. `PosMass4`.
+    pub fn name(self) -> &'static str {
+        self.name
+    }
+
+    /// Bytes per particle in this buffer.
+    pub fn stride(self) -> u64 {
+        u64::from(self.stride)
+    }
 }
 
 /// One 32-bit read per byte offset of a record of `stride` bytes in `buffer`.
@@ -249,46 +233,6 @@ pub fn scalar_reads(buffer: usize, stride: u32, offsets: &[u32]) -> Vec<FieldRea
             stride,
         })
         .collect()
-}
-
-/// The scalar fields, for naming SoA buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)]
-pub enum Field {
-    Px,
-    Py,
-    Pz,
-    Vx,
-    Vy,
-    Vz,
-    Mass,
-}
-
-/// A device buffer a layout stores data in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum BufferKind {
-    /// Packed 28-byte records.
-    Packed28,
-    /// Aligned 32-byte records.
-    Aligned32,
-    /// One scalar array of the given field.
-    ScalarArray(Field),
-    /// Array of `{x,y,z,mass}` float4s.
-    PosMass4,
-    /// Array of `{vx,vy,vz,pad}` float4s.
-    Velocity4,
-}
-
-impl BufferKind {
-    /// Bytes per particle in this buffer.
-    pub fn stride(self) -> u64 {
-        match self {
-            BufferKind::Packed28 => 28,
-            BufferKind::Aligned32 => 32,
-            BufferKind::ScalarArray(_) => 4,
-            BufferKind::PosMass4 | BufferKind::Velocity4 => 16,
-        }
-    }
 }
 
 /// Where one word of the *old* record lands in a synthesized layout.
@@ -348,56 +292,6 @@ impl SynthesizedLayout {
             fields,
         }
     }
-
-    /// Bytes per element over all synthesized buffers.
-    pub fn bytes_per_element(&self) -> u64 {
-        self.strides.iter().map(|&s| s as u64).sum()
-    }
-
-    /// The per-thread read plan of the synthesized layout: one
-    /// [`FieldRead`] per maximal run of contiguous mapped words in each
-    /// buffer, vector-widened to 2 or 4 words where alignment allows —
-    /// the same grouping rule the IR rewrite pass applies.
-    pub fn reads(&self) -> Vec<FieldRead> {
-        let mut words: Vec<(usize, u32)> =
-            self.fields.iter().map(|f| (f.buffer, f.offset)).collect();
-        words.sort_unstable();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < words.len() {
-            let (buf, start) = words[i];
-            let mut len = 1u32;
-            while i + (len as usize) < words.len()
-                && words[i + len as usize] == (buf, start + 4 * len)
-            {
-                len += 1;
-            }
-            let stride = self.strides[buf];
-            let mut at = 0u32;
-            while at < len {
-                let mut w = 1u32;
-                for cand in [4u32, 2] {
-                    let off = start + 4 * at;
-                    if len - at >= cand
-                        && off.is_multiple_of(4 * cand)
-                        && stride.is_multiple_of(4 * cand)
-                    {
-                        w = cand;
-                        break;
-                    }
-                }
-                out.push(FieldRead {
-                    buffer: buf,
-                    offset: start + 4 * at,
-                    words: w,
-                    stride,
-                });
-                at += w;
-            }
-            i += len as usize;
-        }
-        out
-    }
 }
 
 /// One read a thread issues for its particle.
@@ -439,64 +333,29 @@ impl ReadPlan {
     pub fn words(&self) -> u32 {
         self.reads.iter().map(|r| r.words).sum()
     }
+
+    /// `(read index, word lane within the read)` that delivers record word
+    /// `word` (an index into [`Particle::fields`]) — where a kernel builder
+    /// finds that field among a read's destination registers.
+    ///
+    /// Panics if the plan does not fetch the word.
+    pub fn lane(&self, word: usize) -> (usize, usize) {
+        let (buffer, offset) = self.layout.placement().slots[word];
+        self.reads
+            .iter()
+            .enumerate()
+            .find_map(|(i, r)| {
+                let span = r.offset..r.offset + 4 * r.words;
+                (r.buffer == buffer && span.contains(&offset))
+                    .then_some((i, ((offset - r.offset) / 4) as usize))
+            })
+            .unwrap_or_else(|| panic!("{} plan does not fetch word {word}", self.layout))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn synthesized_posmass_tile_reads_as_one_float4() {
-        // The synthesizer's soaoas-16 answer for the Gravit record: the four
-        // hot words of the 28-byte record packed into one 16-byte tile.
-        let l = SynthesizedLayout::new(
-            "soaoas-16",
-            vec![16],
-            [0u32, 4, 8, 24]
-                .iter()
-                .enumerate()
-                .map(|(i, &o)| SynthesizedField {
-                    old_buffer: 0,
-                    old_offset: o,
-                    buffer: 0,
-                    offset: 4 * i as u32,
-                })
-                .collect(),
-        );
-        assert_eq!(l.bytes_per_element(), 16);
-        let reads = l.reads();
-        assert_eq!(
-            reads,
-            vec![FieldRead {
-                buffer: 0,
-                offset: 0,
-                words: 4,
-                stride: 16
-            }]
-        );
-    }
-
-    #[test]
-    fn synthesized_misaligned_words_stay_scalar() {
-        // Three words at offsets 4..16 of a 16-byte record: 4 is not
-        // 8-aligned, so the run splits scalar, vector2, scalar-free.
-        let l = SynthesizedLayout::new(
-            "tail",
-            vec![16],
-            (0..3)
-                .map(|i| SynthesizedField {
-                    old_buffer: 0,
-                    old_offset: 4 * i,
-                    buffer: 0,
-                    offset: 4 + 4 * i,
-                })
-                .collect(),
-        );
-        let reads = l.reads();
-        assert_eq!(reads.len(), 2);
-        assert_eq!((reads[0].offset, reads[0].words), (4, 1));
-        assert_eq!((reads[1].offset, reads[1].words), (8, 2));
-    }
 
     #[test]
     #[should_panic]
@@ -522,15 +381,35 @@ mod tests {
     }
 
     #[test]
+    fn placements_are_well_formed() {
+        for l in Layout::ALL {
+            let p = l.placement();
+            let mut slots = p.slots.to_vec();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), 7, "{l}: two words share a slot");
+            for (b, off) in p.slots {
+                let stride = p.buffers[b].stride;
+                assert!(
+                    off % 4 == 0 && off + 4 <= stride,
+                    "{l}: slot outside its record"
+                );
+            }
+            if p.vector {
+                assert!(
+                    p.buffers.iter().all(|b| b.stride % 16 == 0),
+                    "{l}: float4 stride"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn all_plans_fetch_seven_words() {
         for l in Layout::ALL {
-            let p = l.read_plan_all();
-            let words = p.words();
-            match l {
-                Layout::Unopt | Layout::AoS | Layout::SoA => assert_eq!(words, 7, "{l}"),
-                // Vector plans fetch the hidden padding element too.
-                Layout::AoaS | Layout::SoAoaS => assert_eq!(words, 8, "{l}"),
-            }
+            // Vector plans fetch the hidden padding element too.
+            let expected = if l.placement().vector { 8 } else { 7 };
+            assert_eq!(l.read_plan_all().words(), expected, "{l}");
         }
     }
 
@@ -595,95 +474,13 @@ mod tests {
     fn posmass_lanes_point_at_real_words() {
         for l in Layout::ALL {
             let plan = l.read_plan_posmass();
-            let lanes = l.posmass_lanes();
-            for (ri, wi) in [lanes.px, lanes.py, lanes.pz, lanes.mass] {
+            for w in Particle::POSMASS {
+                let (ri, wi) = plan.lane(w);
                 assert!(ri < plan.reads.len(), "{l}");
                 assert!((wi as u32) < plan.reads[ri].words, "{l}");
+                let r = plan.reads[ri];
+                assert_eq!(l.placement().slots[w], (r.buffer, r.offset + 4 * wi as u32));
             }
-        }
-    }
-}
-
-/// Which (read index, word lane) of [`Layout::read_plan_posvel`] holds each
-/// integration field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PosVelLanes {
-    /// Position x/y/z.
-    pub pos: [(usize, usize); 3],
-    /// Velocity x/y/z.
-    pub vel: [(usize, usize); 3],
-}
-
-impl Layout {
-    /// The reads (and, reused with stores, writes) an **integration kernel**
-    /// issues per particle: position and velocity, plus whatever padding or
-    /// co-located fields the layout forces along (mass rides in the same
-    /// vector for `AoaS`/`SoAoaS` and is written back unchanged).
-    pub fn read_plan_posvel(self) -> ReadPlan {
-        let reads = match self {
-            Layout::Unopt => scalar_reads(0, 28, &[0, 4, 8, 12, 16, 20]),
-            Layout::AoS => scalar_reads(0, 32, &[0, 4, 8, 12, 16, 20]),
-            Layout::SoA => (0..6)
-                .map(|f| FieldRead {
-                    buffer: f,
-                    offset: 0,
-                    words: 1,
-                    stride: 4,
-                })
-                .collect(),
-            Layout::AoaS => vec![
-                FieldRead {
-                    buffer: 0,
-                    offset: 0,
-                    words: 4,
-                    stride: 32,
-                },
-                FieldRead {
-                    buffer: 0,
-                    offset: 16,
-                    words: 4,
-                    stride: 32,
-                },
-            ],
-            Layout::SoAoaS => vec![
-                FieldRead {
-                    buffer: 0,
-                    offset: 0,
-                    words: 4,
-                    stride: 16,
-                },
-                FieldRead {
-                    buffer: 1,
-                    offset: 0,
-                    words: 4,
-                    stride: 16,
-                },
-            ],
-        };
-        ReadPlan {
-            layout: self,
-            reads,
-        }
-    }
-
-    /// Lane mapping for [`Layout::read_plan_posvel`].
-    pub fn posvel_lanes(self) -> PosVelLanes {
-        match self {
-            // Scalar plans read px,py,pz,vx,vy,vz in order.
-            Layout::Unopt | Layout::AoS | Layout::SoA => PosVelLanes {
-                pos: [(0, 0), (1, 0), (2, 0)],
-                vel: [(3, 0), (4, 0), (5, 0)],
-            },
-            // AoaS: (px,py,pz,vx) then (vy,vz,mass,pad).
-            Layout::AoaS => PosVelLanes {
-                pos: [(0, 0), (0, 1), (0, 2)],
-                vel: [(0, 3), (1, 0), (1, 1)],
-            },
-            // SoAoaS: (x,y,z,mass) then (vx,vy,vz,pad).
-            Layout::SoAoaS => PosVelLanes {
-                pos: [(0, 0), (0, 1), (0, 2)],
-                vel: [(1, 0), (1, 1), (1, 2)],
-            },
         }
     }
 }
@@ -695,11 +492,8 @@ mod posvel_tests {
     #[test]
     fn posvel_plans_cover_six_words_plus_ride_alongs() {
         for l in Layout::ALL {
-            let p = l.read_plan_posvel();
-            match l {
-                Layout::Unopt | Layout::AoS | Layout::SoA => assert_eq!(p.words(), 6, "{l}"),
-                Layout::AoaS | Layout::SoAoaS => assert_eq!(p.words(), 8, "{l}"),
-            }
+            let expected = if l.placement().vector { 8 } else { 6 };
+            assert_eq!(l.read_plan_posvel().words(), expected, "{l}");
         }
     }
 
@@ -707,14 +501,16 @@ mod posvel_tests {
     fn posvel_lanes_index_real_words() {
         for l in Layout::ALL {
             let plan = l.read_plan_posvel();
-            let lanes = l.posvel_lanes();
-            for (ri, wi) in lanes.pos.iter().chain(lanes.vel.iter()) {
+            let mut all: Vec<(usize, usize)> = Particle::POS
+                .iter()
+                .chain(&Particle::VEL)
+                .map(|&w| plan.lane(w))
+                .collect();
+            for (ri, wi) in &all {
                 assert!(*ri < plan.reads.len(), "{l}");
                 assert!((*wi as u32) < plan.reads[*ri].words, "{l}");
             }
             // All six lanes distinct.
-            let mut all: Vec<(usize, usize)> = lanes.pos.to_vec();
-            all.extend_from_slice(&lanes.vel);
             all.sort_unstable();
             all.dedup();
             assert_eq!(all.len(), 6, "{l}: overlapping integration lanes");

@@ -23,7 +23,7 @@ use particle_layouts::{DeviceImage, Layout, Particle};
 #[test]
 fn advisor_and_layout_crate_agree_on_soaoas() {
     let plan = optimize_layout(&StructSchema::gravit_particle());
-    // Two groups of 4 words = the PosMass4 + Velocity4 buffers.
+    // Two groups of 4 words = the hot and cold float4 buffers.
     let buffers = Layout::SoAoaS.buffers();
     assert_eq!(plan.groups.len(), buffers.len());
     for (g, b) in plan.groups.iter().zip(&buffers) {
