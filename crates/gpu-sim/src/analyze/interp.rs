@@ -64,6 +64,7 @@ use super::{AnalysisConfig, Diagnostic, LintKind, Severity};
 use crate::banks::conflict_degree;
 use crate::coalesce::{AccessWidth, CoalesceCache};
 use crate::fault::FaultSite;
+use crate::ir::count::trip_count;
 /// The exact scalar semantics the `Exact` domain and [`super::verify`]'s
 /// constant folder evaluate — the executors' own, defined once in
 /// [`crate::ir`].
@@ -188,16 +189,6 @@ fn body_writes(stmts: &[IStmt<'_>], var: Reg) -> bool {
         IStmt::While { body: b, .. } => body_writes(b, var),
         IStmt::Sync => false,
     })
-}
-
-/// Bottom-tested trip count under exact bounds (mirrors `ir::count`):
-/// the body always runs once, then `ceil((end - start) / step)` total.
-fn trip(start: u32, end: u32, step: u32) -> u64 {
-    if end <= start {
-        1
-    } else {
-        ((end - start) as u64).div_ceil(step as u64)
-    }
 }
 
 /// How per-lane address deltas at a site have looked so far.
@@ -1001,8 +992,9 @@ impl<'a, 'k> WarpInterp<'a, 'k> {
         let eb = hull(self, end);
         let (trips, var_val) = match (sb.bounds(), eb.bounds()) {
             (Some((sl, sh)), Some((el, eh))) if step > 0 => {
-                let th = trip(sl, eh, step).min(budget);
-                let tl = trip(sh, el, step).min(th);
+                let trip = |s, e| trip_count(s, e, step).expect("the step is positive");
+                let th = trip(sl, eh).min(budget);
+                let tl = trip(sh, el).min(th);
                 // Entry value of the induction variable at iteration k:
                 // start + (k-1)*step, which for k >= 2 passed the previous
                 // latch test (so it is <= eh - 1) and is <= sh + (th-1)*step.

@@ -362,12 +362,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Use a different device.
-    pub fn with_device(mut self, device: DeviceConfig) -> AnalysisConfig {
-        self.device = device;
-        self
-    }
-
     /// Cap data-dependent trip counts at `budget` (must be a true bound on
     /// the dynamic trip count for the transaction bounds to be sound).
     pub fn with_trip_budget(mut self, budget: u64) -> AnalysisConfig {

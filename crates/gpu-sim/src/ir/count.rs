@@ -434,18 +434,6 @@ pub fn instruction_mix_bounds(
     Ok((lo, hi))
 }
 
-/// `[best, worst]` dynamic instruction totals for one thread — the bounds
-/// counterpart of [`dynamic_instructions`], same budget contract as
-/// [`instruction_mix_bounds`].
-pub fn dynamic_instruction_bounds(
-    kernel: &Kernel,
-    params: &[u32],
-    trip_budget: u64,
-) -> Result<(u64, u64), CountError> {
-    let (lo, hi) = instruction_mix_bounds(kernel, params, trip_budget)?;
-    Ok((lo.total(), hi.total()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

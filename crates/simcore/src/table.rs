@@ -31,11 +31,6 @@ impl Table {
         &self.title
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Append a row; must match the header width.
     pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(
@@ -47,11 +42,6 @@ impl Table {
         );
         self.rows.push(cells);
         self
-    }
-
-    /// Append a row of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        self.row(cells.iter().map(|c| c.to_string()).collect())
     }
 
     /// Render as a GitHub-flavored markdown table (with title as a heading).
