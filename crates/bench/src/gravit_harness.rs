@@ -39,11 +39,12 @@ pub fn fig12_sweep(driver: DriverModel) -> Vec<FramePoint> {
     out
 }
 
-/// Measured serial-CPU seconds per frame, extrapolated O(n²) from
-/// calibration runs at `calib_n` bodies: the fastest of as many runs as
-/// fill 50 ms, at least one. A small calibration lasts only milliseconds,
-/// so one run the host preempted would otherwise set the number.
-pub fn cpu_frame_seconds(n: u32, calib_n: u32) -> f64 {
+/// Measured serial-CPU seconds per frame at any body count: calibrated
+/// once at `calib_n` bodies, on the fastest of as many runs as fill 50 ms
+/// (at least one), and extrapolated O(n²). A small calibration lasts only
+/// milliseconds, so one run the host preempted would otherwise set the
+/// number.
+pub fn cpu_frame_seconds(calib_n: u32) -> impl Fn(u32) -> f64 {
     let bodies = spawn::uniform_ball(calib_n as usize, 10.0, 1.0, 123);
     let fp = ForceParams::default();
     // Warm-up, then timed runs.
@@ -56,7 +57,7 @@ pub fn cpu_frame_seconds(n: u32, calib_n: u32) -> f64 {
         assert!(acc.len() == calib_n as usize);
         (fastest, spent) = (fastest.min(dt), spent + dt);
     }
-    fastest * (n as f64 / calib_n as f64).powi(2)
+    move |n| fastest * (n as f64 / calib_n as f64).powi(2)
 }
 
 #[cfg(test)]
@@ -85,16 +86,13 @@ mod tests {
 
     #[test]
     fn cpu_extrapolation_is_quadratic() {
-        // Two separate wall-clock calibrations; under a parallel test run the
-        // measurements are noisy, so the band is wide — the property under
-        // test is the (n/calib)² scaling, not timer precision.
-        let a = cpu_frame_seconds(10_000, 1_000);
-        let b = cpu_frame_seconds(20_000, 1_000);
-        let ratio = b / a;
-        assert!(
-            (1.5..11.0).contains(&ratio),
-            "quadratic extrapolation, got {ratio}"
-        );
+        let cpu = cpu_frame_seconds(1_000);
+        let (a, b) = (cpu(10_000), cpu(20_000));
         assert!(a > 0.0 && a.is_finite());
+        assert!(
+            (b / a - 4.0).abs() < 1e-12,
+            "quadratic extrapolation, got {}",
+            b / a
+        );
     }
 }

@@ -218,12 +218,13 @@ fn fig11_speedup() -> Rendered {
 /// 40k … 1M bodies, with the measured serial-CPU line.
 fn fig12_gravit() -> Rendered {
     let sweep = fig12_sweep(FIG12_DRIVER);
+    let cpu = cpu_frame_seconds(4096);
     let rows = FIG12_SIZES.map(|n| {
         let total = |level: OptLevel| {
             let p = sweep.iter().find(|p| p.level == level && p.n == n);
             p.expect("sweep complete").total_s()
         };
-        let mut row = row![n, dur(cpu_frame_seconds(n, 4096))];
+        let mut row = row![n, dur(cpu(n))];
         row.extend(OptLevel::ALL.map(|level| dur(total(level))));
         row.push(format!(
             "{:.2}x",
@@ -273,7 +274,7 @@ fn fig12_decomposition() -> Rendered {
 fn summary_speedup() -> Rendered {
     let n = 1_000_000u32;
     // The serial CPU frame does not depend on the driver: measure it once.
-    let cpu = cpu_frame_seconds(n, 8192);
+    let cpu = cpu_frame_seconds(8192)(n);
     let rows = DriverModel::ALL.map(|driver| {
         let base = model_frame(OptLevel::Baseline, n, driver).total_s();
         let full = model_frame(OptLevel::Full, n, driver).total_s();
