@@ -61,6 +61,7 @@ impl Placement {
 /// Word `k` at byte `4k` of one buffer: the packed and the aligned record.
 const IN_ORDER: [(usize, u32); 7] = [(0, 0), (0, 4), (0, 8), (0, 12), (0, 16), (0, 20), (0, 24)];
 
+/// A table entry's buffer of `stride`-byte records.
 const fn buffer(name: &'static str, stride: u32) -> Buffer {
     Buffer { name, stride }
 }
