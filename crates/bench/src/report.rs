@@ -3,20 +3,16 @@
 use simcore::Table;
 use std::path::PathBuf;
 
-/// Directory experiment CSVs are written to (workspace-relative `results/`,
-/// overridable via `REPRO_RESULTS_DIR`).
+/// Directory experiment CSVs are written to: `REPRO_RESULTS_DIR` if set,
+/// else `results/` under the working directory (the workspace root under
+/// `cargo run`).
 pub fn results_dir() -> PathBuf {
     if let Ok(d) = std::env::var("REPRO_RESULTS_DIR") {
         return PathBuf::from(d);
     }
-    // The bench binaries run from the workspace root under `cargo run`; fall
-    // back to CARGO_MANIFEST_DIR's parent workspace when invoked elsewhere.
-    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    if cwd.join("Cargo.toml").exists() {
-        cwd.join("results")
-    } else {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-    }
+    std::env::current_dir()
+        .unwrap_or_else(|_| PathBuf::from("."))
+        .join("results")
 }
 
 /// Print the table as markdown and persist it as `results/<slug>.csv`.

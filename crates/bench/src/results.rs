@@ -726,7 +726,7 @@ fn transactions(driver: DriverModel) -> Rendered {
 /// Sec. IV-A: instructions per element, Eq. 3's speedup and registers per
 /// unroll factor.
 fn unroll() -> Rendered {
-    use gravit_core::unroll_advisor::unroll_sweep;
+    use gpu_kernels::unroll_advisor::unroll_sweep;
 
     let (body, overhead) = inner_loop_budget();
     let sweep = unroll_sweep(Layout::SoAoaS, 128, false, 128 * 512);

@@ -1,7 +1,7 @@
 //! The non-figure experiments: the occupancy ladder, the per-half-warp
 //! transaction counts (Figs. 3/5/7/9) and the access-frequency grouping
 //! ablation (Sec. II-D). The unroll sweep (Sec. IV-A) is
-//! `gravit_core::unroll_advisor::unroll_sweep`.
+//! `gpu_kernels::unroll_advisor::unroll_sweep`.
 
 use gpu_kernels::force::{build_force_kernel, ForceKernelConfig, OptLevel};
 use gpu_sim::ir::count::inner_loop_profile;

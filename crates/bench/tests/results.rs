@@ -146,3 +146,30 @@ fn only_renders_one_entry_and_an_unknown_slug_exits_2() {
         std::fs::read_to_string(results_dir().join("table_gt200.csv")).unwrap()
     );
 }
+
+#[test]
+fn without_an_override_results_writes_under_the_working_directory() {
+    let checkout_csv = results_dir().join("table_gt200.csv");
+    let mtime = || {
+        std::fs::metadata(&checkout_csv)
+            .unwrap()
+            .modified()
+            .unwrap()
+    };
+    let before = mtime();
+    let cwd = Path::new(env!("CARGO_TARGET_TMPDIR")).join("results-cwd");
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_results"))
+        .args(["--only", "table_gt200"])
+        .current_dir(&cwd)
+        .env_remove("REPRO_RESULTS_DIR")
+        .output()
+        .expect("run results");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        std::fs::read_to_string(cwd.join("results/table_gt200.csv")).unwrap(),
+        std::fs::read_to_string(&checkout_csv).unwrap()
+    );
+    assert_eq!(mtime(), before, "the checkout's CSV was rewritten");
+}

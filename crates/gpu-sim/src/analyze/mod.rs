@@ -20,12 +20,12 @@
 //!   non-uniform loop backedges reuse the fault taxonomy of [`crate::fault`].
 //! * **Dataflow** ([`LintKind::UseBeforeDef`], [`LintKind::DeadCode`],
 //!   [`LintKind::UnhoistedInvariant`]): def-before-use, dead stores, and a
-//!   diff against [`passes::licm`](crate::ir::passes::licm) that counts the
-//!   invariant instructions a loop recomputes.
+//!   diff against [`passes::licm`] that counts the invariant instructions a
+//!   loop recomputes.
 //! * **Occupancy** ([`LintKind::RegisterPressure`]): register demand from
-//!   [`register_demand`](crate::ir::regalloc::register_demand) runs through
-//!   the occupancy calculator; when registers are the limiter and freeing one
-//!   or two would admit another block, the paper's 17→16 trick is suggested.
+//!   [`register_demand`] runs through the occupancy calculator; when
+//!   registers are the limiter and freeing one or two would admit another
+//!   block, the paper's 17→16 trick is suggested.
 //!
 //! Diagnostic coordinates (`kernel`/`block`/`thread`/`instruction`) share
 //! [`FaultSite`] with the device-fault sanitizer, and instruction indices are

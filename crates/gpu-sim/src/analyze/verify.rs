@@ -11,7 +11,7 @@
 //! semantics (`alu`/`mad`/`unary`/`compare`, defined once in [`crate::ir`]),
 //! so the symbolic run never disagrees with a dynamic one.
 //!
-//! Terms live in a hash-consed [`TermArena`] per block, shared by both
+//! Terms live in a hash-consed `TermArena` per block, shared by both
 //! kernels: structural equality is pointer equality (the arena and the
 //! per-block memory maps hash with [`simcore::hash::FxHasher`]: lookups
 //! only, so no result depends on iteration order), and no float identities are
@@ -308,7 +308,7 @@ pub struct VerifyConfig {
     /// aborts the proof — instead the check is re-run once per assumed
     /// uniform trip count `t ∈ [1, r]`, forcing every unknown continuation
     /// to "continue" for the first `t − 1` rounds and "exit" at round `t`,
-    /// and recording each forced decision as an observable [`Event`] both
+    /// and recording each forced decision as an observable `Event` both
     /// kernels must agree on. All `r` proofs together yield
     /// [`VerifyResult::ProvedBounded`] — equivalence on every execution
     /// whose data-dependent loops run uniformly at most `r` rounds.

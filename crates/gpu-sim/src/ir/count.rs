@@ -99,7 +99,8 @@ pub fn trip_count(start: u32, end: u32, step: u32) -> Result<u64, CountError> {
 }
 
 /// Dynamic instructions executed by **one thread** of the kernel, given the
-/// launch parameter values (loop bounds must be immediates or parameters).
+/// launch parameter values (loop bounds must be immediates or parameters):
+/// the total of [`instruction_mix`].
 ///
 /// Loop accounting matches [`super::lower`]: one init `mov`, plus per
 /// iteration the body and the 3-instruction overhead (add, compare, branch).
@@ -108,42 +109,7 @@ pub fn trip_count(start: u32, end: u32, step: u32) -> Result<u64, CountError> {
 /// not a panic, so callers (the advisors, the static analyzer) can degrade
 /// to an "unbounded loop" diagnostic.
 pub fn dynamic_instructions(kernel: &Kernel, params: &[u32]) -> Result<u64, CountError> {
-    if kernel.n_params as usize != params.len() {
-        return Err(CountError::ParamCountMismatch {
-            expected: kernel.n_params,
-            got: params.len(),
-        });
-    }
-    fn count(stmts: &[Stmt], params: &[u32]) -> Result<u64, CountError> {
-        let mut total = 0u64;
-        for s in stmts {
-            match s {
-                Stmt::I(_) => total += 1,
-                Stmt::Sync => total += 1,
-                Stmt::If { then, els, .. } => {
-                    total += count(then, params)? + count(els, params)?;
-                }
-                Stmt::For {
-                    var,
-                    start,
-                    end,
-                    step,
-                    body,
-                } => {
-                    // A data-dependent start (the grid-strided tile loop
-                    // starts at `tid`) counts as thread 0's trip count.
-                    let st = resolve_const(start, params).unwrap_or(0);
-                    let en = resolve_const(end, params)
-                        .ok_or(CountError::DataDependentBound { var: *var })?;
-                    let trips = trip_count(st, en, *step)?;
-                    total += 1 + trips * (count(body, params)? + 3);
-                }
-                Stmt::While { .. } => return Err(CountError::DataDependentLoop),
-            }
-        }
-        Ok(total)
-    }
-    count(&kernel.body, params)
+    instruction_mix(kernel, params).map(|m| m.total())
 }
 
 /// Profile of the innermost loop: the `P` term of Eq. 3.
@@ -260,25 +226,10 @@ pub fn instruction_mix(kernel: &Kernel, params: &[u32]) -> Result<InstrMix, Coun
             got: params.len(),
         });
     }
-    fn classify(i: &Instr, m: &mut InstrMix, mult: u64) {
-        match i {
-            Instr::Alu { op, .. } if op.is_float() => m.fp += mult,
-            Instr::Mad { float: true, .. } => m.fp += mult,
-            Instr::Unary {
-                op: UnaryOp::FRsqrt,
-                ..
-            } => m.sfu += mult,
-            Instr::Unary { .. } => m.int += mult,
-            Instr::Ld { .. } => m.loads += mult,
-            Instr::St { .. } => m.stores += mult,
-            Instr::Clock { .. } => m.int += mult,
-            _ => m.int += mult,
-        }
-    }
     fn walk(stmts: &[Stmt], params: &[u32], mult: u64, m: &mut InstrMix) -> Result<(), CountError> {
         for s in stmts {
             match s {
-                Stmt::I(i) => classify(i, m, mult),
+                Stmt::I(i) => *class(i, m) += mult,
                 Stmt::Sync => m.control += mult,
                 Stmt::If { then, els, .. } => {
                     walk(then, params, mult, m)?;
@@ -309,23 +260,19 @@ pub fn instruction_mix(kernel: &Kernel, params: &[u32]) -> Result<InstrMix, Coun
     Ok(m)
 }
 
-/// Saturating variant of the mix classifier, for the bounds walk: widened
-/// trip budgets can push multipliers toward `u64::MAX`, which must clamp
-/// rather than wrap.
-fn classify_sat(i: &Instr, m: &mut InstrMix, mult: u64) {
-    let slot: &mut u64 = match i {
+/// The counter of `m` that an instruction's class charges.
+fn class<'m>(i: &Instr, m: &'m mut InstrMix) -> &'m mut u64 {
+    match i {
         Instr::Alu { op, .. } if op.is_float() => &mut m.fp,
         Instr::Mad { float: true, .. } => &mut m.fp,
         Instr::Unary {
             op: UnaryOp::FRsqrt,
             ..
         } => &mut m.sfu,
-        Instr::Unary { .. } => &mut m.int,
         Instr::Ld { .. } => &mut m.loads,
         Instr::St { .. } => &mut m.stores,
         _ => &mut m.int,
-    };
-    *slot = slot.saturating_add(mult);
+    }
 }
 
 /// Dynamic instruction-mix **bounds** for one thread: a `[best, worst]`
@@ -367,9 +314,13 @@ pub fn instruction_mix_bounds(
     ) -> Result<(), CountError> {
         for s in stmts {
             match s {
+                // Widened trip budgets can push multipliers toward
+                // `u64::MAX`, which must clamp rather than wrap.
                 Stmt::I(i) => {
-                    classify_sat(i, lo, mult.0);
-                    classify_sat(i, hi, mult.1);
+                    let l = class(i, lo);
+                    *l = l.saturating_add(mult.0);
+                    let h = class(i, hi);
+                    *h = h.saturating_add(mult.1);
                 }
                 Stmt::Sync => {
                     lo.control = lo.control.saturating_add(mult.0);

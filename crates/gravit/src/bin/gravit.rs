@@ -15,13 +15,16 @@
 //! fault under `--fault-policy fail`.
 
 use gpu_kernels::force::OptLevel;
+use gpu_kernels::pipeline::optimization_ladder;
 use gpu_sim::fault::DeviceError;
 use gpu_sim::{DeviceConfig, DriverModel};
 use gravit_app::backend::{Backend, FaultPolicy};
 use gravit_app::checkpoint::Checkpoint;
 use gravit_app::config::{SimConfig, SpawnKind};
 use gravit_app::recorder::Recording;
+use gravit_app::report::build_report;
 use gravit_app::sim::{SimError, Simulation};
+use particle_layouts::layout_advisor::StructSchema;
 use simcore::format_duration_s;
 use std::time::Instant;
 
@@ -270,7 +273,7 @@ fn cmd_ladder() {
         "{:<32} {:>10} {:>12} {:>6} {:>10}",
         "level", "tile-fetch", "instrs/elem", "regs", "occupancy"
     );
-    for step in gravit_core::pipeline::optimization_ladder(&dev, DriverModel::Cuda10) {
+    for step in optimization_ladder(&dev, DriverModel::Cuda10) {
         println!(
             "{:<32} {:>10} {:>12.2} {:>6} {:>9.0}%",
             step.level.label(),
@@ -300,10 +303,8 @@ fn cmd_model(args: &[String]) {
 }
 
 fn cmd_report(args: &[String]) {
-    use gravit_core::layout_advisor::StructSchema;
     let dev = DeviceConfig::g8800gtx();
-    let report =
-        gravit_core::build_report(&dev, DriverModel::Cuda10, &StructSchema::gravit_particle());
+    let report = build_report(&dev, DriverModel::Cuda10, &StructSchema::gravit_particle());
     let json = report.to_json().unwrap_or_else(|e| {
         eprintln!("gravit: cannot serialize the report: {e}");
         std::process::exit(2);

@@ -2,8 +2,9 @@
 //!
 //! The application layer of the reproduction: the paper accelerates Gravit, a
 //! Newtonian gravity simulator, so the repository ships one. It wires the
-//! [`nbody`] physics and the simulated-GPU backends from [`gravit_core`] into
-//! a configurable simulation loop with recording and diagnostics:
+//! [`nbody`] physics and the [`gpu_kernels`] force kernels on the [`gpu_sim`]
+//! device into a configurable simulation loop with recording and
+//! diagnostics:
 //!
 //! * [`config`] — simulation configuration (workload, force law, integrator,
 //!   backend);
@@ -20,10 +21,12 @@
 //! * [`render`] — PGM/ASCII rendering of recordings (Gravit's visual side);
 //! * [`fleet`] — the supervised multi-job runtime over a pool of simulated
 //!   devices: typed admission, per-device health supervision with
-//!   quarantine, and checkpoint-backed preemption/migration.
+//!   quarantine, and checkpoint-backed preemption/migration;
+//! * [`report`] — the advisors' outputs for one record schema as one JSON
+//!   document (`gravit report`).
 //!
-//! The `gravit` binary exposes `run`, `ladder`, `model` and `fleet`
-//! subcommands; see `gravit help`.
+//! The `gravit` binary exposes `run`, `ladder`, `model`, `report`, `render`
+//! and `fleet` subcommands; see `gravit help`.
 
 #![warn(missing_docs)]
 
@@ -36,6 +39,7 @@ pub mod pressure;
 pub mod recorder;
 pub mod recovery;
 pub mod render;
+pub mod report;
 pub mod sim;
 
 pub use backend::Backend;

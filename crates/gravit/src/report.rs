@@ -6,10 +6,10 @@
 //! (CI dashboards, the `gravit report` subcommand) can consume the advisor
 //! without re-running the analyses.
 
-use crate::layout_advisor::{optimize_layout, LayoutPlan, StructSchema};
-use crate::pipeline::optimization_ladder;
-use crate::unroll_advisor::advise_unroll;
+use gpu_kernels::pipeline::optimization_ladder;
+use gpu_kernels::unroll_advisor::advise_unroll;
 use gpu_sim::{DeviceConfig, DriverModel};
+use particle_layouts::layout_advisor::{optimize_layout, LayoutPlan, StructSchema};
 use particle_layouts::Layout;
 use serde::Serialize;
 

@@ -12,10 +12,10 @@
 //! A refactor of the layout or unroll advisor that claims identical
 //! behaviour must pass these unedited.
 
+use gpu_kernels::unroll_advisor::advise_unroll;
 use gpu_sim::{DeviceConfig, DriverModel};
-use gravit_core::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, StructSchema};
-use gravit_core::report::build_report;
-use gravit_core::unroll_advisor::advise_unroll;
+use gravit_app::report::build_report;
+use particle_layouts::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, StructSchema};
 use particle_layouts::Layout;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

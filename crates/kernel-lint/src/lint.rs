@@ -9,9 +9,10 @@
 
 use gpu_sim::analyze::synth::buffer_summaries;
 use gpu_sim::analyze::{AnalysisReport, LintKind};
+use particle_layouts::layout_advisor::{
+    optimize_layout, AccessFreq, FieldSpec, LayoutPlan, StructSchema,
+};
 use serde::Serialize;
-
-use crate::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, LayoutPlan, StructSchema};
 
 /// A layout remedy attached to one diagnostic of the report.
 #[derive(Debug, Clone, Serialize)]

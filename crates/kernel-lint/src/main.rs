@@ -2,7 +2,7 @@
 //!
 //! Runs `gpu_sim::analyze` over the curated target set
 //! (`gpu_kernels::lintset`), enriches findings with the paper's remedies
-//! (`gravit_core::lint`), and gates on expectations:
+//! ([`lint`]), and gates on expectations:
 //!
 //! * default mode: each kernel must produce **exactly** its documented
 //!   findings (the CI gate) — exit 1 on any deviation;
@@ -30,6 +30,7 @@
 //!   emits SARIF 2.1.0 for GitHub code scanning; `--json` is shorthand
 //!   for `--format json`.
 
+mod lint;
 mod sarif;
 
 use std::process::ExitCode;
@@ -40,7 +41,7 @@ use gpu_kernels::verifyset::{bounds_targets, layout_ladder_targets, workspace_pa
 use gpu_sim::analyze::verify::VerifyResult;
 use gpu_sim::analyze::{analyze_kernel, cost};
 use gpu_sim::DriverModel;
-use gravit_core::lint::{enrich_report, EnrichedReport};
+use lint::{enrich_report, EnrichedReport};
 use particle_layouts::plan::SynthesizedLayout;
 use serde::Serialize;
 

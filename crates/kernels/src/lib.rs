@@ -22,6 +22,16 @@
 //!   tuning are applied via the `gpu_sim::ir::passes` pipeline, giving the
 //!   paper's optimization ladder (Sec. IV + Fig. 12).
 //!
+//! Two advisors read the force kernel:
+//!
+//! * [`unroll_advisor`] — the Sec. IV-A loop-unrolling analysis: the one
+//!   unroll sweep (measured per-element instruction budgets, Eq. 3
+//!   `speedup ≈ P₁/P₂`, register demand) plus occupancy and cost-model
+//!   feedback, and a recommended factor;
+//! * [`pipeline`] — the full ladder applied to the force kernel, each
+//!   step's layout traffic, instruction budget, registers and occupancy
+//!   (the programmatic form of Fig. 12's levels).
+//!
 //! The force kernel is *functionally validated* against the `nbody` CPU
 //! solver — bit-for-bit, because both sides use the same operation order
 //! (see `nbody::model::accel_one_exact`).
@@ -35,7 +45,9 @@ pub mod force;
 pub mod integrate;
 pub mod lintset;
 pub mod membench;
+pub mod pipeline;
 pub mod synthset;
+pub mod unroll_advisor;
 pub mod verifyset;
 
 pub use chunk::{build_chunk_force_kernel, chunk_force_params};

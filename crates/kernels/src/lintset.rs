@@ -93,9 +93,22 @@ impl LintTarget {
     }
 }
 
-/// Fake, 64 KiB-apart (hence 256-aligned) device buffer addresses.
-fn fake_buffers(n: usize) -> Vec<u32> {
+/// Fake, 64 KiB-apart (hence 256-aligned) device buffer addresses, the one
+/// addressing scheme of the lint, verify and synthesis targets and of the
+/// unroll advisor's cost launch.
+pub(crate) fn fake_buffers(n: usize) -> Vec<u32> {
     (0..n as u32).map(|i| 0x1_0000 * (i + 1)).collect()
+}
+
+/// Force-kernel launch parameters under `layout` on fake buffers: the
+/// layout's buffers, `out` at `0x20_0000`, `n`, ε = 0.5 and `smem0` = 0.
+pub(crate) fn fake_force_params(layout: Layout, n: u32) -> Vec<u32> {
+    let mut p = fake_buffers(layout.buffers().len());
+    p.push(0x20_0000); // out
+    p.push(n);
+    p.push(0.5f32.to_bits()); // eps
+    p.push(0); // smem0
+    p
 }
 
 /// Declare a 64 KiB extent at each of the given device addresses — the
@@ -117,13 +130,8 @@ fn force_target(
     expect_warnings: Vec<&'static str>,
 ) -> LintTarget {
     let grid = 2u32;
-    let n = grid * cfg.block;
-    let mut params = fake_buffers(cfg.layout.buffers().len());
-    params.push(0x20_0000); // out
-    let buffers = extents(&params);
-    params.push(n);
-    params.push(0.5f32.to_bits()); // eps
-    params.push(0); // smem0
+    let params = fake_force_params(cfg.layout, grid * cfg.block);
+    let buffers = extents(&params[..=cfg.layout.buffers().len()]); // + out
     let kernel = if prefetch {
         build_force_kernel_prefetch(cfg)
     } else {

@@ -6,13 +6,13 @@
 //! structure. This is the "what did each optimization buy" view that the
 //! examples and the gravit application print.
 
-use gpu_kernels::force::{build_force_kernel, OptLevel};
 use gpu_sim::ir::regalloc::register_demand;
 use gpu_sim::occupancy::{occupancy, Occupancy};
 use gpu_sim::DeviceConfig;
 use gpu_sim::DriverModel;
 use particle_layouts::streams::analyze_plan;
 
+use crate::force::{build_force_kernel, OptLevel};
 use crate::unroll_advisor::instrs_per_element;
 
 /// One step of the ladder.

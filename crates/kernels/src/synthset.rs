@@ -18,6 +18,7 @@ use particle_layouts::plan::{SynthesizedField, SynthesizedLayout};
 use particle_layouts::Layout;
 
 use crate::force::{build_force_kernel, ForceKernelConfig};
+use crate::lintset::fake_force_params;
 
 /// The measured end-to-end speedup of the hand-derived ladder at the
 /// paper's block sizes (`results/table_verify.csv`, SoAoaS+unroll+ICM over
@@ -71,24 +72,6 @@ pub fn synthesized_layout(rw: &LayoutRewrite) -> SynthesizedLayout {
     SynthesizedLayout::new(rw.tag.clone(), rw.new_strides.clone(), fields)
 }
 
-/// Fake, 64 KiB-apart device buffer addresses (same scheme as
-/// `lintset`/`verifyset`).
-fn fake_buffers(n: usize) -> Vec<u32> {
-    (0..n as u32).map(|i| 0x1_0000 * (i + 1)).collect()
-}
-
-/// Force-kernel launch parameters under `layout`: buffers, out, n, eps,
-/// smem0. `n` is a placeholder — the synthesizer re-derives it per launch
-/// shape through [`SynthConfig::n_param`].
-fn force_synth_params(layout: Layout, n: u32) -> Vec<u32> {
-    let mut p = fake_buffers(layout.buffers().len());
-    p.push(0x20_0000); // out
-    p.push(n); // n
-    p.push(0.5f32.to_bits()); // eps
-    p.push(0); // smem0
-    p
-}
-
 /// The naive force kernel under `layout` at its native block size, wired
 /// up as a synthesis target for `driver`.
 fn force_target(
@@ -105,15 +88,11 @@ fn force_target(
         unroll: 1,
         icm: false,
     });
-    let n_param = layout.buffers().len() + 1; // buffers…, out, then n
-    let config = SynthConfig::new(
-        driver,
-        GRID,
-        block,
-        force_synth_params(layout, GRID * block),
-    )
-    .with_n_param(n_param)
-    .with_max_suggestions(2);
+    // buffers…, out, then n, which the synthesizer re-derives per launch shape
+    let n_param = layout.buffers().len() + 1;
+    let config = SynthConfig::new(driver, GRID, block, fake_force_params(layout, GRID * block))
+        .with_n_param(n_param)
+        .with_max_suggestions(2);
     SynthTarget {
         name,
         kernel,
@@ -139,7 +118,7 @@ pub fn endpoint_target(block: u32, driver: DriverModel) -> SynthTarget {
         driver,
         GRID,
         block,
-        force_synth_params(Layout::SoAoaS, GRID * block),
+        fake_force_params(Layout::SoAoaS, GRID * block),
     )
     .with_n_param(n_param);
     SynthTarget {

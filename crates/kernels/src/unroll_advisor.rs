@@ -8,7 +8,6 @@
 //! best predicted time, breaking ties toward smaller code. The `table_unroll`
 //! experiment prints the same sweep at its own problem size.
 
-use gpu_kernels::force::{build_force_kernel, ForceKernelConfig};
 use gpu_sim::analyze::{cost, AnalysisConfig};
 use gpu_sim::ir::count::{dynamic_instructions, eq3_speedup};
 use gpu_sim::ir::regalloc::register_demand;
@@ -16,6 +15,9 @@ use gpu_sim::ir::Kernel;
 use gpu_sim::occupancy::{occupancy, Occupancy};
 use gpu_sim::DeviceConfig;
 use particle_layouts::Layout;
+
+use crate::force::{build_force_kernel, ForceKernelConfig};
+use crate::lintset::fake_force_params;
 
 /// One factor of the unroll sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,19 +110,15 @@ impl UnrollAdvice {
 /// Analyze unroll factors for the force kernel at a given layout/block/ICM
 /// setting on a device.
 pub fn advise_unroll(dev: &DeviceConfig, layout: Layout, block: u32, icm: bool) -> UnrollAdvice {
+    // Price each transformed kernel through the same cost model the
+    // layout/schedule synthesizer ranks candidates with, at a small
+    // reference launch (2 blocks, one tile pass per thread).
+    let acfg = AnalysisConfig::new(2, block, fake_force_params(layout, 2 * block));
     // Reference size: per-element budgets are size-stable.
     let options: Vec<UnrollOption> = unroll_sweep(layout, block, icm, block * 64)
         .into_iter()
         .map(|row| {
-            // Price the transformed kernel through the same cost model the
-            // layout/schedule synthesizer ranks candidates with, at a small
-            // reference launch (2 blocks, one tile pass per thread).
             let k = &row.kernel;
-            let mut cost_params: Vec<u32> =
-                (0..k.n_params as u32).map(|i| 0x1_0000 * (i + 1)).collect();
-            cost_params[k.n_params as usize - 3] = 2 * block;
-            cost_params[k.n_params as usize - 1] = 0; // smem0
-            let acfg = AnalysisConfig::new(2, block, cost_params);
             UnrollOption {
                 factor: row.factor,
                 instrs_per_element: row.instrs_per_element,

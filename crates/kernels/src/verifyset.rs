@@ -17,6 +17,7 @@ use crate::banks::build_bank_kernel;
 use crate::barnes_hut::{build_bh_kernel, traversal_budget, BhKernelConfig};
 use crate::force::{build_force_kernel, build_force_kernel_prefetch, ForceKernelConfig};
 use crate::integrate::build_integrate_kernel;
+use crate::lintset::{fake_buffers, fake_force_params};
 use crate::membench::{build_membench_kernel, MembenchConfig};
 
 /// One kernel × pass application to prove equivalent.
@@ -59,26 +60,11 @@ impl LayoutVerifyTarget {
     }
 }
 
-/// Fake, 64 KiB-apart device buffer addresses (same scheme as `lintset`).
-fn fake_buffers(n: usize) -> Vec<u32> {
-    (0..n as u32).map(|i| 0x1_0000 * (i + 1)).collect()
-}
-
 /// Launch shape every verify target uses: 2 blocks of 32 threads — big
 /// enough for grid striding and a 2-tile loop, small enough that symbolic
 /// execution is instant.
 const GRID: u32 = 2;
 const BLOCK: u32 = 32;
-
-/// Force-kernel launch parameters under `layout` for the verify shape.
-fn force_verify_params(layout: Layout) -> Vec<u32> {
-    let mut p = fake_buffers(layout.buffers().len());
-    p.push(0x20_0000); // out
-    p.push(GRID * BLOCK); // n
-    p.push(0.5f32.to_bits()); // eps
-    p.push(0); // smem0
-    p
-}
 
 /// Canonical `(element, field)` naming for every global word the posmass
 /// read plan of `layout` can touch, so the same logical datum gets the same
@@ -127,7 +113,7 @@ pub fn workspace_pass_targets() -> Vec<PassVerifyTarget> {
             icm: false,
         };
         let kernel = build_force_kernel(fcfg);
-        let cfg = VerifyConfig::new(GRID, BLOCK, force_verify_params(layout));
+        let cfg = VerifyConfig::new(GRID, BLOCK, fake_force_params(layout, GRID * BLOCK));
         let passes: &[PassId] = if layout == Layout::SoAoaS {
             // The paper's ladder layout additionally proves both composition
             // orders and the full unroll.
@@ -160,7 +146,7 @@ pub fn workspace_pass_targets() -> Vec<PassVerifyTarget> {
             icm: false,
         };
         let kernel = build_force_kernel_prefetch(fcfg);
-        let cfg = VerifyConfig::new(GRID, BLOCK, force_verify_params(Layout::SoAoaS));
+        let cfg = VerifyConfig::new(GRID, BLOCK, fake_force_params(Layout::SoAoaS, GRID * BLOCK));
         for pass in [PassId::Licm, PassId::Fold] {
             targets.push(PassVerifyTarget {
                 kernel: kernel.clone(),
@@ -330,7 +316,7 @@ pub fn bounds_targets() -> Vec<BoundsVerifyTarget> {
 /// layouts legitimately produce different float sums.)
 pub fn layout_ladder_targets() -> Vec<LayoutVerifyTarget> {
     let to = Layout::SoAoaS;
-    let params_b = force_verify_params(to);
+    let params_b = fake_force_params(to, GRID * BLOCK);
     let map_b = posmass_input_map(to, &params_b, GRID * BLOCK);
     let b = build_force_kernel(ForceKernelConfig {
         layout: to,
@@ -342,7 +328,7 @@ pub fn layout_ladder_targets() -> Vec<LayoutVerifyTarget> {
         .into_iter()
         .filter(|&l| l != to)
         .map(|from| {
-            let params_a = force_verify_params(from);
+            let params_a = fake_force_params(from, GRID * BLOCK);
             let map_a = posmass_input_map(from, &params_a, GRID * BLOCK);
             let a = build_force_kernel(ForceKernelConfig {
                 layout: from,
@@ -436,7 +422,7 @@ mod tests {
     #[test]
     fn input_maps_cover_the_posmass_plan_disjointly() {
         for layout in Layout::ALL {
-            let params = force_verify_params(layout);
+            let params = fake_force_params(layout, GRID * BLOCK);
             let map = posmass_input_map(layout, &params, 64);
             let plan = layout.read_plan_posmass();
             assert_eq!(map.global.len(), 64 * plan.words() as usize, "{layout}");

@@ -5,11 +5,11 @@
 //! 16 when invariants are hoisted first (the 17→16 occupancy trick).
 
 use gpu_kernels::force::{build_force_kernel, ForceKernelConfig};
+use gpu_kernels::unroll_advisor::advise_unroll;
 use gpu_sim::analyze::verify::{verify_pass, PassId, VerifyConfig};
 use gpu_sim::ir::passes::{licm, unroll_innermost};
 use gpu_sim::ir::regalloc::register_demand;
 use gpu_sim::DeviceConfig;
-use gravit_core::unroll_advisor::advise_unroll;
 use particle_layouts::Layout;
 
 fn regs(unroll: u32, icm: bool) -> u16 {

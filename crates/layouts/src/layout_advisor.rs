@@ -11,16 +11,35 @@
 //! bin, plus a transaction count comparing it against the naive packed
 //! array-of-structures baseline. Step 2 is [`gpu_sim::ir::layout::pack_tiles`],
 //! which also tiles the layout synthesizer's SoAoaS candidates, and both
-//! layouts are priced as read plans by
-//! [`particle_layouts::streams::price_reads`], as the paper's Figs. 3–9
-//! transaction tables are.
+//! layouts are priced as read plans by [`price_reads`], as the paper's
+//! Figs. 3–9 transaction tables are.
+//!
+//! ```
+//! use particle_layouts::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, StructSchema};
+//!
+//! // Gravit's particle record, as the paper describes it.
+//! let schema = StructSchema::new(vec![
+//!     FieldSpec::scalar("px", AccessFreq::Hot),
+//!     FieldSpec::scalar("py", AccessFreq::Hot),
+//!     FieldSpec::scalar("pz", AccessFreq::Hot),
+//!     FieldSpec::scalar("vx", AccessFreq::Cold),
+//!     FieldSpec::scalar("vy", AccessFreq::Cold),
+//!     FieldSpec::scalar("vz", AccessFreq::Cold),
+//!     FieldSpec::scalar("mass", AccessFreq::Hot),
+//! ]);
+//! let plan = optimize_layout(&schema);
+//! // The paper's SoAoaS: {x,y,z,mass} hot float4 + {vx,vy,vz,pad} cold float4.
+//! assert_eq!(plan.groups.len(), 2);
+//! assert!(plan.transaction_improvement() > 20.0);
+//! ```
 
 use gpu_sim::ir::layout::pack_tiles;
 use gpu_sim::DriverModel;
-use particle_layouts::plan::scalar_reads;
-use particle_layouts::streams::price_reads;
-use particle_layouts::FieldRead;
 use serde::{Deserialize, Serialize};
+
+use crate::plan::scalar_reads;
+use crate::streams::price_reads;
+use crate::FieldRead;
 
 /// Access-frequency class of a field — the grouping key of step 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]

@@ -26,11 +26,17 @@
 //! 3. **Byte shapes** ([`host`]'s tests): the 28-byte packed record, the
 //!    32-byte aligned record with its pad word at byte 28, and the 16-byte
 //!    hot and cold `float4`s, checked on the table itself.
+//!
+//! [`layout_advisor`] runs the paper's Sec. IV procedure (group by access
+//! frequency, split into aligned sub-structures, arrange them in arrays) on
+//! a declared record schema, and prices the result with the same
+//! [`streams::price_reads`] the read plans use.
 
 #![warn(missing_docs)]
 
 pub mod device;
 pub mod host;
+pub mod layout_advisor;
 pub mod plan;
 pub mod streams;
 

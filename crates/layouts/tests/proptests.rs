@@ -1,7 +1,10 @@
-//! Property-based tests: layout roundtrips and address-plan invariants.
+//! Property-based tests: layout roundtrips and address-plan invariants, and
+//! the layout advisor (the paper's 3-step procedure) over arbitrary struct
+//! schemas.
 
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::DriverModel;
+use particle_layouts::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, StructSchema};
 use particle_layouts::streams::{analyze_plan, half_warp_addresses};
 use particle_layouts::{DeviceImage, Layout, Particle};
 use proptest::prelude::*;
@@ -80,5 +83,77 @@ proptest! {
         prop_assert!(a.bus_bytes >= a.useful_bytes);
         prop_assert!(a.efficiency() > 0.0 && a.efficiency() <= 1.0);
         prop_assert!(a.transactions >= a.reads, "at least one transaction per load");
+    }
+}
+
+fn schema_strategy() -> impl Strategy<Value = StructSchema> {
+    proptest::collection::vec(
+        (
+            1u32..=4,
+            prop_oneof![
+                Just(AccessFreq::Hot),
+                Just(AccessFreq::Warm),
+                Just(AccessFreq::Cold)
+            ],
+        ),
+        1..24,
+    )
+    .prop_map(|fields| {
+        StructSchema::new(
+            fields
+                .into_iter()
+                .enumerate()
+                .map(|(i, (w, f))| FieldSpec::wide(format!("f{i}"), w, f))
+                .collect(),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Step-2 invariants: every bin is alignable (1/2/4 words), never
+    /// overfull, and every field is placed exactly once.
+    #[test]
+    fn bins_are_wellformed(schema in schema_strategy()) {
+        let plan = optimize_layout(&schema);
+        let mut placed: Vec<usize> = Vec::new();
+        for g in &plan.groups {
+            prop_assert!(matches!(g.padded_words, 1 | 2 | 4));
+            prop_assert!(g.used_words <= g.padded_words);
+            prop_assert!(g.used_words > 0);
+            let sum: u32 = g.fields.iter().map(|&i| schema.fields[i].words).sum();
+            prop_assert_eq!(sum, g.used_words);
+            placed.extend(&g.fields);
+        }
+        placed.sort_unstable();
+        let expect: Vec<usize> = (0..schema.fields.len()).collect();
+        prop_assert_eq!(placed, expect);
+    }
+
+    /// Step-1 invariant: access-frequency classes never share a bin.
+    #[test]
+    fn frequencies_never_mix(schema in schema_strategy()) {
+        let plan = optimize_layout(&schema);
+        for g in &plan.groups {
+            prop_assert!(g.fields.iter().all(|&i| schema.fields[i].freq == g.freq));
+        }
+    }
+
+    /// The optimized layout never issues more transactions than the packed
+    /// baseline.
+    #[test]
+    fn optimization_never_hurts(schema in schema_strategy()) {
+        let plan = optimize_layout(&schema);
+        prop_assert!(plan.optimized_transactions <= plan.baseline_transactions);
+        prop_assert!(plan.transaction_improvement() >= 1.0);
+        // Padding never exceeds 3 words per bin.
+        prop_assert!(plan.padding_overhead() <= 3.0);
+    }
+
+    /// Idempotence: planning the same schema twice gives the same plan.
+    #[test]
+    fn planning_is_deterministic(schema in schema_strategy()) {
+        prop_assert_eq!(optimize_layout(&schema), optimize_layout(&schema));
     }
 }

@@ -8,15 +8,13 @@
 //!
 //! Run: `cargo run --release --example device_resident`
 
+use gpu_kernels::force::{build_force_kernel, ForceKernelConfig, OptLevel};
+use gpu_kernels::integrate::build_integrate_kernel;
+use gpu_sim::ir::pretty::disassemble;
 use gravit_app::backend::{run_device_resident, Backend};
-use gravit_core::substrates::gpu_kernels::force::{
-    build_force_kernel, ForceKernelConfig, OptLevel,
-};
-use gravit_core::substrates::gpu_kernels::integrate::build_integrate_kernel;
-use gravit_core::substrates::gpu_sim::ir::pretty::disassemble;
-use gravit_core::substrates::nbody::{self, model::ForceParams};
-use gravit_core::substrates::particle_layouts::Layout;
 use nbody::integrator::step_euler;
+use nbody::model::ForceParams;
+use particle_layouts::Layout;
 
 fn main() {
     // 1. Show what the optimization passes do to the inner loop.

@@ -8,9 +8,9 @@
 //!
 //! Run: `cargo run --release --example layout_explorer`
 
-use gravit_core::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, StructSchema};
-use gravit_core::substrates::gpu_sim::DriverModel;
-use gravit_core::substrates::particle_layouts::Layout;
+use gpu_sim::DriverModel;
+use particle_layouts::layout_advisor::{optimize_layout, AccessFreq, FieldSpec, StructSchema};
+use particle_layouts::Layout;
 
 fn show(name: &str, schema: &StructSchema) {
     let plan = optimize_layout(schema);

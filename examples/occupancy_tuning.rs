@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run --release --example occupancy_tuning`
 
-use gravit_core::substrates::gpu_sim::occupancy::{occupancy, regs_per_block};
-use gravit_core::substrates::gpu_sim::DeviceConfig;
-use gravit_core::substrates::particle_layouts::Layout;
-use gravit_core::unroll_advisor::advise_unroll;
+use gpu_kernels::unroll_advisor::advise_unroll;
+use gpu_sim::occupancy::{occupancy, regs_per_block};
+use gpu_sim::DeviceConfig;
+use particle_layouts::Layout;
 
 fn main() {
     let g80 = DeviceConfig::g8800gtx();

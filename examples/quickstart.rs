@@ -7,12 +7,12 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
+use gpu_kernels::force::OptLevel;
+use gpu_kernels::pipeline::optimization_ladder;
+use gpu_sim::{DeviceConfig, DriverModel};
 use gravit_app::backend::Backend;
-use gravit_core::layout_advisor::{optimize_layout, StructSchema};
-use gravit_core::pipeline::optimization_ladder;
-use gravit_core::substrates::gpu_kernels::force::OptLevel;
-use gravit_core::substrates::gpu_sim::{DeviceConfig, DriverModel};
-use gravit_core::substrates::nbody::{self, model::ForceParams};
+use nbody::model::ForceParams;
+use particle_layouts::layout_advisor::{optimize_layout, StructSchema};
 use simcore::format_duration_s;
 
 fn main() {

@@ -11,11 +11,11 @@ use gpu_sim::exec::timed::time_resident;
 use gpu_sim::ir::count::dynamic_instructions;
 use gpu_sim::mem::GlobalMemory;
 use gpu_sim::{DeviceConfig, DriverModel, TimingParams};
-use gravit_core::layout_advisor::{optimize_layout, StructSchema};
 use nbody::direct::accelerations_tiled;
 use nbody::model::ForceParams;
 use nbody::spawn;
 use particle_layouts::device::{alloc_accel_out, download_accels};
+use particle_layouts::layout_advisor::{optimize_layout, StructSchema};
 use particle_layouts::{DeviceImage, Layout, Particle};
 
 /// The layout advisor's output for the Gravit particle must agree with the

@@ -6,8 +6,8 @@ use bench::gravit_harness::model_frame;
 use bench::membench_harness::{fig11_speedups, run_membench};
 use bench::tables::occupancy_ladder;
 use gpu_kernels::force::OptLevel;
+use gpu_kernels::unroll_advisor::unroll_sweep;
 use gpu_sim::DriverModel;
-use gravit_core::unroll_advisor::unroll_sweep;
 use particle_layouts::Layout;
 
 /// Fig. 10/11 shape: under every driver, the paper's ordering holds —
